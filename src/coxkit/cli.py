@@ -18,11 +18,10 @@ import sys
 import tempfile
 
 from .coxeter import CoxeterMatrix, build_ball
-from .errors import (CapError, CoxkitError, NotFinitaryError, ResourceError,
+from .errors import (CapError, NotFinitaryError, ResourceError,
                      UnsupportedBraidError, UnsupportedCharacteristicError,
                      UsageError)
 from .hecke import Element_shortlex, KLTable
-from .laurent import LaurentPoly
 from .leaves import char_of_word
 from .localization import LocalCalculus, relation_oracle
 from .parabolic import (NElt, ParabolicKLTable, check_deodhar,
@@ -109,14 +108,23 @@ def _cache_key(payload):
 
 
 def _cache_load(cache_dir, key):
+    """The cached table rows, or None on a miss.  A missing, unreadable,
+    undecodable or wrong-shaped entry is a miss, which the caller recomputes
+    and overwrites."""
     path = os.path.join(cache_dir, key + ".json")
-    if not os.path.exists(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("version") != ALGORITHM_VERSION:
+    if not isinstance(data, dict) or data.get("version") != ALGORITHM_VERSION:
         return None
-    return data["rows"]
+    rows = data.get("rows")
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == 3
+            and all(isinstance(c, str) for c in row) for row in rows):
+        return None
+    return rows
 
 
 def _cache_store(cache_dir, key, payload, rows):
@@ -139,11 +147,9 @@ def _table_rows(command, matrix, I, cap):
     ball = build_ball(matrix, cap)
     if command == "klpoly":
         table = KLTable(ball)
-        raw = table.table_rows()
     else:
         table = ParabolicKLTable(ball, I, spherical=(command == "mpoly"))
-        raw = table.table_rows()
-    return [[_elt_name(y), _elt_name(x), str(p)] for y, x, p in raw]
+    return [[_elt_name(y), _elt_name(x), str(p)] for y, x, p in table.table_rows()]
 
 
 def cmd_table(command, args):
@@ -171,51 +177,41 @@ def cmd_table(command, args):
 
 
 # -- check suites ------------------------------------------------------------------
+#
+# Each suite returns its counterexample rows [label, label, note]; none is a pass.
 
-def _check_positivity(ball, I, report):
+def _mismatches(reps, holds, note):
+    """Rows for the pairs y, x of reps with l(y) <= l(x) where holds fails."""
+    return [[_elt_name(y), _elt_name(x), note] for x in reps for y in reps
+            if y.length <= x.length and not holds(y, x)]
+
+
+def _check_positivity(ball, I, args):
     table = ParabolicKLTable(ball, I)
-    bad = []
-    for y, x, p in table.table_rows():
-        if not p.is_nonneg():
-            bad.append([_elt_name(y), _elt_name(x), str(p)])
-    report("positivity", bad)
-    return not bad
+    return [[_elt_name(y), _elt_name(x), str(p)]
+            for y, x, p in table.table_rows() if not p.is_nonneg()]
 
 
-def _check_deodhar(ball, I, report):
+def _check_deodhar(ball, I, args):
     kl = KLTable(ball)
     ntable = ParabolicKLTable(ball, I)
     reps = sorted(ball.min_reps(I), key=Element_shortlex)
-    bad = []
-    for x in reps:
-        for y in reps:
-            if y.length > x.length:
-                continue
-            if not check_deodhar(kl, ntable, y, x):
-                bad.append([_elt_name(y), _elt_name(x), "deodhar mismatch"])
-    report("deodhar", bad)
-    return not bad
+    return _mismatches(reps, lambda y, x: check_deodhar(kl, ntable, y, x),
+                       "deodhar mismatch")
 
 
-def _check_finitary(ball, I, report):
+def _check_finitary(ball, I, args):
     kl = KLTable(ball)
     mtable = ParabolicKLTable(ball, I, spherical=True)
     w0 = ball.longest_element(I)  # raises if W_I is not finitary
     reps = [x for x in ball.min_reps(I)
             if x.length + w0.length <= ball.length_cap]
     reps.sort(key=Element_shortlex)
-    bad = []
-    for x in reps:
-        for y in reps:
-            if y.length > x.length:
-                continue
-            if not check_finitary(kl, mtable, y, x):
-                bad.append([_elt_name(y), _elt_name(x), "finitary mismatch"])
-    report("finitary", bad)
-    return not bad
+    return _mismatches(reps, lambda y, x: check_finitary(kl, mtable, y, x),
+                       "finitary mismatch")
 
 
-def _check_monotonicity(ball, I, report):
+def _check_monotonicity(ball, I, args):
     # chain {} <= {i1} <= {i1,i2} <= ... following the order of --I
     chain = [frozenset()]
     for s in sorted(I):
@@ -224,38 +220,30 @@ def _check_monotonicity(ball, I, report):
     bad = []
     for small, big in zip(tables, tables[1:]):
         reps = sorted(ball.min_reps(big.I), key=Element_shortlex)
-        for x in reps:
-            for y in reps:
-                if y.length > x.length:
-                    continue
-                if not check_monotonicity(big, small, y, x):
-                    bad.append([_elt_name(y), _elt_name(x),
-                                "I=%s vs J=%s" % (sorted(big.I), sorted(small.I))])
-    report("monotonicity", bad)
-    return not bad
+        bad += _mismatches(reps,
+                           lambda y, x: check_monotonicity(big, small, y, x),
+                           "I=%s vs J=%s" % (sorted(big.I), sorted(small.I)))
+    return bad
 
 
-def _check_gradedrank(ball, I, report, count, cap, seed):
-    rng = random.Random(seed)
+def _check_gradedrank(ball, I, args):
+    rng = random.Random(args.seed)
     bad = []
-    for _ in range(count):
-        length = rng.randint(0, cap)
+    for _ in range(args.count):
+        length = rng.randint(0, args.cap)
         word = tuple(rng.randrange(ball.rank) for _ in range(length))
         lhs = char_of_word(ball, word, I)
         rhs = NElt.unit(ball, I).mul_b_word(word)
         if lhs != rhs:
             bad.append([_word_name(word), "", "character mismatch"])
-    report("gradedrank", bad)
-    return not bad
+    return bad
 
 
-def _check_localization(ball, I, report, cap):
+def _check_localization(ball, I, args):
     calc = LocalCalculus(ball, I)
-    bad = []
-    for name, ok in relation_oracle(calc):
-        if not ok:
-            bad.append([name, "", "relation failure"])
-    for length in range(cap + 1):
+    bad = [[name, "", "relation failure"]
+           for name, ok in relation_oracle(calc) if not ok]
+    for length in range(min(args.cap, args.word_cap) + 1):
         for word in itertools.product(range(ball.rank), repeat=length):
             leaves = calc.indices(word)
             endpoints = sorted({e.endpoint for e in leaves},
@@ -276,40 +264,31 @@ def _check_localization(ball, I, report, cap):
                 if not calc.gram_invertible(word, x):
                     bad.append([_word_name(word), _elt_name(x),
                                 "pairing matrix not invertible"])
-    report("localization", bad)
-    return not bad
+    return bad
+
+
+CHECKS = {
+    "positivity": _check_positivity,
+    "deodhar": _check_deodhar,
+    "finitary": _check_finitary,
+    "monotonicity": _check_monotonicity,
+    "gradedrank": _check_gradedrank,
+    "localization": _check_localization,
+}
 
 
 def cmd_check(args):
     matrix = _matrix_from_args(args)
     I = _parse_I(args.I, matrix.rank)
     ball = build_ball(matrix, args.cap)
-
-    failures = []
-
-    def report(name, bad):
-        if bad:
-            print("FAIL %s (%d counterexamples)" % (name, len(bad)))
-            for row in bad[:50]:
-                print("  " + " ".join(c for c in row if c))
-            failures.extend(bad)
-        else:
-            print("PASS %s" % name)
-
-    which = args.which
-    if which == "positivity":
-        ok = _check_positivity(ball, I, report)
-    elif which == "deodhar":
-        ok = _check_deodhar(ball, I, report)
-    elif which == "finitary":
-        ok = _check_finitary(ball, I, report)
-    elif which == "monotonicity":
-        ok = _check_monotonicity(ball, I, report)
-    elif which == "gradedrank":
-        ok = _check_gradedrank(ball, I, report, args.count, args.cap, args.seed)
-    else:  # localization
-        ok = _check_localization(ball, I, report, min(args.cap, args.word_cap))
-    return EXIT_PASS if ok else EXIT_FAIL
+    bad = CHECKS[args.which](ball, I, args)
+    if not bad:
+        print("PASS %s" % args.which)
+        return EXIT_PASS
+    print("FAIL %s (%d counterexamples)" % (args.which, len(bad)))
+    for row in bad[:50]:
+        print("  " + " ".join(c for c in row if c))
+    return EXIT_FAIL
 
 
 # -- pcan ---------------------------------------------------------------------------
@@ -372,9 +351,7 @@ def build_parser():
         _add_common(p)
 
     p = sub.add_parser("check", help="run a named invariant suite")
-    p.add_argument("which", choices=("positivity", "deodhar", "finitary",
-                                     "monotonicity", "gradedrank",
-                                     "localization"))
+    p.add_argument("which", choices=tuple(CHECKS))
     _add_common(p)
     p.add_argument("--count", type=int, default=100,
                    help="number of random words for gradedrank")

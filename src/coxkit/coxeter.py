@@ -13,8 +13,9 @@ import json
 import math
 from functools import lru_cache
 
-from .errors import (CapError, NotFinitaryError, ResourceError, UsageError)
-from .scalars import ScalarRing
+from .errors import (CapError, CoxkitError, NotFinitaryError, ResourceError,
+                     UsageError)
+from .scalars import CycInt, ScalarRing
 
 INF = math.inf
 
@@ -154,14 +155,8 @@ class Element:
     def __repr__(self):
         return "<%s>" % ("".join("s%d" % (g + 1) for g in self.word) or "e")
 
-    def shortlex_key(self):
-        return (self.length, self.word)
-
     def inverse(self):
         return self.ball.inverse(self)
-
-    def matrix_key(self):
-        return self.ball._matrix_of(self.idx)
 
 
 class GroupBall:
@@ -265,19 +260,10 @@ class GroupBall:
         self.elements = [Element(self, i, w) for i, w in enumerate(words)]
         self.identity = self.elements[0]
 
-    def _matrix_of(self, idx):
-        return self._mats[idx]
-
     def __len__(self):
         return len(self.elements)
 
     # -- basic operations ----------------------------------------------------
-
-    def gen(self, s):
-        e = self.right(self.identity, s)
-        if e is None:
-            raise CapError("length cap 0 excludes the generators")
-        return e
 
     def right(self, x, s):
         """x*s, or None if it falls outside the ball."""
@@ -325,21 +311,25 @@ class GroupBall:
     # -- roots ---------------------------------------------------------------
 
     def root_image(self, x, s):
-        """x(alpha_s) as a tuple of CycInt coordinates in the simple-root basis."""
+        """x(alpha_s) as a tuple of CycInt coordinates in the simple-root basis.
+
+        Block s of the stored matrix of x holds exactly these coordinates:
+        one int each when the Cartan matrix is integral, else `deg`
+        coefficients each.
+        """
         key = (x.idx, s)
         got = self._root_memo.get(key)
         if got is not None:
             return got
-        ring = self.ring
-        v = [ring.embed(1 if u == s else 0) for u in range(self.rank)]
-        for t in reversed(x.word):
-            # reflection t: v -> v - <v, alpha_t^vee> alpha_t
-            pair = ring.zero()
-            for u, c in enumerate(v):
-                if not c.is_zero():
-                    pair = pair + c * self.cartan[u][t]
-            v[t] = v[t] - pair
-        got = tuple(v)
+        ring, rank = self.ring, self.rank
+        mat = self._mats[x.idx]
+        if self._int_mode:
+            got = tuple(ring.embed(c) for c in mat[s * rank:(s + 1) * rank])
+        else:
+            d = ring.deg
+            b = s * rank * d
+            got = tuple(CycInt(ring, mat[b + u * d:b + (u + 1) * d])
+                        for u in range(rank))
         self._root_memo[key] = got
         return got
 
@@ -418,8 +408,8 @@ class GroupBall:
         """Root-theoretic Parabolic Property verdict for x in ^IW and s in S.
 
         Returns ('exits_via', r) when x(alpha_s) = alpha_r with r in I (then
-        xs = rx is not in ^IW), else ('in_quotient', None).  Asserts agreement
-        with the combinatorial test when xs lies in the ball.
+        xs = rx is not in ^IW), else ('in_quotient', None).  When xs lies in
+        the ball, raises CoxkitError unless the combinatorial test agrees.
         """
         if not self.is_min_rep(x, I):
             raise UsageError("parabolic_test requires x in ^IW")
@@ -431,9 +421,10 @@ class GroupBall:
                 break
         xs = self.right(x, s)
         if xs is not None:
-            assert self.is_min_rep(xs, I) == (exit_r is None)
-            if exit_r is not None:
-                assert self.left(xs, exit_r) == x  # xs = rx
+            if self.is_min_rep(xs, I) != (exit_r is None):
+                raise CoxkitError("root and length tests disagree on x*s in ^IW")
+            if exit_r is not None and self.left(xs, exit_r) != x:
+                raise CoxkitError("x*s exits ^IW but is not r*x")
         if exit_r is not None:
             return ("exits_via", exit_r)
         return ("in_quotient", None)

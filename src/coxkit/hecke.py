@@ -8,7 +8,7 @@ reduced word of x.
 
 from __future__ import annotations
 
-from .errors import CapError
+from .errors import CapError, CoxkitError
 from .laurent import LaurentPoly, ONE, V, VINV
 
 _V_MINUS_VINV = V - VINV
@@ -179,5 +179,6 @@ def _selfdual_inductive(table, x, std_x):
             if e < 0:
                 corr = corr + LaurentPoly({e: c, -e: c})
         cand = cand - table.b(z).scale(corr)
-    assert cand.coeff(x) == ONE
+    if cand.coeff(x) != ONE:
+        raise CoxkitError("canonical-basis induction lost the unit top term")
     return cand

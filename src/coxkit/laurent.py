@@ -132,16 +132,6 @@ class LaurentPoly:
     def leq_coeffwise(self, other):
         return (other - self).is_nonneg()
 
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else None
-
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else None
-
-    def in_v_times_nonneg_exps(self):
-        """True iff every exponent is >= 1 (the v*Z[v] degree bound)."""
-        return all(e >= 1 for e in self.coeffs)
-
     def truncate_nonpos(self):
         """The part with exponents <= 0."""
         return LaurentPoly({e: c for e, c in self.coeffs.items() if e <= 0})

@@ -22,15 +22,24 @@ defining equations are re-verified on the assembled matrix.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
+import random
+from types import SimpleNamespace
 
-from .errors import (CoxkitError, UnsupportedBraidError,
-                     UnsupportedCharacteristicError)
+from .errors import CoxkitError, UnsupportedBraidError
 from .laurent import LaurentPoly
 from .leaves import enumerate_subexprs, path_dom_leq
-from .polyring import NotInvertibleError, PolyRing, QCoeff
+from .polyring import Poly, PolyRing, QCoeff, _root_key
 from .scalars import CycRat, PrimeFieldK
+
+# The braid orders m_st whose braid matrices are solved (_braid_local).
+_SOLVED_M = (2, 3)
+
+# Frac(K) on CycRat entries, under PrimeFieldK's operation names (for _rank).
+_FRAC_K = SimpleNamespace(is_zero=lambda a: a.is_zero(),
+                          inv=lambda a: a.inverse(),
+                          mul=operator.mul, sub=operator.sub)
 
 
 class StdMatrix:
@@ -56,8 +65,9 @@ class StdMatrix:
 
     def compose(self, other):
         """self o other."""
-        assert tuple(d.bits for d in self.domain) == \
-            tuple(c.bits for c in other.codomain), "composition shape mismatch"
+        if tuple(d.bits for d in self.domain) != \
+                tuple(c.bits for c in other.codomain):
+            raise CoxkitError("composition shape mismatch")
         by_col = {}
         for (ri, ki), val in self.entries.items():
             by_col.setdefault(ki, []).append((ri, val))
@@ -70,7 +80,8 @@ class StdMatrix:
         return StdMatrix(other.domain, self.codomain, out)
 
     def __add__(self, other):
-        assert self.dpos == other.dpos and self.cpos == other.cpos
+        if self.dpos != other.dpos or self.cpos != other.cpos:
+            raise CoxkitError("sum shape mismatch")
         out = dict(self.entries)
         for k, v in other.entries.items():
             got = out.get(k)
@@ -120,9 +131,6 @@ class StdMatrix:
             ],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_record(), indent=2)
-
 
 class LocalCalculus:
     """All localized computations for one (ball, I) pair."""
@@ -165,32 +173,51 @@ class LocalCalculus:
         m = self.ball.matrix.entries[s][t]
         return None if m == math.inf else m
 
+    def _braid_window(self, s, t):
+        """The alternating word (s, t, s, ...) of length m_st; None if m_st
+        is infinite.  A braid move rewrites it to _braid_window(t, s)."""
+        m = self._mst(s, t)
+        if m is None:
+            return None
+        return tuple(s if k % 2 == 0 else t for k in range(m))
+
+    def _braid_move(self, word, site):
+        """`word` after the braid move at `site`, or None when no alternating
+        window of two colors starts there."""
+        s, t = word[site], word[site + 1]
+        window = self._braid_window(s, t) if s != t else None
+        if window is None or word[site:site + len(window)] != window:
+            return None
+        return word[:site] + self._braid_window(t, s) + word[site + len(window):]
+
+    def _codomain(self, kind, word, site, color=None):
+        """Codomain word of the elementary morphism on the domain word."""
+        if kind == "poly":
+            return word
+        if kind == "enddot":
+            return word[:site] + word[site + 1:]
+        if kind == "startdot":
+            return word[:site] + (color,) + word[site:]
+        if kind == "merge":
+            if word[site] != word[site + 1]:
+                raise CoxkitError("merge of two different colors")
+            return word[:site] + word[site + 1:]
+        if kind == "split":
+            return word[:site] + (word[site],) + word[site:]
+        if kind == "braid":
+            cod = self._braid_move(word, site)
+            if cod is None:
+                raise CoxkitError("braid window does not alternate")
+            return cod
+        raise ValueError("unknown generator kind %r" % kind)
+
     def gen_matrix(self, kind, word, site, color=None, poly=None):
         """Matrix of an elementary morphism; `word` is the domain word."""
         word = tuple(word)
-        if kind == "poly":
-            cod_word = word
-        elif kind == "enddot":
-            cod_word = word[:site] + word[site + 1:]
-        elif kind == "startdot":
-            cod_word = word[:site] + (color,) + word[site:]
-        elif kind == "merge":
-            assert word[site] == word[site + 1]
-            cod_word = word[:site] + word[site + 1:]
-        elif kind == "split":
-            cod_word = word[:site] + (word[site],) + word[site:]
-        elif kind == "braid":
-            s, t = word[site], word[site + 1]
-            m = self._mst(s, t)
-            if m is None or m > 3:
-                raise UnsupportedBraidError(
-                    "braid moves with m >= 4 or infinite are not supported")
-            window = tuple(s if k % 2 == 0 else t for k in range(m))
-            assert word[site:site + m] == window, "braid window does not alternate"
-            rev = tuple(t if k % 2 == 0 else s for k in range(m))
-            cod_word = word[:site] + rev + word[site + m:]
-        else:
-            raise ValueError("unknown generator kind %r" % kind)
+        if kind == "braid":
+            local = self._braid_local(word[site], word[site + 1])
+            m = self._mst(word[site], word[site + 1])
+        cod_word = self._codomain(kind, word, site, color)
 
         dom = self.indices(word)
         cod = self.indices(cod_word)
@@ -229,11 +256,9 @@ class LocalCalculus:
                 for b1 in (0, 1):
                     put(ci, e.bits[:site] + (b1, b1 ^ c) + e.bits[site + 1:], one)
             else:  # braid
-                local = self._braid_local(word[site], word[site + 1])
                 prefix = e.stroll[site]
-                m = len(local["window"])
                 ewin = e.bits[site:site + m]
-                for fwin, val in local["cols"].get(ewin, ()):
+                for fwin, val in local.get(ewin, ()):
                     put(ci, e.bits[:site] + fwin + e.bits[site + m:],
                         self._twist(val, prefix))
         return StdMatrix(dom, cod, out)
@@ -255,8 +280,9 @@ class LocalCalculus:
     # -- braid matrices -------------------------------------------------------
 
     def _braid_local(self, b, r):
-        """Local braid matrix data for domain colors (b, r, ...): a dict
-        column-bits -> [(row-bits, QCoeff over the full ring)]."""
+        """Local braid matrix for domain colors (b, r, ...): a dict
+        column-bits -> [(row-bits, QCoeff over the full ring)].  Only
+        m_br in _SOLVED_M has one."""
         key = (b, r)
         got = self._braids.get(key)
         if got is not None:
@@ -266,17 +292,12 @@ class LocalCalculus:
             self._braids[key] = got
             return got
         m = self._mst(b, r)
-        if m is None or m > 3:
+        if m not in _SOLVED_M:
             raise UnsupportedBraidError(
                 "braid moves with m >= 4 or infinite are not supported")
         if m == 2:
-            window = (b, r)
-            cols = {}
             one = self.pr.qi_const(self.pr.one())
-            for e1 in (0, 1):
-                for e2 in (0, 1):
-                    cols[(e1, e2)] = [((e2, e1), one)]
-            got = {"window": window, "cols": cols}
+            got = {(e1, e2): [((e2, e1), one)] for e1 in (0, 1) for e2 in (0, 1)}
         else:
             got = self._solve_braid3(b, r)
         self._braids[key] = got
@@ -319,10 +340,6 @@ class LocalCalculus:
         dom = self.indices(word_d)
         cod = self.indices(word_c)
         dpos = {d.bits: i for i, d in enumerate(dom)}
-
-        def elem(word):
-            return ball.product_of_word(word)
-
         entries = {}
 
         def fill(col_bits, rhs, rhs_col_bits, root):
@@ -343,8 +360,10 @@ class LocalCalculus:
             for e3 in (0, 1):
                 fill((0, e2, e3), rhs1, (e2, e3), alpha[b])
         for e3 in (0, 1):
-            fill((1, 0, e3), rhs2, (1, e3), pr.root_coords(elem((b,)), r))
-        fill((1, 1, 0), rhs3, (1, 1), pr.root_coords(elem((b, r)), b))
+            fill((1, 0, e3), rhs2, (1, e3),
+                 pr.root_coords(ball.product_of_word((b,)), r))
+        fill((1, 1, 0), rhs3, (1, 1),
+             pr.root_coords(ball.product_of_word((b, r)), b))
         top = dpos[(1, 1, 1)]
         ctop = {c.bits: i for i, c in enumerate(cod)}[(1, 1, 1)]
         entries[(ctop, top)] = pr.qi_const(pr.one())
@@ -359,24 +378,16 @@ class LocalCalculus:
         cols = {}
         for (ri, ci), val in X.entries.items():
             cols.setdefault(dom[ci].bits, []).append((cod[ri].bits, val))
-        return {"window": (b, r, b), "cols": cols}
+        return cols
 
     # -- reduced-word graph ------------------------------------------------
 
     def rex_neighbors(self, word):
         out = []
         for i in range(len(word) - 1):
-            s, t = word[i], word[i + 1]
-            if s == t:
-                continue
-            m = self._mst(s, t)
-            if m is None or i + m > len(word):
-                continue
-            window = tuple(s if k % 2 == 0 else t for k in range(m))
-            if word[i:i + m] != window:
-                continue
-            rev = tuple(t if k % 2 == 0 else s for k in range(m))
-            out.append((i, word[:i] + rev + word[i + m:]))
+            moved = self._braid_move(word, i)
+            if moved is not None:
+                out.append((i, moved))
         return out
 
     def rex_path(self, frm, to):
@@ -453,18 +464,9 @@ class LocalCalculus:
             self._gen_cache[op] = got
         return got
 
-    def _op_codomain(self, op):
-        kind, w, site, color = op
-        if kind in ("enddot", "merge"):
-            return w[:site] + w[site + 1:]
-        s, t = w[site], w[site + 1]
-        m = self._mst(s, t)
-        rev = tuple(t if k % 2 == 0 else s for k in range(m))
-        return w[:site] + rev + w[site + m:]
-
     def _flip_op(self, op):
         kind, w, site, color = op
-        cod = self._op_codomain(op)
+        cod = self._codomain(kind, w, site, color)
         if kind == "enddot":
             return ("startdot", cod, site, color)
         if kind == "merge":
@@ -547,7 +549,6 @@ class LocalCalculus:
         val = comp.entry(e, e)
         if val is None or val.is_zero():
             return False
-        from .polyring import _root_key
         candidates = {}
         for root in list(self.diagonal_root_candidates(word, e)) + list(val.den):
             candidates[_root_key(tuple(self.pr._embed(c) for c in root))] = root
@@ -566,14 +567,8 @@ class LocalCalculus:
 
         return divides_to_unit(val.num)
 
-    def gram(self, word, x):
-        leaves = self.leaves_at(word, x)
-        return leaves, [[self.pairing(word, x, e, f) for f in leaves]
-                        for e in leaves]
-
     def gram_invertible(self, word, x, tries=6, seed=11):
         """Nondegeneracy over Q_I, certified by exact evaluation at points."""
-        import random
         leaves = self.leaves_at(word, x)
         if not leaves:
             return True
@@ -587,7 +582,7 @@ class LocalCalculus:
                         for e in leaves]
             except ZeroDivisionError:
                 continue
-            if _rank_cycrat(rows) == len(leaves):
+            if _rank(rows, _FRAC_K) == len(leaves):
                 return True
             failures += 1
             if failures >= 3:
@@ -652,40 +647,25 @@ class LocalCalculus:
 
     # -- intersection forms and canonical multiplicities --------------------------
 
+    def _forms(self, word, x, pair):
+        """defect d -> matrix of pair(e, f) over the leaves e of defect d at
+        x (rows) and the leaves f of defect -d (columns)."""
+        by_defect = {}
+        for e in self.leaves_at(word, x):
+            by_defect.setdefault(e.defect, []).append(e)
+        return {d: [[pair(e, f) for f in by_defect.get(-d, [])] for e in rows]
+                for d, rows in sorted(by_defect.items())}
+
     def intersection_forms(self, word, x):
         """defect d -> matrix of K-constants pairing defect-d rows with
         defect-(-d) columns."""
-        leaves = self.leaves_at(word, x)
-        by_defect = {}
-        for e in leaves:
-            by_defect.setdefault(e.defect, []).append(e)
-        forms = {}
-        for d, rows in sorted(by_defect.items()):
-            cols = by_defect.get(-d, [])
-            form = []
-            for e in rows:
-                line = []
-                for f in cols:
-                    c = self.pairing(word, x, e, f).constant_value()
-                    if c is None:
-                        raise CoxkitError(
-                            "non-constant intersection pairing at defect 0")
-                    line.append(c)
-                form.append(line)
-            forms[d] = form
-        return forms
-
-    def _forms_at_point(self, word, x, point):
-        leaves = self.leaves_at(word, x)
-        by_defect = {}
-        for e in leaves:
-            by_defect.setdefault(e.defect, []).append(e)
-        forms = {}
-        for d, rows in sorted(by_defect.items()):
-            cols = by_defect.get(-d, [])
-            forms[d] = [[self.pairing_value(word, e, f, point) for f in cols]
-                        for e in rows]
-        return forms
+        def constant(e, f):
+            c = self.pairing(word, x, e, f).constant_value()
+            if c is None:
+                raise CoxkitError(
+                    "non-constant intersection pairing at defect %d" % e.defect)
+            return c
+        return self._forms(word, x, constant)
 
     def multiplicity(self, word, x, char=0):
         """Graded multiplicity m_x(v) via ranks of the intersection forms.
@@ -694,18 +674,16 @@ class LocalCalculus:
         read off exactly by evaluating at one integer point (retrying if a
         denominator happens to vanish there).
         """
-        import random
         word = tuple(word)
-        field = None
-        if char:
-            field = PrimeFieldK(self.pr.ring, char)
+        field = PrimeFieldK(self.pr.ring, char) if char else _FRAC_K
         rng = random.Random(20231115)
         forms = None
         for _ in range(10):
             point = tuple(rng.randint(10 ** 6, 10 ** 7)
                           for _ in range(self.pr.rank))
             try:
-                forms = self._forms_at_point(word, x, point)
+                forms = self._forms(
+                    word, x, lambda e, f: self.pairing_value(word, e, f, point))
                 break
             except ZeroDivisionError:
                 continue
@@ -713,13 +691,9 @@ class LocalCalculus:
             raise CoxkitError("no evaluation point avoided all denominators")
         out = LaurentPoly.zero()
         for d, form in forms.items():
-            if not form or not form[0]:
-                continue
-            if field is None:
-                rank = _rank_cycrat([row[:] for row in form])
-            else:
-                rank = _rank_modp([[field.from_cycrat(c) for c in row]
-                                   for row in form], field)
+            if char:
+                form = [[field.from_cycrat(c) for c in row] for row in form]
+            rank = _rank(form, field)
             if rank:
                 out = out + LaurentPoly.v(-d, rank)
         return out
@@ -777,11 +751,11 @@ def relation_oracle(calc):
             if b == r:
                 continue
             m = calc._mst(b, r)
-            if m is None or m > 3:
+            if m not in _SOLVED_M:
                 continue
             tag = "pair (%d,%d): " % (b, r)
-            X = gm("braid", (b, r) if m == 2 else (b, r, b), 0)
-            Xrev = gm("braid", (r, b) if m == 2 else (r, b, r), 0)
+            X = gm("braid", calc._braid_window(b, r), 0)
+            Xrev = gm("braid", calc._braid_window(r, b), 0)
             comp = Xrev.compose(X)
             out.append((tag + "endpoint matching", X.endpoint_matched()))
             if m == 2:
@@ -852,36 +826,12 @@ def _divide_by_linear(pr, poly, root):
                 rem.pop(tm, None)
             else:
                 rem[tm] = val
-    from .polyring import Poly
     return Poly(pr, quo)
 
 
-def _rank_cycrat(rows):
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    rows = [row[:] for row in rows]
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows))
-                    if not rows[r][col].is_zero()), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [a * inv for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_modp(rows, field):
+def _rank(rows, field):
+    """Rank by Gauss-Jordan elimination with the operations of `field`
+    (PrimeFieldK, or _FRAC_K for CycRat entries)."""
     if not rows or not rows[0]:
         return 0
     ncols = len(rows[0])

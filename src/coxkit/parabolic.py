@@ -150,9 +150,6 @@ class ParabolicKLTable:
             self._b[x] = got
         return got
 
-    d_basis = b
-    c_basis = b
-
     def poly(self, y, x):
         return self.b(x).coeff(y)
 

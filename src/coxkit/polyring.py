@@ -10,7 +10,7 @@ tested by cross-multiplication.
 
 from __future__ import annotations
 
-from .errors import CoxkitError, RingParameterError
+from .errors import CoxkitError
 from .scalars import CycInt, CycRat
 
 
@@ -87,7 +87,8 @@ class PolyRing:
         g = f - self.s_action(s, f)
         out = {}
         for mono, c in g.coeffs.items():
-            assert mono[s] > 0, "Demazure numerator not divisible by alpha_s"
+            if mono[s] == 0:
+                raise CoxkitError("Demazure numerator not divisible by alpha_s")
             lowered = mono[:s] + (mono[s] - 1,) + mono[s + 1:]
             out[lowered] = c
         return Poly(self, out)

@@ -122,3 +122,22 @@ def test_cache_warm_run_identical(capsys, tmp_path):
     assert rc3 == 0
     assert len(list(tmp_path.iterdir())) == 2
     assert out3 != out1
+
+
+def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path):
+    argv = ["klpoly", "--type", "A2", "--cap", "3"]
+    rc0, out0, _ = run(capsys, argv)
+    assert rc0 == 0
+    cached = argv + ["--cache-dir", str(tmp_path)]
+    assert run(capsys, cached)[0] == 0
+    (entry,) = tmp_path.iterdir()
+    good = entry.read_bytes()
+    short_rows = json.dumps(dict(json.loads(good), rows=[["e", "e"]])).encode()
+    for bad in (good[:len(good) // 2], b"\xff\xfe", b"[]", b'{"version": 1}',
+                short_rows):
+        entry.write_bytes(bad)
+        rc, out, err = run(capsys, cached)
+        assert rc == 0 and err == ""
+        assert out == out0
+        assert list(tmp_path.iterdir()) == [entry]
+        assert json.loads(entry.read_bytes()) == json.loads(good)

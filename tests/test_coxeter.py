@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from coxkit.coxeter import INF, CoxeterMatrix, build_ball
-from coxkit.errors import NotFinitaryError, UsageError
+from coxkit.coxeter import INF, CoxeterMatrix, GroupBall, build_ball
+from coxkit.errors import CoxkitError, NotFinitaryError, UsageError
 
 
 def ball_of(name, cap):
@@ -85,6 +85,30 @@ def test_root_dichotomy(name, cap):
             assert signs <= {1, -1}
 
 
+def walked_root_image(ball, x, s):
+    """Reference for root_image: apply the reflections of x's word, right to
+    left, to alpha_s through the Cartan matrix."""
+    ring = ball.ring
+    v = [ring.embed(1 if u == s else 0) for u in range(ball.rank)]
+    for t in reversed(x.word):
+        # reflection t: v -> v - <v, alpha_t^vee> alpha_t
+        pair = ring.zero()
+        for u, c in enumerate(v):
+            if not c.is_zero():
+                pair = pair + c * ball.cartan[u][t]
+        v[t] = v[t] - pair
+    return tuple(v)
+
+
+@pytest.mark.parametrize("name,cap", [("A3", 6), ("B3", 9), ("H3", 8), ("affA2", 8)])
+def test_root_image_matches_word_walk(name, cap):
+    # A3 and affA2 store integer matrices, B3 and H3 coefficient tuples
+    ball = ball_of(name, cap)
+    for x in ball.elements:
+        for s in range(ball.rank):
+            assert ball.root_image(x, s) == walked_root_image(ball, x, s)
+
+
 # -- Bruhat order -----------------------------------------------------------------
 
 def subword_leq(ball, y, x):
@@ -158,10 +182,19 @@ def test_parabolic_test_examples():
         ball.parabolic_test(ball.product_of_word((0,)), 1, I)
 
 
+def test_parabolic_test_disagreement_raises(monkeypatch):
+    # a length test that calls every element minimal contradicts the root
+    # test at x = e, s = s1 in I; the check must survive python -O
+    ball = ball_of("A2", 10)
+    monkeypatch.setattr(GroupBall, "is_min_rep", lambda self, x, I: True)
+    with pytest.raises(CoxkitError):
+        ball.parabolic_test(ball.identity, 0, frozenset({0}))
+
+
 @pytest.mark.parametrize("name,cap", [("A3", 6), ("B3", 9), ("affA1", 12)])
 def test_parabolic_property_agreement(name, cap):
     # the root-theoretic verdict must agree with the combinatorial one;
-    # parabolic_test asserts this internally, so exercising it suffices
+    # parabolic_test raises CoxkitError otherwise, so exercising it suffices
     ball = ball_of(name, cap)
     for r in range(ball.rank + 1):
         for I in itertools.combinations(range(ball.rank), r):

@@ -6,21 +6,21 @@ from .coxeter import CoxeterMatrix, Element, GroupBall, build_ball, INF
 from .errors import (CapError, CoxkitError, NotFinitaryError, ResourceError,
                      RingParameterError, UnsupportedBraidError,
                      UnsupportedCharacteristicError, UsageError)
-from .hecke import HeckeElt, KLTable
+from .hecke import KLTable, n_bar
 from .laurent import LaurentPoly
 from .leaves import (DecoratedSubexpr, char_of_word, decorate,
                      enumerate_subexprs, graded_rank, is_antispherical,
                      path_dom_leq)
 from .localization import LocalCalculus, StdMatrix, relation_oracle
 from .parabolic import (MElt, NElt, ParabolicKLTable, check_deodhar,
-                        check_finitary, check_monotonicity, n_bar, project_pi)
+                        check_finitary, check_monotonicity, project_pi)
 from .polyring import Poly, PolyRing, QCoeff
 from .scalars import CycInt, CycRat, PrimeFieldK, ScalarRing
 
 __all__ = [
     "CoxeterMatrix", "Element", "GroupBall", "build_ball", "INF",
     "LaurentPoly", "CycInt", "CycRat", "PrimeFieldK", "ScalarRing",
-    "HeckeElt", "KLTable",
+    "KLTable",
     "MElt", "NElt", "ParabolicKLTable", "check_deodhar", "check_finitary",
     "check_monotonicity", "n_bar", "project_pi",
     "DecoratedSubexpr", "char_of_word", "decorate", "enumerate_subexprs",

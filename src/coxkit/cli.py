@@ -21,11 +21,10 @@ from .coxeter import CoxeterMatrix, build_ball
 from .errors import (CapError, NotFinitaryError, ResourceError,
                      UnsupportedBraidError, UnsupportedCharacteristicError,
                      UsageError)
-from .hecke import Element_shortlex, KLTable
 from .leaves import char_of_word
 from .localization import LocalCalculus, relation_oracle
-from .parabolic import (NElt, ParabolicKLTable, check_deodhar,
-                        check_finitary, check_monotonicity)
+from .parabolic import (Element_shortlex, NElt, ParabolicKLTable,
+                        check_deodhar, check_finitary, check_monotonicity)
 
 ALGORITHM_VERSION = "coxkit-tables-1"
 
@@ -43,8 +42,12 @@ def _matrix_from_args(args):
     if args.type:
         return CoxeterMatrix.from_type(args.type)
     if args.matrix:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            return CoxeterMatrix.from_json(fh.read())
+        try:
+            with open(args.matrix, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:    # ValueError: not UTF-8
+            raise UsageError("cannot read --matrix: %s" % exc) from None
+        return CoxeterMatrix.from_json(text)
     raise UsageError("one of --type or --matrix is required")
 
 
@@ -144,11 +147,9 @@ def _cache_store(cache_dir, key, payload, rows):
 # -- table commands ---------------------------------------------------------------
 
 def _table_rows(command, matrix, I, cap):
-    ball = build_ball(matrix, cap)
-    if command == "klpoly":
-        table = KLTable(ball)
-    else:
-        table = ParabolicKLTable(ball, I, spherical=(command == "mpoly"))
+    # klpoly takes no --I: the Hecke algebra is N at I = {}
+    table = ParabolicKLTable(build_ball(matrix, cap), I,
+                             spherical=(command == "mpoly"))
     return [[_elt_name(y), _elt_name(x), str(p)] for y, x, p in table.table_rows()]
 
 
@@ -193,7 +194,7 @@ def _check_positivity(ball, I, args):
 
 
 def _check_deodhar(ball, I, args):
-    kl = KLTable(ball)
+    kl = ParabolicKLTable(ball, frozenset())
     ntable = ParabolicKLTable(ball, I)
     reps = sorted(ball.min_reps(I), key=Element_shortlex)
     return _mismatches(reps, lambda y, x: check_deodhar(kl, ntable, y, x),
@@ -201,7 +202,7 @@ def _check_deodhar(ball, I, args):
 
 
 def _check_finitary(ball, I, args):
-    kl = KLTable(ball)
+    kl = ParabolicKLTable(ball, frozenset())
     mtable = ParabolicKLTable(ball, I, spherical=True)
     w0 = ball.longest_element(I)  # raises if W_I is not finitary
     reps = [x for x in ball.min_reps(I)

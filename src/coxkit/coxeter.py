@@ -20,13 +20,20 @@ from .scalars import CycInt, ScalarRing
 INF = math.inf
 
 
+def _type_number(name, digits):
+    try:
+        return int(digits)
+    except ValueError:
+        raise UsageError("unknown Coxeter type %r" % name) from None
+
+
 class CoxeterMatrix:
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
         rank = len(entries)
+        if any(len(row) != rank for row in entries):
+            raise UsageError("Coxeter matrix must be square")
         for i, row in enumerate(entries):
-            if len(row) != rank:
-                raise UsageError("Coxeter matrix must be square")
             if row[i] != 1:
                 raise UsageError("diagonal entries must be 1")
             for j, m in enumerate(row):
@@ -42,11 +49,11 @@ class CoxeterMatrix:
         """Built-in types: A n, B n, D n, H 3, I2_m, affA n (e.g. 'A3', 'I2_7')."""
         name = name.strip()
         if name.startswith("I2_"):
-            m = int(name[3:])
+            m = _type_number(name, name[3:])
             return CoxeterMatrix(((1, m), (m, 1)))
         for prefix in ("affA", "A", "B", "D", "H"):
             if name.startswith(prefix):
-                n = int(name[len(prefix):])
+                n = _type_number(name, name[len(prefix):])
                 break
         else:
             raise UsageError("unknown Coxeter type %r" % name)
@@ -89,9 +96,15 @@ class CoxeterMatrix:
 
     @staticmethod
     def from_json(text):
-        data = json.loads(text)
-        rank = data["rank"]
-        entries = [[INF if e == "inf" else int(e) for e in row] for row in data["entries"]]
+        """{"rank": n, "entries": n rows of n entries, each an int or "inf"}."""
+        try:
+            data = json.loads(text)
+            rank = data["rank"]
+            entries = [[INF if e == "inf" else e for e in row]
+                       for row in data["entries"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError("bad Coxeter matrix JSON: %s: %s"
+                             % (type(exc).__name__, exc)) from None
         if len(entries) != rank:
             raise UsageError("rank does not match entry table")
         return CoxeterMatrix(entries)
@@ -342,7 +355,7 @@ class GroupBall:
             pos |= sg > 0
             neg |= sg < 0
         if pos and neg:
-            raise AssertionError("root with mixed coordinate signs")
+            raise CoxkitError("root with mixed coordinate signs")
         return -1 if neg else 1
 
     def right_descends(self, x, s):

@@ -33,5 +33,10 @@ class UnsupportedCharacteristicError(CoxkitError):
     """The scalar ring cannot be reduced to the requested characteristic."""
 
 
+class NotInvertibleError(CoxkitError):
+    """An element has no inverse: zero in a field, or a root supported
+    inside I in Q_I."""
+
+
 class UsageError(CoxkitError):
     """Bad command-line or API usage."""

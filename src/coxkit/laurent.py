@@ -6,6 +6,8 @@ canonical ("v^-1 + 2 + v^3") so tables can be compared bit for bit.
 
 from __future__ import annotations
 
+from .errors import UsageError
+
 
 class LaurentPoly:
     __slots__ = ("coeffs",)
@@ -96,7 +98,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise UsageError("LaurentPoly power needs an integer k >= 0, got %r" % (k,))
         out = LaurentPoly.const(1)
         for _ in range(k):
             out = out * self

@@ -1,4 +1,5 @@
-"""Spherical (M) and antispherical (N) modules over the Hecke algebra.
+"""Spherical (M) and antispherical (N) modules over the Hecke algebra, and
+their canonical bases.
 
 Both modules have a standard basis indexed by the minimal coset
 representatives ^IW.  The b_s action has three cases:
@@ -7,17 +8,27 @@ representatives ^IW.  The b_s action has three cases:
               n_{xs} + v^{-1} n_x     xs in ^IW, xs < x
               0   (N)  /  (v + v^{-1}) m_x   (M)    xs not in ^IW
 
-The canonical bases d_x (in N) and c_x (in M) are computed by the same
-self-dual induction used for the Hecke canonical basis.
+At I = {} every xs lies in ^IW, so N is the Hecke algebra itself: n_x = h_x,
+b_s = h_s + v, and the canonical basis d_x is the Kazhdan-Lusztig basis
+b_x = sum_y h_{y,x} h_y.  One self-dual induction computes d_x and c_x for
+every I.
 """
 
 from __future__ import annotations
 
-from .errors import CapError
-from .hecke import Element_shortlex, HeckeElt, _acc, _selfdual_inductive
+from .errors import CapError, CoxkitError, UsageError
 from .laurent import LaurentPoly, ONE, V, VINV
 
 _V_PLUS_VINV = V + VINV
+
+
+def Element_shortlex(x):
+    return (x.length, x.word)
+
+
+def _acc(out, x, p):
+    q = out.get(x)
+    out[x] = p if q is None else q + p
 
 
 class ParaElt:
@@ -73,13 +84,14 @@ class ParaElt:
         return sorted(self.coeffs, key=Element_shortlex)
 
     def mul_bs(self, s):
-        ball = self.ball
+        ball, I = self.ball, self.I
+        hecke = not I               # I = {}: every xs stays in ^IW
         out = {}
         for x, p in self.coeffs.items():
             xs = ball.right(x, s)
             if xs is None:
                 raise CapError("module action leaves the group ball")
-            if ball.is_min_rep(xs, self.I):
+            if hecke or ball.is_min_rep(xs, I):
                 _acc(out, xs, p)
                 _acc(out, x, p * (V if xs.length > x.length else VINV))
             elif self.spherical:
@@ -123,17 +135,9 @@ def project_pi(h, I, spherical=False):
     return cls(ball, I, out)
 
 
-def n_bar(n):
-    """Bar involution on N (or M): lift each n_x to h_x, bar, project back."""
-    out = type(n)(n.ball, n.I)
-    for x, p in n.coeffs.items():
-        barred = HeckeElt.std(n.ball, x).bar()
-        out = out + project_pi(barred, n.I, spherical=n.spherical).scale(p.bar())
-    return out
-
-
 class ParabolicKLTable:
-    """Canonical bases d_x (antispherical) or c_x (spherical) over ^IW."""
+    """Canonical bases d_x (antispherical) or c_x (spherical) over ^IW; at
+    I = {} this is the Kazhdan-Lusztig basis b_x with polynomials h_{y,x}."""
 
     def __init__(self, ball, I, spherical=False):
         self.ball = ball
@@ -145,19 +149,31 @@ class ParabolicKLTable:
     def b(self, x):
         got = self._b.get(x)
         if got is None:
-            cls = MElt if self.spherical else NElt
-            got = _selfdual_inductive(self, x, cls.std(self.ball, self.I, x))
-            self._b[x] = got
+            got = self._b[x] = self._induce(x)
         return got
+
+    def _induce(self, x):
+        """Forms b_{xs} b_s for the largest-index descent s and strips the
+        bar-symmetric completions of all v^{<=0} tails of lower terms."""
+        s = max(self.ball.right_descents(x))
+        cand = self.b(self.ball.right(x, s)).mul_bs(s)
+        lower = sorted((z for z in cand.coeffs if z != x),
+                       key=lambda z: (-z.length, z.word))
+        for z in lower:
+            tail = cand.coeff(z).truncate_nonpos()
+            if tail.is_zero():
+                continue
+            corr = LaurentPoly({0: tail.coeff(0)})
+            for e, c in tail.coeffs.items():
+                if e < 0:
+                    corr = corr + LaurentPoly({e: c, -e: c})
+            cand = cand - self.b(z).scale(corr)
+        if cand.coeff(x) != ONE:
+            raise CoxkitError("canonical-basis induction lost the unit top term")
+        return cand
 
     def poly(self, y, x):
         return self.b(x).coeff(y)
-
-    def descent_for_induction(self, x):
-        return max(self.ball.right_descents(x))
-
-    def mul_bs(self, elt, s):
-        return elt.mul_bs(s)
 
     def table_rows(self, elements=None):
         """(y, x, poly) rows for x in ^IW, nonzero polynomials only."""
@@ -183,7 +199,7 @@ def check_deodhar(kl, ntable, y, x):
         if z.length + y.length > x.length:
             continue
         zy = ball.product_of_word(y.word, start=z)
-        rhs = rhs + (-V) ** z.length * kl.h_poly(zy, x)
+        rhs = rhs + (-V) ** z.length * kl.poly(zy, x)
     return ntable.poly(y, x) == rhs
 
 
@@ -193,10 +209,12 @@ def check_finitary(kl, mtable, y, x):
     w0 = ball.longest_element(mtable.I)
     w0y = ball.product_of_word(y.word, start=w0)
     w0x = ball.product_of_word(x.word, start=w0)
-    return mtable.poly(y, x) == kl.h_poly(w0y, w0x)
+    return mtable.poly(y, x) == kl.poly(w0y, w0x)
 
 
 def check_monotonicity(table_I, table_J, y, x):
     """n^I_{y,x} <= n^J_{y,x} coefficientwise, for J contained in I."""
-    assert table_J.I <= table_I.I
+    if not table_J.I <= table_I.I:
+        raise UsageError("monotonicity compares J = %s inside I = %s only"
+                         % (sorted(table_J.I), sorted(table_I.I)))
     return table_I.poly(y, x).leq_coeffwise(table_J.poly(y, x))

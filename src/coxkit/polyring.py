@@ -10,12 +10,8 @@ tested by cross-multiplication.
 
 from __future__ import annotations
 
-from .errors import CoxkitError
+from .errors import CoxkitError, NotInvertibleError
 from .scalars import CycInt, CycRat
-
-
-class NotInvertibleError(CoxkitError):
-    """A root supported inside I cannot be inverted in Q_I."""
 
 
 class PolyRing:

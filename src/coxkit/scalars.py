@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 import math
 
-from .errors import RingParameterError, UnsupportedCharacteristicError
+from .errors import (CoxkitError, NotInvertibleError, RingParameterError,
+                     UnsupportedCharacteristicError)
 
 
 def _poly_divmod(num, den):
@@ -44,7 +45,8 @@ def cyclotomic(n):
     for d in range(1, n):
         if n % d == 0:
             q, rem = _poly_divmod(poly, cyclotomic(d))
-            assert not any(rem)
+            if any(rem):
+                raise CoxkitError("Phi_%d does not divide x^%d - 1" % (d, n))
             poly = q
     return tuple(poly)
 
@@ -64,8 +66,8 @@ def minimal_poly(n):
         # subtract coeff * z^half (z + 1/z)^k
         for j in range(k + 1):
             c[half + k - 2 * j] -= coeff * math.comb(k, j)
-    assert not any(c), "palindromic substitution failed"
-    assert p[-1] == 1
+    if any(c) or p[-1] != 1:
+        raise CoxkitError("palindromic substitution failed for N = %d" % n)
     return tuple(p)
 
 
@@ -173,7 +175,9 @@ class ScalarRing:
                 )
                 lo = Fraction(*((_float_root(self.n, 1) + second) / 2.0).as_integer_ratio())
                 hi = Fraction(2)
-                assert self._eval_sign(lo) * self._eval_sign(hi) < 0
+                if self._eval_sign(lo) * self._eval_sign(hi) >= 0:
+                    raise CoxkitError("bracket does not isolate theta for N = %d"
+                                      % self.n)
                 self._bracket = (lo, hi)
         return self._bracket
 
@@ -194,7 +198,7 @@ class ScalarRing:
             mid = (lo + hi) / 2
             sm = self._eval_sign(mid)
             if sm == 0:
-                raise AssertionError("rational root of irreducible p_N")
+                raise CoxkitError("rational root of irreducible p_N")
             if sm == slo:
                 lo = mid
             else:
@@ -276,7 +280,8 @@ class CycRat:
     def inverse(self):
         """Multiplicative inverse, via the multiplication matrix."""
         ring = self.ring
-        assert not self.is_zero()
+        if self.is_zero():
+            raise NotInvertibleError("inverse of zero in K")
         d = ring.deg
         # columns: self * theta^j expressed in the power basis
         cols = []
@@ -322,7 +327,8 @@ class CycRat:
         return all(c.denominator == 1 for c in self.coeffs)
 
     def to_cycint(self):
-        assert self.is_integral()
+        if not self.is_integral():
+            raise CoxkitError("%r is not integral" % (self,))
         return CycInt(self.ring, (int(c) for c in self.coeffs))
 
     def __repr__(self):
@@ -392,7 +398,8 @@ class CycInt:
         return not any(self.coeffs[1:])
 
     def as_integer(self):
-        assert self.is_integer()
+        if not self.is_integer():
+            raise CoxkitError("%r is not an integer" % (self,))
         return self.coeffs[0]
 
     def sign(self):
@@ -440,7 +447,8 @@ class CycInt:
                 if mat[r][col]:
                     f = mat[r][col] * inv
                     mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-        assert det.denominator == 1
+        if det.denominator != 1:
+            raise CoxkitError("norm of an integral element is not an integer")
         return int(det)
 
     def is_unit(self):
@@ -595,6 +603,7 @@ class PrimeFieldK:
         return tuple(out + [0] * (self.deg - len(out)))
 
     def inv(self, a):
-        assert not self.is_zero(a)
+        if self.is_zero(a):
+            raise NotInvertibleError("inverse of zero in F_%d^%d" % (self.p, self.deg))
         out = _pmod_powmod(list(a), self.p ** self.deg - 2, self.poly, self.p)
         return tuple(out + [0] * (self.deg - len(out)))

@@ -91,6 +91,40 @@ def test_usage_errors_exit_2(capsys):
     assert rc == 2  # not finitary
 
 
+@pytest.mark.parametrize("name, content", [
+    ("missing", None),
+    ("directory", "dir"),
+    ("not_utf8", b"\xff\xfe"),
+    ("truncated_json", b'{"rank": 2,'),
+    ("no_rank", b'{"entries": [[1, 3], [3, 1]]}'),
+    ("no_entries", b'{"rank": 2}'),
+    ("not_a_dict", b'[1, 2]'),
+    ("row_not_a_list", b'{"rank": 2, "entries": [1, 2]}'),
+    ("entry_not_a_number", b'{"rank": 2, "entries": [[1, "x"], ["x", 1]]}'),
+    ("ragged_rows", b'{"rank": 2, "entries": [[1, 3], [3]]}'),
+    ("empty_row", b'{"rank": 2, "entries": [[1, 3], []]}'),
+    ("fractional_entry", b'{"rank": 2, "entries": [[1, 3.7], [3.7, 1]]}'),
+    ("rank_mismatch", b'{"rank": 3, "entries": [[1, 3], [3, 1]]}'),
+])
+def test_bad_matrix_file_exit_2(capsys, tmp_path, name, content):
+    path = tmp_path / (name + ".json")
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    rc, out, err = run(capsys, ["klpoly", "--matrix", str(path), "--cap", "2"])
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("name", ["Ax", "A", "I2_x"])
+def test_bad_type_number_exit_2(capsys, name):
+    rc, _, err = run(capsys, ["klpoly", "--type", name, "--cap", "2"])
+    assert rc == 2
+    assert json.loads(err)["error"] == "UsageError"
+
+
 def test_bad_characteristic_exit_2(capsys):
     rc, _, err = run(capsys, ["pcan", "--type", "A2", "--char", "4", "s1"])
     assert rc == 2

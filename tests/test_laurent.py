@@ -1,8 +1,10 @@
 """Laurent polynomial ring Z[v, v^-1] with bar involution."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coxkit.errors import UsageError
 from coxkit.laurent import LaurentPoly, ONE, V, VINV
 
 
@@ -23,6 +25,12 @@ def test_multiplicative_identity():
 
 def test_signed_product():
     assert V * (-V) == LaurentPoly.v(2, -1)
+
+
+@pytest.mark.parametrize("k", [-1, 2.0])
+def test_power_needs_nonneg_int(k):
+    with pytest.raises(UsageError):
+        V ** k
 
 
 def test_bar_examples():

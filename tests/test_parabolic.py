@@ -1,16 +1,21 @@
 """Spherical and antispherical modules, their canonical bases, and the
 comparison identities between parabolic and ordinary tables."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import coxkit
 from coxkit.coxeter import CoxeterMatrix, build_ball
-from coxkit.hecke import HeckeElt, KLTable
+from coxkit.hecke import KLTable, n_bar
 from coxkit.laurent import LaurentPoly, ONE, V, VINV
 from coxkit.parabolic import (MElt, NElt, ParabolicKLTable, check_deodhar,
-                              check_finitary, check_monotonicity, n_bar,
-                              project_pi)
+                              check_finitary, check_monotonicity, project_pi)
+
+H = frozenset()    # the Hecke algebra is N at I = {}
 
 
 @pytest.fixture
@@ -52,19 +57,19 @@ def test_project_pi_examples(a2):
     I = frozenset({0})
     st = a2.product_of_word((0, 1))
     t = a2.product_of_word((1,))
-    h = HeckeElt.std(a2, st)
+    h = NElt.std(a2, H, st)
     assert project_pi(h, I) == NElt.std(a2, I, t, -V)
     assert project_pi(h, I, spherical=True) == MElt.std(a2, I, t, VINV)
     # elements already in the quotient pass through unchanged
-    assert project_pi(HeckeElt.std(a2, t), I) == NElt.std(a2, I, t)
+    assert project_pi(NElt.std(a2, H, t), I) == NElt.std(a2, I, t)
 
 
 def test_project_pi_intertwines_action(a2):
     rng = random.Random(9)
     I = frozenset({1})
     for _ in range(40):
-        h = HeckeElt(a2, {x: LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
-                          for x in a2.elements})
+        h = NElt(a2, H, {x: LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
+                         for x in a2.elements})
         s = rng.randrange(2)
         for spherical in (False, True):
             assert project_pi(h.mul_bs(s), I, spherical) == \
@@ -112,18 +117,19 @@ def test_c_basis_spherical(a2):
 
 def test_empty_I_matches_hecke_table(a2):
     kl = KLTable(a2)
+    assert kl.I == H and not kl.spherical
     ntable = ParabolicKLTable(a2, frozenset())
     mtable = ParabolicKLTable(a2, frozenset(), spherical=True)
     for x in a2.elements:
         for y in a2.elements:
-            assert ntable.poly(y, x) == kl.h_poly(y, x)
-            assert mtable.poly(y, x) == kl.h_poly(y, x)
+            assert ntable.poly(y, x) == kl.poly(y, x)
+            assert mtable.poly(y, x) == kl.poly(y, x)
 
 
 @pytest.mark.parametrize("I", [frozenset(), frozenset({0}), frozenset({1}),
                                frozenset({0, 1})])
 def test_deodhar_identity_a2(a2, I):
-    kl = KLTable(a2)
+    kl = ParabolicKLTable(a2, H)
     ntable = ParabolicKLTable(a2, I)
     for y, x, _ in ntable.table_rows():
         assert check_deodhar(kl, ntable, y, x)
@@ -131,7 +137,7 @@ def test_deodhar_identity_a2(a2, I):
 
 @pytest.mark.parametrize("I", [frozenset(), frozenset({0}), frozenset({0, 1})])
 def test_finitary_identity_a2(a2, I):
-    kl = KLTable(a2)
+    kl = ParabolicKLTable(a2, H)
     mtable = ParabolicKLTable(a2, I, spherical=True)
     w0 = a2.longest_element(frozenset({0, 1}))
     for x in a2.min_reps(I):
@@ -139,6 +145,25 @@ def test_finitary_identity_a2(a2, I):
             continue
         for y in a2.min_reps(I):
             assert check_finitary(kl, mtable, y, x)
+
+
+def test_monotonicity_rejects_J_outside_I_under_python_O():
+    # python -O strips assert statements; the precondition must still raise
+    code = "\n".join([
+        "from coxkit import *",
+        "ball = build_ball(CoxeterMatrix.from_type('A2'), 10)",
+        "big, small = ParabolicKLTable(ball, ()), ParabolicKLTable(ball, {0})",
+        "try:",
+        "    check_monotonicity(big, small, ball.identity, ball.product_of_word((1,)))",
+        "except UsageError as exc:",
+        "    print(type(exc).__name__)",
+    ])
+    src = os.path.dirname(os.path.dirname(coxkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "UsageError"
 
 
 def test_monotonicity_chain(a2):

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from coxkit.errors import RingParameterError, UnsupportedCharacteristicError
+from coxkit.errors import (CoxkitError, NotInvertibleError, RingParameterError,
+                           UnsupportedCharacteristicError)
 from coxkit.scalars import CycInt, CycRat, PrimeFieldK, ScalarRing
 
 
@@ -115,6 +116,20 @@ def test_prime_field_basic():
         F = PrimeFieldK(R, p)
         a = F.from_cycrat(CycRat.from_cycint(R.embed(p + 1)))
         assert F.mul(a, F.inv(a)) == F.one()
+
+
+def test_partial_operations_raise_typed_errors(R6):
+    # these checks used to be asserts, which python -O strips
+    half = CycRat.from_cycint(R6.one()) / 2
+    with pytest.raises(NotInvertibleError):
+        CycRat.from_cycint(R6.zero()).inverse()
+    with pytest.raises(CoxkitError):
+        half.to_cycint()
+    with pytest.raises(CoxkitError):
+        R6.theta().as_integer()
+    F = PrimeFieldK(ScalarRing(1), 5)
+    with pytest.raises(NotInvertibleError):
+        F.inv(F.zero())
 
 
 def test_prime_field_rejects_composite():

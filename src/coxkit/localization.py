@@ -18,6 +18,16 @@ entries, alpha = x(alpha_s)):
 Braid matrices for m in {2,3} are solved once per ordered color pair from
 the dotted two-color relations plus top-coefficient 1, then cached; the
 defining equations are re-verified on the assembled matrix.
+
+Pairings at defect sum zero are constants of Frac(K), so multiplicities and
+the Gram check read them off by exact evaluation at an integer point, without
+rational arithmetic until the last step.  Each root's value r at the point
+is inverted once per point, as r * adj = norm with adj integral and norm a
+positive integer.  A generator matrix then becomes integral coefficient
+tuples over one integer denominator, and the top row (column) of a light
+leaf propagates as integral tuples over one running denominator, its gcd
+content divided out after each step.  Only the final dot product becomes a
+CycRat.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import CoxkitError, UnsupportedBraidError
@@ -145,12 +156,18 @@ class LocalCalculus:
         self._ll_cache = {}
         self._llbar_cache = {}
         self._gen_cache = {}
+        self._root_cache = {}
         self._num_cache = {}
         self._vec_cache = {}
-        self._full_calc = self if not self.I else None
+        self._full_calc = None
 
     def full(self):
-        """The I = {} calculus on the same ball (braid matrices live there)."""
+        """The I = {} calculus on the same ball (braid matrices live there).
+        At I = {} that is self, returned rather than stored: a stored self
+        reference would keep every cache alive until the cycle collector
+        runs."""
+        if not self.I:
+            return self
         if self._full_calc is None:
             self._full_calc = LocalCalculus(self.ball)
         return self._full_calc
@@ -591,59 +608,104 @@ class LocalCalculus:
 
     # -- numeric fast path ---------------------------------------------------
 
+    def _root_value(self, root, point):
+        """(adj, norm) for the value r in K of `root` at an integer point:
+        adj integral, norm a positive int, r * adj == norm."""
+        key = (_root_key(root), point)
+        got = self._root_cache.get(key)
+        if got is None:
+            r = self.pr.linear(root).evaluate(point)
+            if r.is_zero():
+                raise ZeroDivisionError("a root vanishes at the evaluation point")
+            inv = CycRat.from_cycint(r).inverse().coeffs
+            norm = math.lcm(*(q.denominator for q in inv))
+            got = tuple(q.numerator * (norm // q.denominator) for q in inv), norm
+            self._root_cache[key] = got
+        return got
+
     def _numeric_matrix(self, op, point, flipped=False):
-        """Entries of a generator matrix evaluated at an integer point,
-        keyed by (row bits, col bits)."""
+        """A generator matrix evaluated at an integer point, as (rows, den):
+        rows maps the bits a top vector enters by (the codomain, or the
+        domain when flipped) to [(bits it leaves by, integral coefficients)],
+        and den > 0 is the one integer denominator of every entry."""
         key = (op, point, flipped)
         got = self._num_cache.get(key)
         if got is None:
             mat = self._flip_matrix(op) if flipped else self._op_matrix(op)
-            got = {}
-            for (ri, ci), val in mat.entries.items():
-                v = val.evaluate(point)
-                if not v.is_zero():
-                    got[(mat.codomain[ri].bits, mat.domain[ci].bits)] = v
+            ring = self.pr.ring
+            entries = []
+            for (ri, ci), q in mat.entries.items():
+                # roots first: a vanishing root raises even where the
+                # numerator vanishes too
+                adjs = [self._root_value(root, point) for root in q.den]
+                num = q.num.evaluate(point).coeffs
+                if not any(num):
+                    continue
+                den = 1
+                for adj, norm in adjs:
+                    num = ring._mul_coeffs(num, adj)
+                    den *= norm
+                g = math.gcd(den, *num)
+                src, dst = mat.codomain[ri].bits, mat.domain[ci].bits
+                if flipped:
+                    src, dst = dst, src
+                entries.append((src, dst, tuple(a // g for a in num), den // g))
+            den = math.lcm(*(d for _, _, _, d in entries))
+            rows = {}
+            for src, dst, num, d in entries:
+                k = den // d
+                rows.setdefault(src, []).append((dst, tuple(a * k for a in num)))
+            got = rows, den
             self._num_cache[key] = got
         return got
 
     def _top_vector(self, word, e, point, flipped):
         """Top row of LL_e (or top column of the flipped leaf) evaluated at
-        an integer point, cached per leaf so a k-leaf form costs 2k
+        an integer point, as (integral coefficients by bits, one integer
+        denominator); cached per leaf so a k-leaf form costs 2k
         propagations rather than 2k^2."""
         key = (word, e.bits, point, flipped)
         got = self._vec_cache.get(key)
         if got is not None:
             return got
-        vec = {(1,) * e.endpoint.length: CycRat.from_cycint(self.pr.ring.one())}
+        ring = self.pr.ring
+        vec = {(1,) * e.endpoint.length: ring.one().coeffs}
+        den = 1
         for op in reversed(self._ll_ops(word, e)):
-            mat = self._numeric_matrix(op, point, flipped=flipped)
+            rows, mden = self._numeric_matrix(op, point, flipped=flipped)
             new = {}
-            for (fb, eb), v in mat.items():
-                src, dst = (eb, fb) if flipped else (fb, eb)
-                got_v = vec.get(src)
-                if got_v is not None:
-                    w = got_v * v
+            for src, v in vec.items():
+                for dst, m in rows.get(src, ()):
+                    w = ring._mul_coeffs(v, m)
                     cur = new.get(dst)
-                    new[dst] = w if cur is None else cur + w
-            vec = {k: v for k, v in new.items() if not v.is_zero()}
+                    new[dst] = w if cur is None else tuple(map(operator.add, cur, w))
+            vec = {k: v for k, v in new.items() if any(v)}
             if not vec:
                 break
-        self._vec_cache[key] = vec
-        return vec
+            den *= mden
+            g = math.gcd(den, *(a for v in vec.values() for a in v))
+            if g > 1:
+                vec = {k: tuple(a // g for a in v) for k, v in vec.items()}
+                den //= g
+        got = vec, den
+        self._vec_cache[key] = got
+        return got
 
     def pairing_value(self, word, e, f, point):
         """The (constant) pairing of e with f, read off by exact evaluation
         at an integer point: top row of LL_e dotted with the top column of
         the flipped leaf of f."""
         word = tuple(word)
-        row = self._top_vector(word, e, point, flipped=False)
-        col = self._top_vector(word, f, point, flipped=True)
-        total = CycRat(self.pr.ring, (0,) * self.pr.ring.deg)
+        row, rden = self._top_vector(word, e, point, flipped=False)
+        col, cden = self._top_vector(word, f, point, flipped=True)
+        ring = self.pr.ring
+        total = [0] * ring.deg
         for bits, v in row.items():
             w = col.get(bits)
             if w is not None:
-                total = total + v * w
-        return total
+                total = list(map(operator.add, total, ring._mul_coeffs(v, w)))
+        den = rden * cden
+        return CycRat(ring, (Fraction(a, den) for a in total))
 
     # -- intersection forms and canonical multiplicities --------------------------
 

@@ -286,13 +286,6 @@ class QCoeff:
             return CycRat.from_cycint(nl) / CycRat.from_cycint(dl)
         return None
 
-    def evaluate(self, point):
-        """Value at integer coordinates, as a CycRat; denominator must not vanish."""
-        den = self.den_poly().evaluate(point)
-        if den.is_zero():
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return CycRat.from_cycint(self.num.evaluate(point)) / CycRat.from_cycint(den)
-
     def to_record(self):
         return {"num": repr(self.num),
                 "den_roots": [[repr(c) for c in root] for root in self.den]}

@@ -1,8 +1,15 @@
 """Localized standard-summand calculus: generator matrices, light leaves,
 intersection forms, and canonical multiplicities."""
 
+import gc
+import itertools
+import random
+import weakref
+from types import SimpleNamespace
+
 import pytest
 
+from coxkit import localization
 from coxkit.coxeter import CoxeterMatrix, build_ball
 from coxkit.errors import UnsupportedBraidError, UnsupportedCharacteristicError
 from coxkit.laurent import LaurentPoly
@@ -181,3 +188,123 @@ def test_stdmatrix_identity_and_compose(a2):
     assert (b + b.scale(calc.pr.qi_const(calc.pr.const(-1)))).entries == {} or \
         all(v.is_zero() for v in
             (b + b.scale(calc.pr.qi_const(calc.pr.const(-1)))).entries.values())
+
+
+# A point off every root hyperplane that the words below meet.
+_POINT = (1000003, 1000033, 1000037)
+
+
+@pytest.mark.parametrize("name, cap, I, length", [
+    ("A2", 10, frozenset(), 4),         # K = Z
+    ("A2", 10, frozenset({0}), 5),
+    ("affA1", 12, frozenset({0}), 5),
+    ("A3", 6, frozenset(), 4),          # deg K = 2
+    ("B3", 6, frozenset(), 3),          # deg K = 4; an m = 4 braid needs length 4
+    ("H3", 6, frozenset(), 4),          # deg K = 8; an m = 5 braid needs length 5
+])
+def test_pairing_value_matches_symbolic_pairing(name, cap, I, length):
+    """The fraction-free numeric pairing equals the constant of the symbolic
+    StdMatrix pairing for every defect-sum-zero leaf pair of every word up
+    to `length`."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc = LocalCalculus(ball, I)
+    point = _POINT[:ball.rank]
+    pairs = 0
+    for word in itertools.chain.from_iterable(
+            itertools.product(range(ball.rank), repeat=n)
+            for n in range(length + 1)):
+        for e in calc.indices(word):
+            for f in calc.leaves_at(word, e.endpoint):
+                if e.defect + f.defect:
+                    continue
+                want = calc.pairing(word, e.endpoint, e, f).constant_value()
+                assert want is not None
+                assert calc.pairing_value(word, e, f, point) == want, (word, e, f)
+                pairs += 1
+    assert pairs > 20
+
+
+class _FirstPointOnHyperplane(random.Random):
+    """random.Random whose first draw is 0, so that the first evaluation
+    point lies on the hyperplane alpha_1 = 0."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self._first = True
+
+    def randint(self, a, b):
+        if self._first:
+            self._first = False
+            return 0
+        return super().randint(a, b)
+
+
+def _record_pairings(calc):
+    """Wrap calc.pairing_value; return the list of (point, raised) it fills."""
+    seen = []
+    real = calc.pairing_value
+
+    def wrapped(word, e, f, point):
+        try:
+            value = real(word, e, f, point)
+        except ZeroDivisionError:
+            seen.append((point, True))
+            raise
+        seen.append((point, False))
+        return value
+
+    calc.pairing_value = wrapped
+    return seen
+
+
+def test_vanishing_root_is_retried_or_skipped(a2, monkeypatch):
+    # the leaf (1, 0, 0) merges at the stroll element s1, whose root
+    # s1(alpha_1) = -alpha_1 vanishes wherever alpha_1 does
+    word, s = (0, 1, 0), a2.product_of_word((0,))
+    (e,) = [e for e in LocalCalculus(a2).leaves_at(word, s) if e.defect == 0]
+    with pytest.raises(ZeroDivisionError):
+        LocalCalculus(a2).pairing_value(word, e, e, (0, 7))
+
+    want = LocalCalculus(a2).multiplicity(word, s)
+    assert want == LaurentPoly.const(1)
+    monkeypatch.setattr(localization, "random",
+                        SimpleNamespace(Random=_FirstPointOnHyperplane))
+    calc = LocalCalculus(a2)
+    seen = _record_pairings(calc)
+    assert calc.multiplicity(word, s) == want
+    (first, first_raised), (second, second_raised) = seen
+    assert first[0] == 0 and first_raised
+    assert second[0] != 0 and not second_raised
+
+    # gram_invertible skips the point: it certifies nothing with one try
+    # and succeeds with two
+    calc = LocalCalculus(a2)
+    seen = _record_pairings(calc)
+    assert not calc.gram_invertible(word, s, tries=1)
+    assert seen[-1] == (seen[-1][0], True) and seen[-1][0][0] == 0
+    assert LocalCalculus(a2).gram_invertible(word, s, tries=2)
+
+
+def test_char_p_accepts_p_in_a_running_denominator_that_cancels(a2):
+    """p may divide the running denominator of a top vector when it cancels
+    in the pairing: 7 does, for the row of s1 s2 s1 at s1 at the point that
+    multiplicity picks, and char 7 still works."""
+    word, x = (0, 1, 0), a2.product_of_word((0,))
+    calc = LocalCalculus(a2)
+    assert calc.multiplicity(word, x, char=7) == LaurentPoly.const(1)
+    assert any(den % 7 == 0 for _, den in calc._vec_cache.values())
+
+
+@pytest.mark.parametrize("I", [frozenset(), frozenset({0})])
+def test_finished_calculus_is_freed_by_reference_counting(a2, I):
+    # a reference cycle through a calculus would keep all its caches alive
+    # until the cycle collector runs, so one-shot callers pile them up
+    gc.disable()
+    try:
+        calc = LocalCalculus(a2, I)
+        calc.pcanonical((1, 0, 1))
+        ref = weakref.ref(calc)
+        del calc
+        assert ref() is None
+    finally:
+        gc.enable()

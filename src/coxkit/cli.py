@@ -370,6 +370,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("cap", "count", "word_cap"):
+            if getattr(args, name, 0) < 0:
+                raise UsageError("--%s must be >= 0" % name.replace("_", "-"))
         if args.command in ("npoly", "mpoly", "klpoly"):
             return cmd_table(args.command, args)
         if args.command == "check":

@@ -15,16 +15,23 @@ entries, alpha = x(alpha_s)):
              [[1/alpha, 0, 0, -1/alpha], [0, -1/alpha, 1/alpha, 0]]
     split    rows (00,10,01,11) x cols (0,1): [[1,0],[0,1],[0,1],[1,0]]
 
-Braid matrices for m in {2,3} are solved once per ordered color pair from
-the dotted two-color relations plus top-coefficient 1, then cached; the
-defining equations are re-verified on the assembled matrix.
+Each generator has one rule (LocalCalculus._rule): the codomain summands
+a domain summand maps to, each with its scalar term (1, the stroll root
+x(alpha_s), its inverse, or a braid coefficient or polynomial with x
+applied).  gen_matrix turns the terms into Q_I fractions; the numeric path
+turns them into integers at a point.  Braid matrices for m in {2,3} are
+solved symbolically once per ordered color pair from the dotted two-color
+relations plus top-coefficient 1, then cached; the defining equations are
+re-verified on the assembled matrix.
 
 Pairings at defect sum zero are constants of Frac(K), so multiplicities and
 the Gram check read them off by exact evaluation at an integer point, without
-rational arithmetic until the last step.  Each root's value r at the point
-is inverted once per point, as r * adj = norm with adj integral and norm a
-positive integer.  A generator matrix then becomes integral coefficient
-tuples over one integer denominator, and the top row (column) of a light
+building a symbolic matrix and without rational arithmetic until the last
+step.  The value of x(alpha_t) mod I at the point is read from the ball's
+stored matrix of x, once per (x, point); a root value r is inverted once,
+as r * adj = norm with adj integral and norm a positive integer.  A
+generator then becomes integral coefficient tuples over one integer
+denominator, straight from its rule, and the top row (column) of a light
 leaf propagates as integral tuples over one running denominator, its gcd
 content divided out after each step.  Only the final dot product becomes a
 CycRat.
@@ -46,6 +53,9 @@ from .scalars import CycRat, PrimeFieldK
 
 # The braid orders m_st whose braid matrices are solved (_braid_local).
 _SOLVED_M = (2, 3)
+
+# The unit term of a generator rule (LocalCalculus._rule).
+_UNIT = ("unit",)
 
 # Frac(K) on CycRat entries, under PrimeFieldK's operation names (for _rank).
 _FRAC_K = SimpleNamespace(is_zero=lambda a: a.is_zero(),
@@ -156,10 +166,12 @@ class LocalCalculus:
         self._ll_cache = {}
         self._llbar_cache = {}
         self._gen_cache = {}
-        self._root_cache = {}
+        self._value_cache = {}
+        self._inv_cache = {}
         self._num_cache = {}
         self._vec_cache = {}
         self._full_calc = None
+        self._one = self.pr.ring.one().coeffs
 
     def full(self):
         """The I = {} calculus on the same ball (braid matrices live there).
@@ -228,70 +240,100 @@ class LocalCalculus:
             return cod
         raise ValueError("unknown generator kind %r" % kind)
 
-    def gen_matrix(self, kind, word, site, color=None, poly=None):
-        """Matrix of an elementary morphism; `word` is the domain word."""
+    def _rule(self, kind, word, site, color=None, poly=None):
+        """The one rule of an elementary morphism on the domain `word`, read
+        by its symbolic matrix (gen_matrix) and by its value at a point
+        (_numeric_matrix).  Returns (dom, cod, terms): terms lists, for the
+        domain summand dom[ci], each codomain bits it maps to with the
+        scalar term of that entry, as (ci, fbits, term).  With x the prefix
+        element e.stroll[site], a term is
+
+            _UNIT                  1
+            ("root", x, t)         x(alpha_t) mod I
+            ("inv", x, t, sign)    sign / (x(alpha_t) mod I)
+            ("twist", x, q)        q with x applied, mod I, for a full-ring
+                                   QCoeff q (a braid coefficient, or the
+                                   polynomial of a box)
+
+        The bits of one summand are distinct; bits that name no codomain
+        summand are dropped by the reader.
+        """
         word = tuple(word)
         if kind == "braid":
             local = self._braid_local(word[site], word[site + 1])
             m = self._mst(word[site], word[site + 1])
+        elif kind == "poly":
+            box = self.pr.qi_const(poly)
         cod_word = self._codomain(kind, word, site, color)
-
         dom = self.indices(word)
-        cod = self.indices(cod_word)
-        cpos = {c.bits: i for i, c in enumerate(cod)}
-        pr = self.pr
-        out = {}
-
-        def put(ci, fbits, val):
-            ri = cpos.get(fbits)
-            if ri is None or val.is_zero():
-                return
-            got = out.get((ri, ci))
-            out[(ri, ci)] = val if got is None else got + val
-
+        terms = []
         for ci, e in enumerate(dom):
+            b, x = e.bits, e.stroll[site]
             if kind == "poly":
-                f = pr.reduce_mod_I(pr.w_action(e.stroll[site], poly), self.I)
-                put(ci, e.bits, pr.qi_const(f))
+                terms.append((ci, b, ("twist", x, box)))
             elif kind == "enddot":
-                if e.bits[site] == 0:
-                    put(ci, e.bits[:site] + e.bits[site + 1:], pr.qi_const(pr.one()))
+                if b[site] == 0:
+                    terms.append((ci, b[:site] + b[site + 1:], _UNIT))
             elif kind == "startdot":
-                form = pr.reduce_mod_I(
-                    pr.linear(pr.root_coords(e.stroll[site], color)), self.I)
-                put(ci, e.bits[:site] + (0,) + e.bits[site:], pr.qi_const(form))
+                terms.append((ci, b[:site] + (0,) + b[site:], ("root", x, color)))
             elif kind == "merge":
-                b1, b2 = e.bits[site], e.bits[site + 1]
-                root = pr.reduce_root_mod_I(
-                    pr.root_coords(e.stroll[site], word[site]), self.I)
-                sign = 1 if (b1, b2) in ((0, 0), (0, 1)) else -1
-                val = QCoeff(pr, pr.const(sign), (root,))
-                put(ci, e.bits[:site] + (b1 ^ b2,) + e.bits[site + 2:], val)
+                b1, b2 = b[site], b[site + 1]
+                terms.append((ci, b[:site] + (b1 ^ b2,) + b[site + 2:],
+                              ("inv", x, word[site], -1 if b1 else 1)))
             elif kind == "split":
-                c = e.bits[site]
-                one = pr.qi_const(pr.one())
                 for b1 in (0, 1):
-                    put(ci, e.bits[:site] + (b1, b1 ^ c) + e.bits[site + 1:], one)
+                    terms.append((ci, b[:site] + (b1, b1 ^ b[site]) + b[site + 1:],
+                                  _UNIT))
             else:  # braid
-                prefix = e.stroll[site]
-                ewin = e.bits[site:site + m]
-                for fwin, val in local.get(ewin, ()):
-                    put(ci, e.bits[:site] + fwin + e.bits[site + m:],
-                        self._twist(val, prefix))
+                for fwin, q in local.get(b[site:site + m], ()):
+                    terms.append((ci, b[:site] + fwin + b[site + m:],
+                                  ("twist", x, q)))
+        return dom, self.indices(cod_word), terms
+
+    def gen_matrix(self, kind, word, site, color=None, poly=None):
+        """Matrix of an elementary morphism over Q_I; `word` is the domain
+        word."""
+        dom, cod, terms = self._rule(kind, word, site, color, poly)
+        cpos = {c.bits: i for i, c in enumerate(cod)}
+        out = {}
+        for ci, fbits, term in terms:
+            val = self._term_qcoeff(term)
+            ri = cpos.get(fbits)
+            if ri is not None:
+                out[(ri, ci)] = val
         return StdMatrix(dom, cod, out)
+
+    def _term_qcoeff(self, term):
+        """A rule term as an element of Q_I."""
+        pr = self.pr
+        if term is _UNIT:
+            return pr.qi_const(pr.one())
+        tag, x = term[0], term[1]
+        if tag == "twist":
+            return self._twist(term[2], x)
+        coords = pr.root_coords(x, term[2])
+        if tag == "root":
+            return pr.qi_const(pr.reduce_mod_I(pr.linear(coords), self.I))
+        return QCoeff(pr, pr.const(term[3]),
+                      (pr.reduce_root_mod_I(coords, self.I),))
+
+    def _twist_root(self, root, prefix):
+        """prefix(root) for a full-ring root coordinate vector, before
+        reduction mod I."""
+        pr = self.pr
+        coords = [pr.ring.zero()] * pr.rank
+        for t, c in enumerate(root):
+            if not c.is_zero():
+                image = pr.root_coords(prefix, t)
+                coords = [a + c * b for a, b in zip(coords, image)]
+        return coords
 
     def _twist(self, q, prefix):
         """Apply the prefix element to a full-ring coefficient, reduce mod I."""
         pr = self.pr
         num = pr.reduce_mod_I(pr.w_action(prefix, q.num), self.I)
-        den = []
-        for root in q.den:
-            coords = [pr.ring.zero()] * pr.rank
-            for t, c in enumerate(root):
-                if not c.is_zero():
-                    image = pr.root_coords(prefix, t)
-                    coords = [a + c * b for a, b in zip(coords, image)]
-            den.append(pr.reduce_root_mod_I(coords, self.I))
+        den = [pr.reduce_root_mod_I(self._twist_root(root, prefix), self.I)
+               for root in q.den]
         return QCoeff(pr, num, den)
 
     # -- braid matrices -------------------------------------------------------
@@ -608,53 +650,105 @@ class LocalCalculus:
 
     # -- numeric fast path ---------------------------------------------------
 
-    def _root_value(self, root, point):
-        """(adj, norm) for the value r in K of `root` at an integer point:
-        adj integral, norm a positive int, r * adj == norm."""
-        key = (_root_key(root), point)
-        got = self._root_cache.get(key)
+    def _stroll_values(self, x, point):
+        """x(alpha_t) mod I at an integer point, for each t, as K
+        coefficient tuples: the root_image coordinates dotted with the
+        point, I-coordinates dropped.  Cached per (x, point)."""
+        key = (x.idx, point)
+        got = self._value_cache.get(key)
         if got is None:
-            r = self.pr.linear(root).evaluate(point)
-            if r.is_zero():
-                raise ZeroDivisionError("a root vanishes at the evaluation point")
-            inv = CycRat.from_cycint(r).inverse().coeffs
-            norm = math.lcm(*(q.denominator for q in inv))
-            got = tuple(q.numerator * (norm // q.denominator) for q in inv), norm
-            self._root_cache[key] = got
+            pt = tuple(0 if u in self.I else c for u, c in enumerate(point))
+            got = tuple(
+                tuple(sum(map(operator.mul, pt, col)) for col in
+                      zip(*(c.coeffs for c in self.ball.root_image(x, t))))
+                for t in range(self.pr.rank))
+            self._value_cache[key] = got
         return got
 
+    def _inverse(self, value):
+        """(adj, norm) for the nonzero value r in K of a root at a point:
+        adj integral, norm a positive int, r * adj == norm; cached by
+        value."""
+        got = self._inv_cache.get(value)
+        if got is None:
+            inv = CycRat(self.pr.ring, value).inverse().coeffs
+            norm = math.lcm(*(q.denominator for q in inv))
+            got = tuple(q.numerator * (norm // q.denominator) for q in inv), norm
+            self._inv_cache[value] = got
+        return got
+
+    def _vanishing(self, coords):
+        """A root with these coordinates (before reduction mod I) is 0 at the
+        point: NotInvertibleError if it is 0 in Q_I, else ZeroDivisionError,
+        which multiplicity retries and gram_invertible skips."""
+        self.pr.reduce_root_mod_I(coords, self.I)
+        raise ZeroDivisionError("a root vanishes at the evaluation point")
+
+    def _term_value(self, term, point):
+        """A rule term at an integer point, as (integral K coefficients,
+        positive integer denominator)."""
+        if term is _UNIT:
+            return self._one, 1
+        tag, x = term[0], term[1]
+        values = self._stroll_values(x, point)
+        if tag == "root":
+            return values[term[2]], 1
+        if tag == "inv":
+            r = values[term[2]]
+            if not any(r):
+                self._vanishing(self.pr.root_coords(x, term[2]))
+            adj, norm = self._inverse(r)
+            return tuple(term[3] * a for a in adj), norm
+        ring = self.pr.ring
+        q = term[2]
+        # roots first: a vanishing root raises even where the numerator
+        # vanishes too
+        adjs = []
+        for root in q.den:
+            r = _linear_value(ring, root, values)
+            if not any(r):
+                self._vanishing(self._twist_root(root, x))
+            adjs.append(self._inverse(r))
+        num = _poly_value(ring, q.num, values)
+        den = 1
+        for adj, norm in adjs:
+            num = ring._mul_coeffs(num, adj)
+            den *= norm
+        return num, den
+
     def _numeric_matrix(self, op, point, flipped=False):
-        """A generator matrix evaluated at an integer point, as (rows, den):
-        rows maps the bits a top vector enters by (the codomain, or the
-        domain when flipped) to [(bits it leaves by, integral coefficients)],
-        and den > 0 is the one integer denominator of every entry."""
+        """A generator matrix evaluated at an integer point straight from its
+        rule, as (rows, den): rows maps the bits a top vector enters by (the
+        codomain, or the domain when flipped) to [(bits it leaves by,
+        integral coefficients)], and den > 0 is the one integer denominator
+        of every entry."""
         key = (op, point, flipped)
         got = self._num_cache.get(key)
         if got is None:
-            mat = self._flip_matrix(op) if flipped else self._op_matrix(op)
-            ring = self.pr.ring
+            kind, w, site, color = self._flip_op(op) if flipped else op
+            dom, cod, terms = self._rule(kind, w, site, color)
+            cbits = {c.bits for c in cod}
             entries = []
-            for (ri, ci), q in mat.entries.items():
-                # roots first: a vanishing root raises even where the
-                # numerator vanishes too
-                adjs = [self._root_value(root, point) for root in q.den]
-                num = q.num.evaluate(point).coeffs
+            for ci, fbits, term in terms:
+                if fbits not in cbits:
+                    continue
+                num, den = self._term_value(term, point)
                 if not any(num):
                     continue
-                den = 1
-                for adj, norm in adjs:
-                    num = ring._mul_coeffs(num, adj)
-                    den *= norm
                 g = math.gcd(den, *num)
-                src, dst = mat.codomain[ri].bits, mat.domain[ci].bits
+                if g > 1:
+                    num, den = tuple(a // g for a in num), den // g
+                src, dst = fbits, dom[ci].bits
                 if flipped:
                     src, dst = dst, src
-                entries.append((src, dst, tuple(a // g for a in num), den // g))
+                entries.append((src, dst, num, den))
             den = math.lcm(*(d for _, _, _, d in entries))
             rows = {}
             for src, dst, num, d in entries:
                 k = den // d
-                rows.setdefault(src, []).append((dst, tuple(a * k for a in num)))
+                if k > 1:
+                    num = tuple(a * k for a in num)
+                rows.setdefault(src, []).append((dst, num))
             got = rows, den
             self._num_cache[key] = got
         return got
@@ -669,7 +763,7 @@ class LocalCalculus:
         if got is not None:
             return got
         ring = self.pr.ring
-        vec = {(1,) * e.endpoint.length: ring.one().coeffs}
+        vec = {(1,) * e.endpoint.length: self._one}
         den = 1
         for op in reversed(self._ll_ops(word, e)):
             rows, mden = self._numeric_matrix(op, point, flipped=flipped)
@@ -845,6 +939,28 @@ def relation_oracle(calc):
                     gm("split", (r, b, r), 0))
                 out.append((tag + "two-color associativity", lhs2 == rhs2))
     return out
+
+
+def _linear_value(ring, coords, values):
+    """sum coords[t] * values[t] in K: a full-ring root (CycInt coordinates)
+    at the values of the alpha_t, as K coefficients."""
+    total = (0,) * ring.deg
+    for c, v in zip(coords, values):
+        if any(c.coeffs):
+            total = tuple(map(operator.add, total, ring._mul_coeffs(c.coeffs, v)))
+    return total
+
+
+def _poly_value(ring, poly, values):
+    """A full-ring Poly at alpha_t = values[t], as K coefficients."""
+    total = (0,) * ring.deg
+    for mono, c in poly.coeffs.items():
+        term = c.coeffs
+        for t, k in enumerate(mono):
+            for _ in range(k):
+                term = ring._mul_coeffs(term, values[t])
+        total = tuple(map(operator.add, total, term))
+    return total
 
 
 def _as_cycrat(pr, c):

@@ -91,6 +91,25 @@ def test_usage_errors_exit_2(capsys):
     assert rc == 2  # not finitary
 
 
+@pytest.mark.parametrize("argv", [
+    ["klpoly", "--type", "A2", "--cap", "-2"],
+    ["npoly", "--type", "A2", "--I", "s1", "--cap", "-1"],
+    ["mpoly", "--type", "A2", "--I", "s1", "--cap", "-1"],
+    ["check", "gradedrank", "--type", "A2", "--count", "-1"],
+    ["check", "localization", "--type", "A2", "--word-cap", "-1"],
+    ["check", "positivity", "--type", "A2", "--cap", "-1"],
+    ["pcan", "--type", "A2", "--cap", "-1", "s1", "s2"],
+])
+def test_negative_count_or_cap_exit_2(capsys, argv):
+    # was a vacuous PASS (--count, --word-cap) or a cap silently raised to
+    # the word length (pcan --cap)
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UsageError"
+    assert ">= 0" in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("name, content", [
     ("missing", None),
     ("directory", "dir"),

@@ -5,16 +5,19 @@ import gc
 import itertools
 import random
 import weakref
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from coxkit import localization
 from coxkit.coxeter import CoxeterMatrix, build_ball
-from coxkit.errors import UnsupportedBraidError, UnsupportedCharacteristicError
+from coxkit.errors import (NotInvertibleError, UnsupportedBraidError,
+                           UnsupportedCharacteristicError)
 from coxkit.laurent import LaurentPoly
 from coxkit.leaves import decorate
 from coxkit.localization import LocalCalculus, StdMatrix, relation_oracle
+from coxkit.scalars import CycRat
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +225,68 @@ def test_pairing_value_matches_symbolic_pairing(name, cap, I, length):
                 assert calc.pairing_value(word, e, f, point) == want, (word, e, f)
                 pairs += 1
     assert pairs > 20
+
+
+def _evaluated_entries(calc, mat, point, flipped):
+    """The nonzero entries of a symbolic generator matrix at a point through
+    Poly.evaluate, keyed (bits a top vector enters by, bits it leaves by)."""
+    out = {}
+    for (ri, ci), q in mat.entries.items():
+        val = CycRat.from_cycint(q.num.evaluate(point))
+        for root in q.den:
+            val = val / CycRat.from_cycint(calc.pr.linear(root).evaluate(point))
+        if not val.is_zero():
+            src, dst = mat.codomain[ri].bits, mat.domain[ci].bits
+            out[(dst, src) if flipped else (src, dst)] = val
+    return out
+
+
+@pytest.mark.parametrize("name, cap, I, length", [
+    ("A2", 10, frozenset(), 4),         # K = Z
+    ("A2", 10, frozenset({0}), 5),
+    ("affA1", 12, frozenset({0}), 5),
+    ("A3", 6, frozenset(), 4),          # deg K = 2, integer layout
+    ("B3", 6, frozenset(), 3),          # deg K = 4, coefficient layout
+    ("H3", 6, frozenset(), 4),          # deg K = 8, coefficient layout
+])
+def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
+    """Every light-leaf generator evaluated straight from its rule at a
+    point, unflipped and flipped, equals its symbolic matrix evaluated
+    there entry by entry."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc = LocalCalculus(ball, I)
+    point = _POINT[:ball.rank]
+    ops = {op for n in range(length + 1)
+           for word in itertools.product(range(ball.rank), repeat=n)
+           for e in calc.indices(word) for op in calc._ll_ops(word, e)}
+    kinds = {op[0] for op in ops}
+    assert kinds >= ({"enddot", "merge"} if I else {"enddot", "merge", "braid"})
+    for op in sorted(ops):
+        for flipped in (False, True):
+            kind, w, site, color = calc._flip_op(op) if flipped else op
+            want = _evaluated_entries(
+                calc, calc.gen_matrix(kind, w, site, color=color), point, flipped)
+            rows, den = calc._numeric_matrix(op, point, flipped=flipped)
+            assert isinstance(den, int) and den > 0
+            assert all(isinstance(a, int)
+                       for row in rows.values() for _, num in row for a in num)
+            got = {(src, dst): CycRat(ball.ring, (Fraction(a, den) for a in num))
+                   for src, row in rows.items() for dst, num in row}
+            assert got == want, (op, flipped)
+
+
+def test_root_zero_mod_I_is_not_invertible(a2):
+    # 1 / alpha_1 at the prefix e: alpha_1 is 0 in Q_I for I = {s1}, so both
+    # readers of the rule refuse it, whatever the point; for I = {} it is
+    # only the point that is bad
+    term = ("inv", a2.identity, 0, 1)
+    calc = LocalCalculus(a2, frozenset({0}))
+    with pytest.raises(NotInvertibleError):
+        calc._term_qcoeff(term)
+    with pytest.raises(NotInvertibleError):
+        calc._term_value(term, _POINT[:2])
+    with pytest.raises(ZeroDivisionError):
+        LocalCalculus(a2)._term_value(term, (0, 7))
 
 
 class _FirstPointOnHyperplane(random.Random):

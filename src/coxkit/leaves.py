@@ -10,8 +10,6 @@ b_{s_1} ... b_{s_m}.
 
 from __future__ import annotations
 
-import json
-
 from .errors import CapError
 from .laurent import LaurentPoly
 from .parabolic import NElt
@@ -114,12 +112,6 @@ def path_dom_leq(ball, e, f):
     return all(ball.bruhat_leq(a, b) for a, b in zip(e.stroll, f.stroll))
 
 
-def double_path_dom_leq(ball, pair1, pair2):
-    e1, f1 = pair1
-    e2, f2 = pair2
-    return path_dom_leq(ball, e1, e2) and path_dom_leq(ball, f1, f2)
-
-
 def graded_rank(ball, word, x, I):
     """Sum of v^defect over I-antispherical subexpressions with endpoint x."""
     poly = LaurentPoly.zero()
@@ -139,7 +131,3 @@ def char_of_word(ball, word, I):
         x = d.endpoint
         coeffs[x] = coeffs.get(x, LaurentPoly.zero()) + LaurentPoly.v(d.defect)
     return NElt(ball, I, coeffs)
-
-
-def subexprs_to_json(subexprs):
-    return json.dumps([d.to_record() for d in subexprs], indent=2)

@@ -35,6 +35,15 @@ denominator, straight from its rule, and the top row (column) of a light
 leaf propagates as integral tuples over one running denominator, its gcd
 content divided out after each step.  Only the final dot product becomes a
 CycRat.
+
+The certificates of a word (`coxkit check localization`) stay
+symbolic.  The double leaf flipped(LL_f) o LL_e of a pair is built once:
+double_leaf keeps its most recent result, and endpoint matching and
+triangularity read it one after the other.  The diagonal check computes
+only entry (e, e), row e of the flipped leaf dotted with column e of the
+leaf.  Triangularity tests each nonzero entry by membership in the
+path-dominance down-sets of e and f, each computed once per word and
+dropped when the word changes.
 """
 
 from __future__ import annotations
@@ -99,6 +108,19 @@ class StdMatrix:
                 got = out.get((ri, cj))
                 out[(ri, cj)] = prod if got is None else got + prod
         return StdMatrix(other.domain, self.codomain, out)
+
+    def compose_entry(self, other, f, e):
+        """Entry (f, e) of self o other (None if zero), summed in the order
+        compose sums it, so the value equals compose(...).entry(f, e)."""
+        r, col = self.cpos[f.bits], other.dpos[e.bits]
+        row = {ki: val for (ri, ki), val in self.entries.items() if ri == r}
+        out = None
+        for (ki, cj), val in other.entries.items():
+            left = row.get(ki)
+            if cj == col and left is not None:
+                prod = left * val
+                out = prod if out is None else out + prod
+        return None if out is None or out.is_zero() else out
 
     def __add__(self, other):
         if self.dpos != other.dpos or self.cpos != other.cpos:
@@ -170,6 +192,10 @@ class LocalCalculus:
         self._inv_cache = {}
         self._num_cache = {}
         self._vec_cache = {}
+        # the certificate callers check one pair, or one word, back to back:
+        # keep only the last double leaf and the current word's down-sets
+        self._last_double = (None, None)
+        self._down_sets = (None, {})
         self._full_calc = None
         self._one = self.pr.ring.one().coeffs
 
@@ -575,21 +601,40 @@ class LocalCalculus:
         return got if got is not None else self.pr.qi_const(self.pr.zero())
 
     def double_leaf(self, word, e, f):
-        """flipped(LL_f) o LL_e : N_word -> N_word."""
-        return self.eval_lightleaf_flipped(word, f).compose(
-            self.eval_lightleaf(word, e))
+        """flipped(LL_f) o LL_e : N_word -> N_word.  The most recent result
+        is kept, since endpoint matching and triangularity read the same
+        pair one after the other."""
+        word = tuple(word)
+        key = (word, e.bits, f.bits)
+        if self._last_double[0] != key:
+            self._last_double = key, self.eval_lightleaf_flipped(word, f).compose(
+                self.eval_lightleaf(word, e))
+        return self._last_double[1]
+
+    def _down_set(self, word, e):
+        """Bits of the leaves of `word` path-dominated by e, by path_dom_leq;
+        the sets of one word are kept until another word is asked for."""
+        if self._down_sets[0] != word:
+            self._down_sets = word, {}
+        sets = self._down_sets[1]
+        got = sets.get(e.bits)
+        if got is None:
+            got = sets[e.bits] = frozenset(
+                d.bits for d in self.indices(word) if path_dom_leq(self.ball, d, e))
+        return got
 
     def check_triangularity(self, word, e, f):
         """Entries of the double leaf vanish outside the path-dominance
         down-set of (e, f)."""
+        word = tuple(word)
         comp = self.double_leaf(word, e, f)
+        below_e = self._down_set(word, e)
+        below_f = self._down_set(word, f)
         for (ri, ci), val in comp.entries.items():
             if val.is_zero():
                 continue
-            fprime = comp.codomain[ri]
-            eprime = comp.domain[ci]
-            if not (path_dom_leq(self.ball, eprime, e)
-                    and path_dom_leq(self.ball, fprime, f)):
+            if comp.domain[ci].bits not in below_e \
+                    or comp.codomain[ri].bits not in below_f:
                 return False
         return True
 
@@ -601,12 +646,17 @@ class LocalCalculus:
                 pr.root_coords(e.stroll[k], s), self.I))
         return roots
 
+    def _diagonal_entry(self, word, e):
+        """Entry (e, e) of double_leaf(word, e, e), computed alone: row e of
+        the flipped leaf dotted with column e of the leaf (None if zero)."""
+        return self.eval_lightleaf_flipped(word, e).compose_entry(
+            self.eval_lightleaf(word, e), e, e)
+
     def check_diagonal(self, word, e):
         """The diagonal double-leaf entry is a unit multiple of a product of
         roots (trial division by the stroll root images)."""
-        comp = self.double_leaf(word, e, e)
-        val = comp.entry(e, e)
-        if val is None or val.is_zero():
+        val = self._diagonal_entry(word, e)
+        if val is None:
             return False
         candidates = {}
         for root in list(self.diagonal_root_candidates(word, e)) + list(val.den):

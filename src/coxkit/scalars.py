@@ -150,6 +150,8 @@ class ScalarRing:
         return tuple(coeffs)
 
     def _mul_coeffs(self, a, b):
+        if self.deg == 1:
+            return (a[0] * b[0],)
         out = [0] * (2 * self.deg - 1)
         for i, x in enumerate(a):
             if x:

@@ -8,10 +8,19 @@ import pytest
 
 from coxkit.coxeter import CoxeterMatrix, build_ball
 from coxkit.laurent import LaurentPoly, V
-from coxkit.leaves import (char_of_word, decorate, double_path_dom_leq,
-                           enumerate_subexprs, graded_rank, is_antispherical,
-                           path_dom_leq, subexprs_to_json)
+from coxkit.leaves import (char_of_word, decorate, enumerate_subexprs,
+                           graded_rank, is_antispherical, path_dom_leq)
 from coxkit.parabolic import NElt
+
+
+def double_path_dom_leq(ball, pair1, pair2):
+    e1, f1 = pair1
+    e2, f2 = pair2
+    return path_dom_leq(ball, e1, e2) and path_dom_leq(ball, f1, f2)
+
+
+def subexprs_to_json(subexprs):
+    return json.dumps([d.to_record() for d in subexprs], indent=2)
 
 
 @pytest.fixture

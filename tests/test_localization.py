@@ -15,7 +15,7 @@ from coxkit.coxeter import CoxeterMatrix, build_ball
 from coxkit.errors import (NotInvertibleError, UnsupportedBraidError,
                            UnsupportedCharacteristicError)
 from coxkit.laurent import LaurentPoly
-from coxkit.leaves import decorate
+from coxkit.leaves import decorate, path_dom_leq
 from coxkit.localization import LocalCalculus, StdMatrix, relation_oracle
 from coxkit.scalars import CycRat
 
@@ -241,14 +241,23 @@ def _evaluated_entries(calc, mat, point, flipped):
     return out
 
 
-@pytest.mark.parametrize("name, cap, I, length", [
+# Every word up to the length stays below any m >= 4 braid.
+_LEAF_CASES = [
     ("A2", 10, frozenset(), 4),         # K = Z
     ("A2", 10, frozenset({0}), 5),
     ("affA1", 12, frozenset({0}), 5),
     ("A3", 6, frozenset(), 4),          # deg K = 2, integer layout
     ("B3", 6, frozenset(), 3),          # deg K = 4, coefficient layout
     ("H3", 6, frozenset(), 4),          # deg K = 8, coefficient layout
-])
+]
+
+
+def _words(rank, length):
+    return itertools.chain.from_iterable(
+        itertools.product(range(rank), repeat=n) for n in range(length + 1))
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
 def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
     """Every light-leaf generator evaluated straight from its rule at a
     point, unflipped and flipped, equals its symbolic matrix evaluated
@@ -256,8 +265,7 @@ def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
     calc = LocalCalculus(ball, I)
     point = _POINT[:ball.rank]
-    ops = {op for n in range(length + 1)
-           for word in itertools.product(range(ball.rank), repeat=n)
+    ops = {op for word in _words(ball.rank, length)
            for e in calc.indices(word) for op in calc._ll_ops(word, e)}
     kinds = {op[0] for op in ops}
     assert kinds >= ({"enddot", "merge"} if I else {"enddot", "merge", "braid"})
@@ -273,6 +281,68 @@ def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
             got = {(src, dst): CycRat(ball.ring, (Fraction(a, den) for a in num))
                    for src, row in rows.items() for dst, num in row}
             assert got == want, (op, flipped)
+
+
+def _same_qcoeff(a, b):
+    """Equal as written, not only as elements of Q_I."""
+    return a.num.coeffs == b.num.coeffs and a.den == b.den
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
+def test_diagonal_is_the_entry_of_the_full_double_leaf(name, cap, I, length):
+    """The value check_diagonal divides is entry (e, e) of the whole double
+    leaf built on a fresh calculus, written the same way."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc, fresh = LocalCalculus(ball, I), LocalCalculus(ball, I)
+    for word in _words(ball.rank, length):
+        for e in calc.indices(word):
+            got = calc._diagonal_entry(word, e)
+            want = fresh.double_leaf(word, e, e).entry(e, e)
+            assert got is not None and _same_qcoeff(got, want), (word, e)
+            assert calc.check_diagonal(word, e)
+
+
+def test_double_leaf_memo_is_keyed_by_word(a2):
+    # the two words have leaves with the same bits, so a memo keyed by the
+    # bits alone would hand the double leaf of one word to the other
+    calc = LocalCalculus(a2)
+    words = ((0, 1, 0), (1, 0, 1))
+    leaves = [{e.bits: e for e in calc.indices(w)} for w in words]
+    shared = sorted(set(leaves[0]) & set(leaves[1]))
+    assert len(shared) == 8
+    pairs = 0
+    for eb, fb in itertools.product(shared, repeat=2):
+        for word, by_bits in zip(words, leaves):
+            e, f = by_bits[eb], by_bits[fb]
+            if e.endpoint != f.endpoint:
+                continue
+            got = calc.double_leaf(word, e, f)
+            want = LocalCalculus(a2).double_leaf(word, e, f)
+            assert got == want and got.domain == want.domain, (word, eb, fb)
+            pairs += 1
+    assert pairs > 20
+
+
+def _triangular_per_entry(calc, word, e, f):
+    """Triangularity with path_dom_leq called on every nonzero entry."""
+    comp = calc.double_leaf(word, e, f)
+    return all(path_dom_leq(calc.ball, comp.domain[ci], e)
+               and path_dom_leq(calc.ball, comp.codomain[ri], f)
+               for (ri, ci), val in comp.entries.items() if not val.is_zero())
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
+def test_triangularity_by_down_sets_matches_per_entry(name, cap, I, length):
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc = LocalCalculus(ball, I)
+    for word in _words(ball.rank, length):
+        leaves = calc.indices(word)
+        for e in leaves:
+            below = {d.bits for d in leaves if path_dom_leq(ball, d, e)}
+            assert calc._down_set(word, e) == below, (word, e)
+            for f in calc.leaves_at(word, e.endpoint):
+                want = _triangular_per_entry(calc, word, e, f)
+                assert calc.check_triangularity(word, e, f) == want, (word, e, f)
 
 
 def test_root_zero_mod_I_is_not_invertible(a2):

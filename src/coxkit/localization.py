@@ -17,12 +17,14 @@ entries, alpha = x(alpha_s)):
 
 Each generator has one rule (LocalCalculus._rule): the codomain summands
 a domain summand maps to, each with its scalar term (1, the stroll root
-x(alpha_s), its inverse, or a braid coefficient or polynomial with x
-applied).  gen_matrix turns the terms into Q_I fractions; the numeric path
-turns them into integers at a point.  Braid matrices for m in {2,3} are
-solved symbolically once per ordered color pair from the dotted two-color
-relations plus top-coefficient 1, then cached; the defining equations are
-re-verified on the assembled matrix.
+x(alpha_s), its inverse, a ratio of two stroll roots over x(alpha_s), or a
+polynomial with x applied).  gen_matrix turns the terms into Q_I
+fractions; the numeric path turns them into integers at a point.  The
+braid moves have closed forms (_BRAIDS): for m = 2 the two bits swap with
+unit entry; for m = 3 each of the 11 entries is 1, x(s_s alpha_t) /
+x(alpha_s) or -x(alpha_t) / x(alpha_s) for the window (s, t, s).
+relation_oracle checks them against the dotted two-color (Jones-Wenzl)
+relations; m >= 4 raises UnsupportedBraidError.
 
 Pairings at defect sum zero are constants of Frac(K), so multiplicities and
 the Gram check read them off by exact evaluation at an integer point, without
@@ -60,11 +62,31 @@ from .leaves import enumerate_subexprs, path_dom_leq
 from .polyring import Poly, PolyRing, QCoeff, _root_key
 from .scalars import CycRat, PrimeFieldK
 
-# The braid orders m_st whose braid matrices are solved (_braid_local).
-_SOLVED_M = (2, 3)
-
 # The unit term of a generator rule (LocalCalculus._rule).
 _UNIT = ("unit",)
+
+# The braid move BS(s, t, s, ...) -> BS(t, s, t, ...) in local coordinates,
+# per m = m_st: domain window bits -> ((codomain window bits, c), ...), the
+# entry being _UNIT or, for c = (c_s, c_t) at the prefix x,
+# (c_s x(alpha_s) + c_t x(alpha_t)) / x(alpha_s).  As s_s(alpha_t) =
+# alpha_t + alpha_s when m = 3, (1, 1) is x(s_s alpha_t) / x(alpha_s).
+# See Elias, "The two-color Soergel calculus" (arXiv:1308.6611), and
+# Elias-Williamson, "Localized calculus for the Hecke category"
+# (arXiv:2011.05432); relation_oracle checks both tables.
+_S_AT, _NEG_AT = (1, 1), (0, -1)
+_BRAIDS = {
+    2: {(e1, e2): (((e2, e1), _UNIT),) for e1 in (0, 1) for e2 in (0, 1)},
+    3: {
+        (0, 0, 0): (((0, 0, 0), _S_AT), ((1, 0, 1), _S_AT)),
+        (0, 0, 1): (((0, 1, 0), _S_AT),),
+        (0, 1, 0): (((0, 0, 1), _UNIT), ((1, 0, 0), _UNIT)),
+        (0, 1, 1): (((1, 1, 0), _UNIT),),
+        (1, 0, 0): (((0, 1, 0), _NEG_AT),),
+        (1, 0, 1): (((0, 0, 0), _NEG_AT), ((1, 0, 1), _NEG_AT)),
+        (1, 1, 0): (((0, 1, 1), _UNIT),),
+        (1, 1, 1): (((1, 1, 1), _UNIT),),
+    },
+}
 
 # Frac(K) on CycRat entries, under PrimeFieldK's operation names (for _rank).
 _FRAC_K = SimpleNamespace(is_zero=lambda a: a.is_zero(),
@@ -138,31 +160,18 @@ class StdMatrix:
     def __eq__(self, other):
         if not isinstance(other, StdMatrix):
             return NotImplemented
-        if self.dpos != other.dpos or self.cpos != other.cpos:
-            return False
-        for k in set(self.entries) | set(other.entries):
-            a = self.entries.get(k)
-            b = other.entries.get(k)
-            if a is None:
-                if not b.is_zero():
-                    return False
-            elif b is None:
-                if not a.is_zero():
-                    return False
-            elif a != b:
-                return False
-        return True
+        # __init__ drops zero entries, so equal matrices have equal key sets
+        return self.dpos == other.dpos and self.cpos == other.cpos \
+            and self.entries.keys() == other.entries.keys() \
+            and all(v == other.entries[k] for k, v in self.entries.items())
 
     def __hash__(self):
         raise TypeError("StdMatrix is unhashable")
 
     def endpoint_matched(self):
         """True iff all entries between summands with distinct endpoints vanish."""
-        for (ri, ci), val in self.entries.items():
-            if self.codomain[ri].endpoint != self.domain[ci].endpoint \
-                    and not val.is_zero():
-                return False
-        return True
+        return all(self.codomain[ri].endpoint == self.domain[ci].endpoint
+                   for ri, ci in self.entries)
 
     def to_record(self):
         return {
@@ -183,7 +192,6 @@ class LocalCalculus:
         self.I = frozenset(I)
         self.pr = PolyRing(ball)
         self._indices = {}
-        self._braids = {}
         self._rex_paths = {}
         self._ll_cache = {}
         self._llbar_cache = {}
@@ -196,19 +204,7 @@ class LocalCalculus:
         # keep only the last double leaf and the current word's down-sets
         self._last_double = (None, None)
         self._down_sets = (None, {})
-        self._full_calc = None
         self._one = self.pr.ring.one().coeffs
-
-    def full(self):
-        """The I = {} calculus on the same ball (braid matrices live there).
-        At I = {} that is self, returned rather than stored: a stored self
-        reference would keep every cache alive until the cycle collector
-        runs."""
-        if not self.I:
-            return self
-        if self._full_calc is None:
-            self._full_calc = LocalCalculus(self.ball)
-        return self._full_calc
 
     # -- standard summands ---------------------------------------------------
 
@@ -274,29 +270,31 @@ class LocalCalculus:
         scalar term of that entry, as (ci, fbits, term).  With x the prefix
         element e.stroll[site], a term is
 
-            _UNIT                  1
-            ("root", x, t)         x(alpha_t) mod I
-            ("inv", x, t, sign)    sign / (x(alpha_t) mod I)
-            ("twist", x, q)        q with x applied, mod I, for a full-ring
-                                   QCoeff q (a braid coefficient, or the
-                                   polynomial of a box)
+            _UNIT                      1
+            ("root", x, t)             x(alpha_t) mod I
+            ("inv", x, t, sign)        sign / (x(alpha_t) mod I)
+            ("ratio", x, s, t, cs, ct) (cs x(alpha_s) + ct x(alpha_t))
+                                       / x(alpha_s), mod I (a braid entry)
+            ("poly", x, f)             the polynomial f with x applied, mod I
 
         The bits of one summand are distinct; bits that name no codomain
         summand are dropped by the reader.
         """
         word = tuple(word)
         if kind == "braid":
-            local = self._braid_local(word[site], word[site + 1])
-            m = self._mst(word[site], word[site + 1])
-        elif kind == "poly":
-            box = self.pr.qi_const(poly)
+            s, t = word[site], word[site + 1]
+            m = self._mst(s, t)
+            table = _BRAIDS.get(m)
+            if table is None:
+                raise UnsupportedBraidError(
+                    "braid moves with m >= 4 or infinite are not supported")
         cod_word = self._codomain(kind, word, site, color)
         dom = self.indices(word)
         terms = []
         for ci, e in enumerate(dom):
             b, x = e.bits, e.stroll[site]
             if kind == "poly":
-                terms.append((ci, b, ("twist", x, box)))
+                terms.append((ci, b, ("poly", x, poly)))
             elif kind == "enddot":
                 if b[site] == 0:
                     terms.append((ci, b[:site] + b[site + 1:], _UNIT))
@@ -311,9 +309,9 @@ class LocalCalculus:
                     terms.append((ci, b[:site] + (b1, b1 ^ b[site]) + b[site + 1:],
                                   _UNIT))
             else:  # braid
-                for fwin, q in local.get(b[site:site + m], ()):
+                for fwin, c in table[b[site:site + m]]:
                     terms.append((ci, b[:site] + fwin + b[site + m:],
-                                  ("twist", x, q)))
+                                  c if c is _UNIT else ("ratio", x, s, t) + c))
         return dom, self.indices(cod_word), terms
 
     def gen_matrix(self, kind, word, site, color=None, poly=None):
@@ -335,135 +333,18 @@ class LocalCalculus:
         if term is _UNIT:
             return pr.qi_const(pr.one())
         tag, x = term[0], term[1]
-        if tag == "twist":
-            return self._twist(term[2], x)
+        if tag == "poly":
+            return pr.qi_const(pr.reduce_mod_I(pr.w_action(x, term[2]), self.I))
         coords = pr.root_coords(x, term[2])
         if tag == "root":
             return pr.qi_const(pr.reduce_mod_I(pr.linear(coords), self.I))
-        return QCoeff(pr, pr.const(term[3]),
-                      (pr.reduce_root_mod_I(coords, self.I),))
-
-    def _twist_root(self, root, prefix):
-        """prefix(root) for a full-ring root coordinate vector, before
-        reduction mod I."""
-        pr = self.pr
-        coords = [pr.ring.zero()] * pr.rank
-        for t, c in enumerate(root):
-            if not c.is_zero():
-                image = pr.root_coords(prefix, t)
-                coords = [a + c * b for a, b in zip(coords, image)]
-        return coords
-
-    def _twist(self, q, prefix):
-        """Apply the prefix element to a full-ring coefficient, reduce mod I."""
-        pr = self.pr
-        num = pr.reduce_mod_I(pr.w_action(prefix, q.num), self.I)
-        den = [pr.reduce_root_mod_I(self._twist_root(root, prefix), self.I)
-               for root in q.den]
-        return QCoeff(pr, num, den)
-
-    # -- braid matrices -------------------------------------------------------
-
-    def _braid_local(self, b, r):
-        """Local braid matrix for domain colors (b, r, ...): a dict
-        column-bits -> [(row-bits, QCoeff over the full ring)].  Only
-        m_br in _SOLVED_M has one."""
-        key = (b, r)
-        got = self._braids.get(key)
-        if got is not None:
-            return got
-        if self.I:
-            got = self.full()._braid_local(b, r)
-            self._braids[key] = got
-            return got
-        m = self._mst(b, r)
-        if m not in _SOLVED_M:
-            raise UnsupportedBraidError(
-                "braid moves with m >= 4 or infinite are not supported")
-        if m == 2:
-            one = self.pr.qi_const(self.pr.one())
-            got = {(e1, e2): [((e2, e1), one)] for e1 in (0, 1) for e2 in (0, 1)}
-        else:
-            got = self._solve_braid3(b, r)
-        self._braids[key] = got
-        return got
-
-    def _braid3_equations(self, b, r):
-        """The dotted-leg (Jones-Wenzl) equations pinning the m = 3 braid
-        matrix X: pairs (D, RHS) with X o D = RHS, one per domain strand."""
-        gm = self.gen_matrix
-
-        d1 = gm("startdot", (r, b), 0, color=b)
-        rhs1 = gm("startdot", (r, r), 1, color=b).compose(
-            gm("split", (r,), 0)).compose(gm("enddot", (r, b), 1)) \
-            + gm("startdot", (r, b), 2, color=r)
-
-        d2 = gm("startdot", (b, b), 1, color=r)
-        merge_b = gm("merge", (b, b), 0)
-        cap = gm("enddot", (b,), 0).compose(merge_b)
-        cup_r = gm("split", (r,), 0).compose(gm("startdot", (), 0, color=r))
-        rhs2 = gm("startdot", (r, b), 2, color=r).compose(
-            gm("startdot", (b,), 0, color=r)).compose(merge_b) \
-            + gm("startdot", (r, r), 1, color=b).compose(cup_r).compose(cap)
-
-        d3 = gm("startdot", (b, r), 2, color=b)
-        rhs3 = gm("startdot", (r, r), 1, color=b).compose(
-            gm("split", (r,), 0)).compose(gm("enddot", (b, r), 0)) \
-            + gm("startdot", (b, r), 0, color=r)
-        return [(d1, rhs1), (d2, rhs2), (d3, rhs3)]
-
-    def _solve_braid3(self, b, r):
-        """The 8x8 braid matrix BS(b,r,b) -> BS(r,b,r), solved column by
-        column from the dotted two-color (Jones-Wenzl) relations."""
-        ball = self.ball
-        pr = self.pr
-
-        (d1, rhs1), (d2, rhs2), (d3, rhs3) = self._braid3_equations(b, r)
-
-        word_d = (b, r, b)
-        word_c = (r, b, r)
-        dom = self.indices(word_d)
-        cod = self.indices(word_c)
-        dpos = {d.bits: i for i, d in enumerate(dom)}
-        entries = {}
-
-        def fill(col_bits, rhs, rhs_col_bits, root):
-            ci = dpos[col_bits]
-            cj = rhs.dpos[rhs_col_bits]
-            for (ri, cj2), val in rhs.entries.items():
-                if cj2 != cj:
-                    continue
-                q = val.div_root(root)
-                if (ri, ci) in entries:
-                    if entries[(ri, ci)] != q:
-                        raise CoxkitError("inconsistent braid solution")
-                else:
-                    entries[(ri, ci)] = q
-
-        alpha = {s: pr.root_coords(ball.identity, s) for s in (b, r)}
-        for e2 in (0, 1):
-            for e3 in (0, 1):
-                fill((0, e2, e3), rhs1, (e2, e3), alpha[b])
-        for e3 in (0, 1):
-            fill((1, 0, e3), rhs2, (1, e3),
-                 pr.root_coords(ball.product_of_word((b,)), r))
-        fill((1, 1, 0), rhs3, (1, 1),
-             pr.root_coords(ball.product_of_word((b, r)), b))
-        top = dpos[(1, 1, 1)]
-        ctop = {c.bits: i for i, c in enumerate(cod)}[(1, 1, 1)]
-        entries[(ctop, top)] = pr.qi_const(pr.one())
-
-        X = StdMatrix(dom, cod, entries)
-        for dot, rhs in ((d1, rhs1), (d2, rhs2), (d3, rhs3)):
-            if X.compose(dot) != rhs:
-                raise CoxkitError("braid matrix fails its defining relations")
-        if not X.endpoint_matched():
-            raise CoxkitError("braid matrix violates endpoint matching")
-
-        cols = {}
-        for (ri, ci), val in X.entries.items():
-            cols.setdefault(dom[ci].bits, []).append((cod[ri].bits, val))
-        return cols
+        den = (pr.reduce_root_mod_I(coords, self.I),)
+        if tag == "inv":
+            return QCoeff(pr, pr.const(term[3]), den)
+        cs, ct = term[4], term[5]
+        num = pr.linear([cs * a + ct * b for a, b in
+                         zip(coords, pr.root_coords(x, term[3]))])
+        return QCoeff(pr, pr.reduce_mod_I(num, self.I), den)
 
     # -- reduced-word graph ------------------------------------------------
 
@@ -630,13 +511,9 @@ class LocalCalculus:
         comp = self.double_leaf(word, e, f)
         below_e = self._down_set(word, e)
         below_f = self._down_set(word, f)
-        for (ri, ci), val in comp.entries.items():
-            if val.is_zero():
-                continue
-            if comp.domain[ci].bits not in below_e \
-                    or comp.codomain[ri].bits not in below_f:
-                return False
-        return True
+        return all(comp.domain[ci].bits in below_e
+                   and comp.codomain[ri].bits in below_f
+                   for ri, ci in comp.entries)
 
     def diagonal_root_candidates(self, word, e):
         pr = self.pr
@@ -667,7 +544,7 @@ class LocalCalculus:
         # greedy division can strand a non-unit content; backtrack instead
         def divides_to_unit(num):
             if num.is_constant():
-                return _unit_fraction(_as_cycrat(self.pr, num.constant()))
+                return _unit_fraction(_as_cycrat(num.constant()))
             for root in candidates:
                 q = _divide_by_linear(self.pr, num, root)
                 if q is not None and divides_to_unit(q):
@@ -727,13 +604,6 @@ class LocalCalculus:
             self._inv_cache[value] = got
         return got
 
-    def _vanishing(self, coords):
-        """A root with these coordinates (before reduction mod I) is 0 at the
-        point: NotInvertibleError if it is 0 in Q_I, else ZeroDivisionError,
-        which multiplicity retries and gram_invertible skips."""
-        self.pr.reduce_root_mod_I(coords, self.I)
-        raise ZeroDivisionError("a root vanishes at the evaluation point")
-
     def _term_value(self, term, point):
         """A rule term at an integer point, as (integral K coefficients,
         positive integer denominator)."""
@@ -741,30 +611,21 @@ class LocalCalculus:
             return self._one, 1
         tag, x = term[0], term[1]
         values = self._stroll_values(x, point)
+        r = values[term[2]]
         if tag == "root":
-            return values[term[2]], 1
+            return r, 1
+        if not any(r):
+            # NotInvertibleError if the root is 0 in Q_I; otherwise only the
+            # point is bad, which multiplicity retries and gram_invertible
+            # skips
+            self.pr.reduce_root_mod_I(self.pr.root_coords(x, term[2]), self.I)
+            raise ZeroDivisionError("a root vanishes at the evaluation point")
+        adj, norm = self._inverse(r)
         if tag == "inv":
-            r = values[term[2]]
-            if not any(r):
-                self._vanishing(self.pr.root_coords(x, term[2]))
-            adj, norm = self._inverse(r)
             return tuple(term[3] * a for a in adj), norm
-        ring = self.pr.ring
-        q = term[2]
-        # roots first: a vanishing root raises even where the numerator
-        # vanishes too
-        adjs = []
-        for root in q.den:
-            r = _linear_value(ring, root, values)
-            if not any(r):
-                self._vanishing(self._twist_root(root, x))
-            adjs.append(self._inverse(r))
-        num = _poly_value(ring, q.num, values)
-        den = 1
-        for adj, norm in adjs:
-            num = ring._mul_coeffs(num, adj)
-            den *= norm
-        return num, den
+        cs, ct = term[4], term[5]
+        num = tuple(cs * a + ct * b for a, b in zip(r, values[term[3]]))
+        return self.pr.ring._mul_coeffs(num, adj), norm
 
     def _numeric_matrix(self, op, point, flipped=False):
         """A generator matrix evaluated at an integer point straight from its
@@ -957,7 +818,7 @@ def relation_oracle(calc):
             if b == r:
                 continue
             m = calc._mst(b, r)
-            if m not in _SOLVED_M:
+            if m not in _BRAIDS:
                 continue
             tag = "pair (%d,%d): " % (b, r)
             X = gm("braid", calc._braid_window(b, r), 0)
@@ -981,7 +842,7 @@ def relation_oracle(calc):
                     ok = True  # top summand not antispherical: vacuous
                 out.append((tag + "braid involution on top summand", ok))
                 jw = all(X.compose(d) == rhs
-                         for d, rhs in calc._braid3_equations(b, r))
+                         for d, rhs in _braid3_equations(calc, b, r))
                 out.append((tag + "jones-wenzl dotted legs", jw))
                 lhs2 = gm("split", (b, r, b), 2).compose(Xrev)
                 rhs2 = gm("braid", (r, b, r, b), 0).compose(
@@ -991,29 +852,32 @@ def relation_oracle(calc):
     return out
 
 
-def _linear_value(ring, coords, values):
-    """sum coords[t] * values[t] in K: a full-ring root (CycInt coordinates)
-    at the values of the alpha_t, as K coefficients."""
-    total = (0,) * ring.deg
-    for c, v in zip(coords, values):
-        if any(c.coeffs):
-            total = tuple(map(operator.add, total, ring._mul_coeffs(c.coeffs, v)))
-    return total
+def _braid3_equations(calc, b, r):
+    """The dotted-leg (Jones-Wenzl) equations pinning the m = 3 braid
+    matrix X: pairs (D, RHS) with X o D = RHS, one per domain strand."""
+    gm = calc.gen_matrix
+
+    d1 = gm("startdot", (r, b), 0, color=b)
+    rhs1 = gm("startdot", (r, r), 1, color=b).compose(
+        gm("split", (r,), 0)).compose(gm("enddot", (r, b), 1)) \
+        + gm("startdot", (r, b), 2, color=r)
+
+    d2 = gm("startdot", (b, b), 1, color=r)
+    merge_b = gm("merge", (b, b), 0)
+    cap = gm("enddot", (b,), 0).compose(merge_b)
+    cup_r = gm("split", (r,), 0).compose(gm("startdot", (), 0, color=r))
+    rhs2 = gm("startdot", (r, b), 2, color=r).compose(
+        gm("startdot", (b,), 0, color=r)).compose(merge_b) \
+        + gm("startdot", (r, r), 1, color=b).compose(cup_r).compose(cap)
+
+    d3 = gm("startdot", (b, r), 2, color=b)
+    rhs3 = gm("startdot", (r, r), 1, color=b).compose(
+        gm("split", (r,), 0)).compose(gm("enddot", (b, r), 0)) \
+        + gm("startdot", (b, r), 0, color=r)
+    return [(d1, rhs1), (d2, rhs2), (d3, rhs3)]
 
 
-def _poly_value(ring, poly, values):
-    """A full-ring Poly at alpha_t = values[t], as K coefficients."""
-    total = (0,) * ring.deg
-    for mono, c in poly.coeffs.items():
-        term = c.coeffs
-        for t, k in enumerate(mono):
-            for _ in range(k):
-                term = ring._mul_coeffs(term, values[t])
-        total = tuple(map(operator.add, total, term))
-    return total
-
-
-def _as_cycrat(pr, c):
+def _as_cycrat(c):
     return CycRat.from_cycint(c) if not isinstance(c, CycRat) else c
 
 
@@ -1042,7 +906,7 @@ def _divide_by_linear(pr, poly, root):
         if any(k < 0 for k in q_mono):
             return None
         c = rem.pop(m)
-        qc = _as_cycrat(pr, c) / lc
+        qc = _as_cycrat(c) / lc
         quo[q_mono] = qc
         for fm, fc in form.coeffs.items():
             if fm == lm:

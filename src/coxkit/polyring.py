@@ -109,11 +109,6 @@ class PolyRing:
     def _embed(self, c):
         return self.ring.embed(c) if isinstance(c, int) else c
 
-    def qi_invert_root(self, coords, I):
-        """1 / (image of the root) as a Q_I fraction."""
-        root = self.reduce_root_mod_I(coords, I)
-        return QCoeff(self, self.one(), (root,))
-
     def qi_const(self, f):
         return QCoeff(self, f, ())
 
@@ -174,10 +169,6 @@ class Poly:
         if not self.coeffs:
             return None
         return max(2 * sum(m) for m in self.coeffs)
-
-    def is_homogeneous(self):
-        degs = {2 * sum(m) for m in self.coeffs}
-        return len(degs) <= 1
 
     def lead(self):
         """(monomial, coefficient) at the lexicographically largest monomial."""

@@ -126,11 +126,10 @@ class ScalarRing:
             raise RingParameterError("Coxeter entry must be >= 2 or infinity")
         if self.n % m != 0:
             raise RingParameterError("m = %d does not divide N = %d" % (m, self.n))
-        # Dickson recursion: D_0 = 2, D_1 = theta, D_k(2cos x) = 2cos(kx).
+        # Dickson recursion: D_0 = 2, D_1 = theta, D_k(2cos x) = 2cos(kx);
+        # k = N/m >= 1 as m divides N
         k = self.n // m
         prev, cur = self.embed(2), self.theta()
-        if k == 0:
-            cur = prev  # N/m = 0 never happens for m <= N, kept for safety
         for _ in range(k - 1):
             prev, cur = cur, cur * self.theta() - prev
         return -cur

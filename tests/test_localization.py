@@ -81,6 +81,14 @@ def test_unsupported_braids():
     ("A2", frozenset({0})),
     ("B2", frozenset()),
     ("affA1", frozenset({0})),
+    # relation_oracle is the only check of the m = 3 braid closed form
+    ("A3", frozenset()),
+    ("A3", frozenset({1})),
+    ("D4", frozenset()),
+    ("affA2", frozenset()),
+    ("affA2", frozenset({0})),
+    ("H3", frozenset()),                # its m = 3 pair; m = 5 is skipped
+    ("B3", frozenset()),                # its m = 3 pair; m = 4 is skipped
 ])
 def test_relation_oracle(name, I):
     cap = 12 if name == "affA1" else 10
@@ -249,6 +257,7 @@ _LEAF_CASES = [
     ("A3", 6, frozenset(), 4),          # deg K = 2, integer layout
     ("B3", 6, frozenset(), 3),          # deg K = 4, coefficient layout
     ("H3", 6, frozenset(), 4),          # deg K = 8, coefficient layout
+    ("A3", 6, frozenset({1}), 4),       # braid moves mod I: 196 over its leaves
 ]
 
 
@@ -268,7 +277,8 @@ def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
     ops = {op for word in _words(ball.rank, length)
            for e in calc.indices(word) for op in calc._ll_ops(word, e)}
     kinds = {op[0] for op in ops}
-    assert kinds >= ({"enddot", "merge"} if I else {"enddot", "merge", "braid"})
+    braid_free = name == "affA1" or (name == "A2" and I)
+    assert kinds >= {"enddot", "merge"} | (set() if braid_free else {"braid"})
     for op in sorted(ops):
         for flipped in (False, True):
             kind, w, site, color = calc._flip_op(op) if flipped else op
@@ -281,6 +291,28 @@ def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
             got = {(src, dst): CycRat(ball.ring, (Fraction(a, den) for a in num))
                    for src, row in rows.items() for dst, num in row}
             assert got == want, (op, flipped)
+
+
+def test_pcanonical_builds_no_symbolic_matrix(monkeypatch):
+    """The numeric path reads every generator, m = 3 braid moves included,
+    from its rule at the point: with gen_matrix refusing, pcanonical still
+    returns the decomposition."""
+    ball = build_ball(CoxeterMatrix.from_type("A3"), 6)
+    word = (0, 1, 0, 2, 1, 0)
+    calc = LocalCalculus(ball)
+    assert any(op[0] == "braid" and calc._mst(op[1][op[2]], op[1][op[2] + 1]) == 3
+               for e in calc.indices(word) for op in calc._ll_ops(word, e))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pcanonical built a symbolic matrix")
+
+    monkeypatch.setattr(LocalCalculus, "gen_matrix", refuse)
+    one = LaurentPoly.const(1)
+    want = {(0, 1, 0, 2, 1, 0): one, (0, 1, 0, 2): one, (0, 2, 1, 0): one,
+            (0, 1, 0): LaurentPoly.v(-1) + LaurentPoly.v(1), (0, 2): one}
+    for char in (0, 5):
+        got = LocalCalculus(ball).pcanonical(word, char=char)
+        assert {x.word: m for x, m in got.items()} == want, char
 
 
 def _same_qcoeff(a, b):

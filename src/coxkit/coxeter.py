@@ -358,10 +358,6 @@ class GroupBall:
             raise CoxkitError("root with mixed coordinate signs")
         return -1 if neg else 1
 
-    def right_descends(self, x, s):
-        """The root-theoretic descent test: x(alpha_s) is a negative root."""
-        return self.root_sign(self.root_image(x, s)) < 0
-
     # -- Bruhat order ----------------------------------------------------------
 
     def bruhat_leq(self, y, x):

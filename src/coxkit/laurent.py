@@ -31,27 +31,6 @@ class LaurentPoly:
     def v(exp=1, coeff=1):
         return LaurentPoly({exp: coeff})
 
-    @staticmethod
-    def parse(text):
-        """Inverse of str(); accepts e.g. 'v^-1 + 2 + v^3', '-v', '0'."""
-        text = text.replace("-", "+-").replace("^+-", "^-")
-        coeffs = {}
-        for term in text.split("+"):
-            term = term.strip()
-            if not term or term == "0":
-                continue
-            neg = term.startswith("-")
-            if neg:
-                term = term[1:].strip()
-            if "v" in term:
-                head, _, tail = term.partition("v")
-                c = int(head.rstrip("*").strip() or "1")
-                e = int(tail.lstrip("^").strip() or "1")
-            else:
-                c, e = int(term), 0
-            coeffs[e] = coeffs.get(e, 0) + (-c if neg else c)
-        return LaurentPoly(coeffs)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -134,10 +113,6 @@ class LaurentPoly:
 
     def leq_coeffwise(self, other):
         return (other - self).is_nonneg()
-
-    def truncate_nonpos(self):
-        """The part with exponents <= 0."""
-        return LaurentPoly({e: c for e, c in self.coeffs.items() if e <= 0})
 
     # -- rendering -----------------------------------------------------------
 

@@ -11,7 +11,7 @@ b_{s_1} ... b_{s_m}.
 from __future__ import annotations
 
 from .errors import CapError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, ZERO
 from .parabolic import NElt
 
 
@@ -129,5 +129,5 @@ def char_of_word(ball, word, I):
     coeffs = {}
     for d in enumerate_subexprs(ball, word, I=I):
         x = d.endpoint
-        coeffs[x] = coeffs.get(x, LaurentPoly.zero()) + LaurentPoly.v(d.defect)
+        coeffs[x] = coeffs.get(x, ZERO) + LaurentPoly.v(d.defect)
     return NElt(ball, I, coeffs)

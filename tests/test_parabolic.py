@@ -10,6 +10,7 @@ import pytest
 
 import coxkit
 from coxkit.coxeter import CoxeterMatrix, build_ball
+from coxkit.errors import CoxkitError
 from coxkit.hecke import KLTable, n_bar
 from coxkit.laurent import LaurentPoly, ONE, V, VINV
 from coxkit.parabolic import (MElt, NElt, ParabolicKLTable, check_deodhar,
@@ -179,3 +180,57 @@ def test_n_polys_nonneg_b2():
     for I in (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})):
         for _, _, p in ParabolicKLTable(ball, I).table_rows():
             assert p.is_nonneg()
+
+
+# -- the induction's output shape, sharing and immutability --------------------
+
+@pytest.mark.parametrize("name,cap,I,spherical", [
+    ("affA2", 7, frozenset({0}), False),
+    ("B4", 8, frozenset({0, 1}), True),
+    ("B3", 9, frozenset({0}), True),
+])
+def test_canonical_basis_is_self_dual_with_unit_top(name, cap, I, spherical):
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    table = ParabolicKLTable(ball, I, spherical=spherical)
+    for x in ball.min_reps(I):
+        d = table.b(x)
+        assert d.coeff(x) == ONE
+        assert all(min(p.coeffs) > 0 for y, p in d.coeffs.items() if y != x)
+        assert n_bar(d) == d
+
+
+def test_equal_coefficients_are_one_object():
+    ball = build_ball(CoxeterMatrix.from_type("B3"), 9)
+    table = ParabolicKLTable(ball, frozenset({0}))
+    shared = {}
+    rows = table.table_rows()
+    for _, _, p in rows:
+        assert shared.setdefault(p, p) is p
+    assert len(shared) < len(rows)
+
+
+def test_earlier_columns_do_not_change():
+    ball = build_ball(CoxeterMatrix.from_type("A3"), 6)
+    table = ParabolicKLTable(ball, H)
+    early = [x for x in ball.elements if x.length <= 3]
+    seen = {x: table.b(x) for x in early}
+    frozen = {x: {y: dict(p.coeffs) for y, p in d.coeffs.items()}
+              for x, d in seen.items()}
+    table.table_rows()
+    for x, d in seen.items():
+        assert table.b(x) is d
+        assert {y: dict(p.coeffs) for y, p in d.coeffs.items()} == frozen[x]
+
+
+def test_induction_rejects_a_corrupt_lower_column():
+    # b_t b_s b_t = b_tst + b_t, so d_tst strips one tail with b_t; a stray
+    # n_u (u = s3, not below tst) in the cached b_t lands at u with
+    # coefficient -1, outside vZ[v], while the top term stays 1
+    ball = build_ball(CoxeterMatrix.from_type("A3"), 6)
+    table = ParabolicKLTable(ball, H)
+    t = ball.product_of_word((1,))
+    u = ball.product_of_word((2,))
+    table.b(ball.product_of_word((1, 0)))
+    table._b[t] = table.b(t) + NElt.std(ball, H, u)
+    with pytest.raises(CoxkitError, match="outside vZ"):
+        table.b(ball.product_of_word((1, 0, 1)))

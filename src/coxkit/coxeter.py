@@ -346,18 +346,6 @@ class GroupBall:
         self._root_memo[key] = got
         return got
 
-    @staticmethod
-    def root_sign(root):
-        """+1 / -1 for a positive / negative root, per the sign dichotomy."""
-        pos = neg = False
-        for c in root:
-            sg = c.sign()
-            pos |= sg > 0
-            neg |= sg < 0
-        if pos and neg:
-            raise CoxkitError("root with mixed coordinate signs")
-        return -1 if neg else 1
-
     # -- Bruhat order ----------------------------------------------------------
 
     def bruhat_leq(self, y, x):

@@ -24,7 +24,8 @@ braid moves have closed forms (_BRAIDS): for m = 2 the two bits swap with
 unit entry; for m = 3 each of the 11 entries is 1, x(s_s alpha_t) /
 x(alpha_s) or -x(alpha_t) / x(alpha_s) for the window (s, t, s).
 relation_oracle checks them against the dotted two-color (Jones-Wenzl)
-relations; m >= 4 raises UnsupportedBraidError.
+relations, at a nonempty I also on the I = {} table that the I-rule
+reduces; m >= 4 raises UnsupportedBraidError.
 
 Pairings at defect sum zero are constants of Frac(K), so multiplicities and
 the Gram check read them off by exact evaluation at an integer point, without
@@ -36,7 +37,11 @@ generator then becomes integral coefficient tuples over one integer
 denominator, straight from its rule, and the top row (column) of a light
 leaf propagates as integral tuples over one running denominator, its gcd
 content divided out after each step.  Only the final dot product becomes a
-CycRat.
+CycRat.  At char 0 the forms of multiplicity and gram_invertible are ranked
+fraction-free: each row is scaled by the lcm of its entries' denominators to
+integral K tuples, and Bareiss elimination divides exactly by the previous
+pivot (through its cached (adj, norm) when deg K > 1).  At char p the forms
+are reduced into PrimeFieldK and ranked by Gauss-Jordan elimination.
 
 The certificates of a word (`coxkit check localization`) stay
 symbolic.  The double leaf flipped(LL_f) o LL_e of a pair is built once:
@@ -54,7 +59,6 @@ import math
 import operator
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .errors import CoxkitError, UnsupportedBraidError
 from .laurent import LaurentPoly
@@ -88,12 +92,6 @@ _BRAIDS = {
     },
 }
 
-# Frac(K) on CycRat entries, under PrimeFieldK's operation names (for _rank).
-_FRAC_K = SimpleNamespace(is_zero=lambda a: a.is_zero(),
-                          inv=lambda a: a.inverse(),
-                          mul=operator.mul, sub=operator.sub)
-
-
 class StdMatrix:
     """Morphism between standard-summand decompositions, sparse over Q_I."""
 
@@ -108,8 +106,8 @@ class StdMatrix:
 
     @staticmethod
     def identity(indices, pr):
-        one = pr.qi_const(pr.one())
-        return StdMatrix(indices, indices, {(i, i): one for i in range(len(indices))})
+        return StdMatrix(indices, indices,
+                         {(i, i): pr.unit for i in range(len(indices))})
 
     def entry(self, f, e):
         """Entry between codomain index f and domain index e (None if zero)."""
@@ -331,7 +329,7 @@ class LocalCalculus:
         """A rule term as an element of Q_I."""
         pr = self.pr
         if term is _UNIT:
-            return pr.qi_const(pr.one())
+            return pr.unit
         tag, x = term[0], term[1]
         if tag == "poly":
             return pr.qi_const(pr.reduce_mod_I(pr.w_action(x, term[2]), self.I))
@@ -568,7 +566,7 @@ class LocalCalculus:
                         for e in leaves]
             except ZeroDivisionError:
                 continue
-            if _rank(rows, _FRAC_K) == len(leaves):
+            if self._char0_rank(rows) == len(leaves):
                 return True
             failures += 1
             if failures >= 3:
@@ -712,6 +710,18 @@ class LocalCalculus:
         den = rden * cden
         return CycRat(ring, (Fraction(a, den) for a in total))
 
+    def _char0_rank(self, form):
+        """Rank over Frac(K) of a form of CycRat entries: each row scaled by
+        the lcm of its entries' denominators to integral K tuples, then
+        fraction-free Bareiss elimination (_bareiss_rank), dividing through
+        the pivots' cached (adj, norm)."""
+        rows = []
+        for row in form:
+            den = math.lcm(*(q.denominator for c in row for q in c.coeffs))
+            rows.append([tuple(q.numerator * (den // q.denominator) for q in c.coeffs)
+                         for c in row])
+        return _bareiss_rank(rows, self.pr.ring, self._inverse)
+
     # -- intersection forms and canonical multiplicities --------------------------
 
     def _forms(self, word, x, pair):
@@ -723,17 +733,6 @@ class LocalCalculus:
         return {d: [[pair(e, f) for f in by_defect.get(-d, [])] for e in rows]
                 for d, rows in sorted(by_defect.items())}
 
-    def intersection_forms(self, word, x):
-        """defect d -> matrix of K-constants pairing defect-d rows with
-        defect-(-d) columns."""
-        def constant(e, f):
-            c = self.pairing(word, x, e, f).constant_value()
-            if c is None:
-                raise CoxkitError(
-                    "non-constant intersection pairing at defect %d" % e.defect)
-            return c
-        return self._forms(word, x, constant)
-
     def multiplicity(self, word, x, char=0):
         """Graded multiplicity m_x(v) via ranks of the intersection forms.
 
@@ -742,7 +741,7 @@ class LocalCalculus:
         denominator happens to vanish there).
         """
         word = tuple(word)
-        field = PrimeFieldK(self.pr.ring, char) if char else _FRAC_K
+        field = PrimeFieldK(self.pr.ring, char) if char else None
         rng = random.Random(20231115)
         forms = None
         for _ in range(10):
@@ -759,8 +758,10 @@ class LocalCalculus:
         out = LaurentPoly.zero()
         for d, form in forms.items():
             if char:
-                form = [[field.from_cycrat(c) for c in row] for row in form]
-            rank = _rank(form, field)
+                rank = _rank([[field.from_cycrat(c) for c in row] for row in form],
+                             field)
+            else:
+                rank = self._char0_rank(form)
             if rank:
                 out = out + LaurentPoly.v(-d, rank)
         return out
@@ -783,11 +784,22 @@ def relation_oracle(calc):
     identities over Q_I: one-color relations per color, and (for every
     pair with m in {2, 3}) braid involution, dot slides or Jones-Wenzl
     equations, plus two-color associativity.  Returns [(name, bool)].
+
+    The braid rule at a nonempty I is the I = {} table reduced mod I, and
+    the reduction can hide a wrong entry, so the two-color checks also run
+    on LocalCalculus(calc.ball), named with the prefix "I = {}, ".
     """
+    out = _one_color_relations(calc) + _two_color_relations(calc)
+    if calc.I:
+        out += [("I = {}, " + name, ok)
+                for name, ok in _two_color_relations(LocalCalculus(calc.ball))]
+    return out
+
+
+def _one_color_relations(calc):
     gm = calc.gen_matrix
     pr = calc.pr
     out = []
-
     for s in range(calc.ball.rank):
         tag = "color %d: " % s
         ident = StdMatrix.identity(calc.indices((s,)), pr)
@@ -812,7 +824,13 @@ def relation_oracle(calc):
             + gm("startdot", (), 0, color=s).compose(
                 gm("enddot", (s,), 0)).scale(pr.qi_const(pr.demazure(s, f)))
         out.append((tag + "nil-Hecke", nil_lhs == nil_rhs))
+    return out
 
+
+def _two_color_relations(calc):
+    gm = calc.gen_matrix
+    pr = calc.pr
+    out = []
     for b in range(calc.ball.rank):
         for r in range(calc.ball.rank):
             if b == r:
@@ -837,7 +855,7 @@ def relation_oracle(calc):
                 top = (1,) * m
                 if top in comp.dpos:
                     tval = comp.entries.get((comp.cpos[top], comp.dpos[top]))
-                    ok = tval is not None and tval == pr.qi_const(pr.one())
+                    ok = tval is not None and tval == pr.unit
                 else:
                     ok = True  # top summand not antispherical: vacuous
                 out.append((tag + "braid involution on top summand", ok))
@@ -921,9 +939,57 @@ def _divide_by_linear(pr, poly, root):
     return Poly(pr, quo)
 
 
+def _bareiss_rank(rows, ring, inverse):
+    """Rank of a matrix of integral K coefficient tuples by fraction-free
+    Bareiss elimination (Math. Comp. 22, 1968).  After k pivots every entry
+    left below them is a (k+1)-minor, so dividing by the previous pivot is
+    exact: an integer division when deg K = 1, and otherwise a product with
+    the pivot's adj from inverse(pivot) = (adj, norm), pivot * adj = norm,
+    followed by an integer division by norm.  The last pivot divides nothing
+    and is never inverted.  A nonzero remainder raises CoxkitError."""
+    mul = ring._mul_coeffs
+    rows = [row for row in rows if any(map(any, row))]
+    rank, prev = 0, None
+    while rows and rows[0]:
+        k = next((i for i, row in enumerate(rows) if any(row[0])), None)
+        if k is None:
+            rows = [row[1:] for row in rows]
+            continue
+        piv = rows.pop(k)
+        rank += 1
+        if rows and prev is not None:
+            adj, norm = (None, prev[0]) if ring.deg == 1 else inverse(prev)
+        p, prow = piv[0], piv[1:]
+        new_rows = []
+        for row in rows:
+            a = row[0] if any(row[0]) else None
+            new = []
+            for x, y in zip(row[1:], prow):
+                v = mul(p, x)
+                if a is not None and any(y):
+                    v = tuple(map(operator.sub, v, mul(a, y)))
+                if prev is not None and any(v):
+                    v = _exact_div(v if adj is None else mul(v, adj), norm)
+                new.append(v)
+            new_rows.append(new)
+        rows = new_rows
+        prev = p
+    return rank
+
+
+def _exact_div(coeffs, norm):
+    out = []
+    for c in coeffs:
+        q, r = divmod(c, norm)
+        if r:
+            raise CoxkitError("Bareiss elimination left an inexact division")
+        out.append(q)
+    return tuple(out)
+
+
 def _rank(rows, field):
     """Rank by Gauss-Jordan elimination with the operations of `field`
-    (PrimeFieldK, or _FRAC_K for CycRat entries)."""
+    (PrimeFieldK)."""
     if not rows or not rows[0]:
         return 0
     ncols = len(rows[0])

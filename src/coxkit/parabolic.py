@@ -23,12 +23,23 @@ given polynomial is one shared (immutable) LaurentPoly.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import CapError, CoxkitError, UsageError
 from .laurent import LaurentPoly, ONE, V, VINV, ZERO
 
 
 def Element_shortlex(x):
     return (x.length, x.word)
+
+
+# build_ball numbers the elements breadth first, extending the words of one
+# length in order by s = 0, 1, ..., so index order is shortlex order.
+_idx = operator.attrgetter("idx")
+
+
+def _item_idx(item):
+    return item[0].idx
 
 
 def _acc(out, x, p):
@@ -113,7 +124,8 @@ class ParaElt:
         return not self.coeffs
 
     def support(self):
-        return sorted(self.coeffs, key=Element_shortlex)
+        """The support in shortlex order, which is ball index order."""
+        return sorted(self.coeffs, key=_idx)
 
     def mul_bs(self, s):
         out = _bs_raw(self.ball, self.I, self.spherical,
@@ -235,10 +247,9 @@ class ParabolicKLTable:
         if elements is None:
             elements = self.ball.min_reps(self.I)
         rows = []
-        for x in sorted(elements, key=Element_shortlex):
-            bx = self.b(x)
-            for y in bx.support():
-                rows.append((y, x, bx.coeff(y)))
+        for x in sorted(elements, key=_idx):
+            rows.extend((y, x, p) for y, p in
+                        sorted(self.b(x).coeffs.items(), key=_item_idx))
         return rows
 
 

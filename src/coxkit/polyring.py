@@ -23,6 +23,9 @@ class PolyRing:
         self.ring = ball.ring
         self._zero_mono = (0,) * self.rank
         self._action_memo = {}
+        # the one unit of Q_I: identities and unit rule terms share it, and a
+        # product with it is the other factor
+        self.unit = QCoeff(self, self.one())
 
     # -- constructors ------------------------------------------------------
 
@@ -204,9 +207,14 @@ class Poly:
 class QCoeff:
     """num / (product of root images): an element of Q_I.
 
-    The denominator is a formal sorted tuple of root coordinate vectors
-    (each already reduced mod I and nonzero).  No gcd reduction is done;
-    equality cross-multiplies.
+    The denominator is a formal tuple of root coordinate vectors (each
+    already reduced mod I and nonzero), sorted by _root_key.  The
+    constructor sorts what it is given; products, sums over one denominator
+    and negations keep the order by construction (_make), and a product
+    sorts only when both factors have roots.  Values are never mutated, so
+    they are shared: each PolyRing holds one unit (PolyRing.unit), and a
+    product with that object is the other factor itself.  No gcd reduction
+    is done; equality cross-multiplies.
     """
 
     __slots__ = ("pr", "num", "den")
@@ -218,6 +226,15 @@ class QCoeff:
             self.den = tuple(sorted((tuple(r) for r in den), key=_root_key))
         else:
             self.den = ()
+
+    @staticmethod
+    def _make(pr, num, den):
+        """num / den for a den that is already a sorted tuple of tuples."""
+        q = object.__new__(QCoeff)
+        q.pr = pr
+        q.num = num
+        q.den = den if num.coeffs else ()
+        return q
 
     def den_poly(self):
         out = self.pr.one()
@@ -234,7 +251,7 @@ class QCoeff:
         if other.is_zero():
             return self
         if self.den == other.den:
-            return QCoeff(self.pr, self.num + other.num, self.den)
+            return QCoeff._make(self.pr, self.num + other.num, self.den)
         # cancel the common denominator roots, multiset-wise
         common, rest1, rest2 = _multiset_split(self.den, other.den)
         num = self.num * _root_product(self.pr, rest2) \
@@ -242,7 +259,7 @@ class QCoeff:
         return QCoeff(self.pr, num, common + rest1 + rest2)
 
     def __neg__(self):
-        return QCoeff(self.pr, -self.num, self.den)
+        return QCoeff._make(self.pr, -self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -250,7 +267,17 @@ class QCoeff:
     def __mul__(self, other):
         if isinstance(other, Poly):
             other = QCoeff(self.pr, other)
-        return QCoeff(self.pr, self.num * other.num, self.den + other.den)
+        unit = self.pr.unit
+        if self is unit:
+            return other
+        if other is unit:
+            return self
+        den = self.den
+        if not den:
+            den = other.den
+        elif other.den:
+            den = tuple(sorted(den + other.den, key=_root_key))
+        return QCoeff._make(self.pr, self.num * other.num, den)
 
     def div_root(self, root):
         """Divide by an (already reduced, nonzero) root coordinate vector."""

@@ -115,9 +115,6 @@ class ScalarRing:
         coeffs[1] = 1
         return CycInt(self, tuple(coeffs))
 
-    def from_coeffs(self, coeffs):
-        return CycInt(self, self._reduce(list(coeffs)))
-
     def cos_entry(self, m):
         """-2cos(pi/m) as an element of K; m = None means infinity."""
         if m is None or m == math.inf:

@@ -3,6 +3,7 @@ intersection forms, and canonical multiplicities."""
 
 import gc
 import itertools
+import operator
 import random
 import weakref
 from fractions import Fraction
@@ -99,6 +100,24 @@ def test_relation_oracle(name, I):
         [nm for nm, ok in results if not ok]
 
 
+def test_relation_oracle_at_nonempty_I_checks_the_braid_table(monkeypatch):
+    """The braid rule at a nonempty I is the I = {} table reduced mod I, and
+    the reduction can hide a wrong entry: with the sign of -x(alpha_t) /
+    x(alpha_s) flipped, every check at I = {s1} on A2 and I = {s2} on A3
+    still holds, and only the two-color checks on the I = {} calculus
+    fail."""
+    flipped = {bits: tuple((fbits, (0, 1) if c == localization._NEG_AT else c)
+                           for fbits, c in row)
+               for bits, row in localization._BRAIDS[3].items()}
+    monkeypatch.setitem(localization._BRAIDS, 3, flipped)
+    for name, I in (("A2", frozenset({0})), ("A3", frozenset({1}))):
+        ball = build_ball(CoxeterMatrix.from_type(name), 10)
+        failed = [nm for nm, ok in relation_oracle(LocalCalculus(ball, I))
+                  if not ok]
+        assert failed, name
+        assert all(nm.startswith("I = {}, pair") for nm in failed), failed
+
+
 def test_lightleaf_matrix_affine(aff):
     calc = LocalCalculus(aff, frozenset({0}))
     word = (1, 0, 1)
@@ -140,10 +159,20 @@ def test_gram_invertible(a2, aff):
         assert calca.gram_invertible((1, 0, 1, 0), x)
 
 
+def intersection_forms(calc, word, x):
+    """defect d -> matrix of K-constants pairing defect-d rows with
+    defect-(-d) columns, read off the symbolic pairings."""
+    def constant(e, f):
+        c = calc.pairing(word, x, e, f).constant_value()
+        assert c is not None, "non-constant pairing at defect %d" % e.defect
+        return c
+    return calc._forms(word, x, constant)
+
+
 def test_intersection_forms(a2, aff):
     calc = LocalCalculus(a2)
     s = a2.product_of_word((0,))
-    forms = calc.intersection_forms((0, 1, 0), s)
+    forms = intersection_forms(calc, (0, 1, 0), s)
     assert sorted(forms) == [0, 2]
     assert len(forms[0]) == 1 and len(forms[0][0]) == 1
     assert forms[0][0][0].coeffs[0] == -1
@@ -151,7 +180,7 @@ def test_intersection_forms(a2, aff):
     assert calc.multiplicity((0, 1, 0), s) == LaurentPoly.const(1)
     calca = LocalCalculus(aff, frozenset({0}))
     t = aff.product_of_word((1,))
-    aforms = calca.intersection_forms((1, 0, 1), t)
+    aforms = intersection_forms(calca, (1, 0, 1), t)
     assert sorted(aforms) == [0]
     assert aforms[0][0][0].coeffs[0] == -2
     assert calca.multiplicity((1, 0, 1), t) == LaurentPoly.const(1)
@@ -475,3 +504,104 @@ def test_finished_calculus_is_freed_by_reference_counting(a2, I):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# Frac(K) on CycRat entries under PrimeFieldK's operation names: with it,
+# localization._rank is the Gauss-Jordan route char-0 forms took before the
+# Bareiss elimination, kept here as the reference.
+_FRAC_K = SimpleNamespace(is_zero=lambda a: a.is_zero(),
+                          inv=lambda a: a.inverse(),
+                          mul=operator.mul, sub=operator.sub)
+
+
+def _gauss_jordan_rank(form):
+    return localization._rank(form, _FRAC_K)
+
+
+@pytest.mark.parametrize("name, n", [("A2", 3), ("I2_5", 5), ("B3", 12)])
+def test_bareiss_rank_matches_gauss_jordan(name, n):
+    """The char-0 rank (rows scaled to integral K tuples, then fraction-free
+    Bareiss) equals the Gauss-Jordan rank over CycRat: K = Z (N = 3) and
+    Z[theta] with N = 5 and 12, on empty and 1 x 1 forms, zero columns and
+    products of random factors of every inner rank."""
+    ball = build_ball(CoxeterMatrix.from_type(name), 2)
+    ring = ball.ring
+    assert ring.n == n
+    calc = LocalCalculus(ball)
+    rng = random.Random(n)
+    zero = CycRat(ring, (0,) * ring.deg)
+
+    def entry():
+        return CycRat(ring, (Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                             for _ in range(ring.deg)))
+
+    forms = [[], [[]], [[], []], [[zero]], [[entry()]], [[zero, zero], [zero, zero]]]
+    for _ in range(120):
+        nrows, ncols, inner = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 5)
+        left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+        form = [[sum((a * b for a, b in zip(row, col)), zero)
+                 for col in zip(*right)] if right else [zero] * ncols
+                for row in left]
+        for c in range(ncols):
+            if rng.random() < 0.2:
+                for row in form:
+                    row[c] = zero
+        forms.append(form)
+    deficient = 0
+    for form in forms:
+        want = _gauss_jordan_rank(form)
+        assert calc._char0_rank(form) == want, form
+        deficient += bool(form and form[0]) and want < min(len(form), len(form[0]))
+    assert deficient > 20
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
+def test_char0_ranks_match_gauss_jordan_on_leaf_forms(name, cap, I, length):
+    """Every form that gram_invertible and char-0 multiplicity rank on the
+    words up to `length` gets the Gauss-Jordan rank, so their verdicts are
+    the ones the CycRat elimination gave."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc = LocalCalculus(ball, I)
+    bareiss = calc._char0_rank
+    ranks = []
+
+    def checked(form):
+        got = bareiss(form)
+        assert got == _gauss_jordan_rank(form), form
+        ranks.append(got)
+        return got
+
+    calc._char0_rank = checked
+    for word in _words(ball.rank, length):
+        for x in {e.endpoint for e in calc.indices(word)}:
+            assert calc.gram_invertible(word, x), (word, x)
+            calc.multiplicity(word, x)
+    assert max(ranks) > 1
+
+
+@pytest.mark.parametrize("name, cap, I, length", [
+    ("A2", 10, frozenset(), 4),
+    ("A3", 6, frozenset({1}), 3),
+])
+def test_certificate_sweep_leaves_generators_and_unit_unchanged(name, cap, I,
+                                                               length):
+    """Composed matrices share QCoeff values with the cached generators and
+    the ring's unit; a certificate sweep must not change any of them."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc, fresh = LocalCalculus(ball, I), LocalCalculus(ball, I)
+    unit = calc.pr.unit
+    for word in _words(ball.rank, length):
+        for e in calc.indices(word):
+            assert calc.check_diagonal(word, e)
+            for f in calc.leaves_at(word, e.endpoint):
+                assert calc.double_leaf(word, e, f).endpoint_matched()
+                assert calc.check_triangularity(word, e, f)
+    assert len(calc._gen_cache) > 20
+    for (kind, w, site, color), got in calc._gen_cache.items():
+        want = fresh.gen_matrix(kind, w, site, color=color)
+        assert got.entries.keys() == want.entries.keys()
+        assert all(_same_qcoeff(v, want.entries[k])
+                   for k, v in got.entries.items()), (kind, w, site)
+    assert calc.pr.unit is unit and unit.den == ()
+    assert unit.num.coeffs == calc.pr.one().coeffs

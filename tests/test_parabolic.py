@@ -234,3 +234,43 @@ def test_induction_rejects_a_corrupt_lower_column():
     table._b[t] = table.b(t) + NElt.std(ball, H, u)
     with pytest.raises(CoxkitError, match="outside vZ"):
         table.b(ball.product_of_word((1, 0, 1)))
+
+
+@pytest.mark.parametrize("name, cap", [("A5", 15), ("affA2", 14), ("B4", 16),
+                                       ("H3", 15)])
+def test_ball_index_order_is_shortlex(name, cap):
+    """support() and table_rows() order by ball index, which is shortlex."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    assert [x.idx for x in ball.elements] == list(range(len(ball.elements)))
+    assert ball.elements == sorted(ball.elements,
+                                   key=lambda x: (x.length, x.word))
+
+
+def _shortlex_table_rows(table):
+    """table_rows() by its definition: columns and rows in shortlex order."""
+    def key(x):
+        return (x.length, x.word)
+    rows = []
+    for x in sorted(table.ball.min_reps(table.I), key=key):
+        bx = table.b(x)
+        for y in sorted(bx.coeffs, key=key):
+            rows.append((y, x, bx.coeff(y)))
+    return rows
+
+
+@pytest.mark.parametrize("name, cap, I, spherical", [
+    ("A4", 10, (), False),
+    ("affA2", 8, (0,), False),
+    ("B4", 9, (0, 1), True),
+])
+def test_table_rows_are_in_shortlex_order(name, cap, I, spherical):
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    table = ParabolicKLTable(ball, frozenset(I), spherical=spherical)
+    rows = table.table_rows()
+    want = _shortlex_table_rows(table)
+    assert [(y.idx, x.idx) for y, x, _ in rows] == \
+        [(y.idx, x.idx) for y, x, _ in want]
+    assert all(p is q for (_, _, p), (_, _, q) in zip(rows, want))
+    for x in ball.min_reps(table.I):
+        assert table.b(x).support() == sorted(table.b(x).coeffs,
+                                              key=lambda y: (y.length, y.word))

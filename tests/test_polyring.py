@@ -1,6 +1,8 @@
 """Polynomial ring on the simple-root variables, reflection action,
 Demazure operators, and fractions with root denominators."""
 
+import random
+
 import pytest
 
 from coxkit.coxeter import CoxeterMatrix, build_ball
@@ -124,3 +126,41 @@ def test_degree_and_homogeneity(a2):
     f = pr.alpha(0) * pr.alpha(1)
     assert f.degree() == 4
     assert pr.const(3).is_constant()
+
+
+def test_qcoeff_results_keep_the_sorted_denominator():
+    """Products, sums over one denominator and negations build their
+    denominators without sorting again; each equals the den of a freshly
+    constructed (sorted) QCoeff with the same roots."""
+    ball = build_ball(CoxeterMatrix.from_type("A3"), 6)
+    pr = PolyRing(ball)
+    roots = [pr.reduce_root_mod_I(pr.root_coords(x, s), frozenset())
+             for x in ball.elements[:12] for s in range(ball.rank)]
+    rng = random.Random(3)
+
+    def rand_qcoeff():
+        num = pr.const(rng.randint(1, 5)) * pr.alpha(rng.randrange(ball.rank)) \
+            + pr.const(rng.randint(-3, 3))
+        return QCoeff(pr, num, rng.sample(roots, rng.randint(0, 3)))
+
+    for _ in range(300):
+        a, b = rand_qcoeff(), rand_qcoeff()
+        prod = a * b
+        assert prod.den == QCoeff(pr, prod.num, a.den + b.den).den
+        assert prod == QCoeff(pr, a.num * b.num, b.den + a.den)
+        same = QCoeff(pr, b.num, a.den[::-1])
+        total = a + same
+        assert total.den == QCoeff(pr, total.num, a.den).den
+        assert (-a).den == QCoeff(pr, -a.num, a.den).den == a.den
+        assert (a - a).den == ()
+
+
+def test_shared_unit_is_the_identity_of_products():
+    ball = build_ball(CoxeterMatrix.from_type("A2"), 10)
+    pr = PolyRing(ball)
+    q = QCoeff(pr, pr.alpha(1), ((pr.ring.one(), pr.ring.one()),))
+    assert pr.unit * q is q and q * pr.unit is q
+    assert pr.unit * pr.unit is pr.unit
+    assert pr.unit == pr.qi_const(pr.one()) and pr.unit.den == ()
+    # another unit-valued QCoeff multiplies as usual, to an equal value
+    assert pr.qi_const(pr.one()) * q == q

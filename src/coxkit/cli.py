@@ -147,7 +147,6 @@ def _cache_store(cache_dir, key, payload, rows):
 # -- table commands ---------------------------------------------------------------
 
 def _table_rows(command, matrix, I, cap):
-    # klpoly takes no --I: the Hecke algebra is N at I = {}
     table = ParabolicKLTable(build_ball(matrix, cap), I,
                              spherical=(command == "mpoly"))
     return [[_elt_name(y), _elt_name(x), str(p)] for y, x, p in table.table_rows()]
@@ -155,12 +154,11 @@ def _table_rows(command, matrix, I, cap):
 
 def cmd_table(command, args):
     matrix = _matrix_from_args(args)
-    I = _parse_I(args.I, matrix.rank)
-    if command == "klpoly" and I:
-        raise UsageError("klpoly takes no --I")
+    # klpoly takes no --I: the Hecke algebra is N at I = {}
+    I = _parse_I(getattr(args, "I", ()), matrix.rank)
     payload = {
         "command": command,
-        "matrix": matrix.canonical_form(),
+        "matrix": matrix.to_json(),
         "I": sorted(I),
         "cap": args.cap,
         "version": ALGORITHM_VERSION,
@@ -172,7 +170,10 @@ def cmd_table(command, args):
     if rows is None:
         rows = _table_rows(command, matrix, I, args.cap)
         if args.cache_dir:
-            _cache_store(args.cache_dir, key, payload, rows)
+            try:
+                _cache_store(args.cache_dir, key, payload, rows)
+            except OSError as exc:
+                raise UsageError("cannot write --cache-dir: %s" % exc) from None
     _render(rows, ("y", "x", "poly"), args.format)
     return EXIT_PASS
 
@@ -323,53 +324,65 @@ def cmd_pcan(args):
 
 # -- argument parsing -----------------------------------------------------------------
 
-def _add_common(parser):
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as UsageError, which main prints as JSON
+    with exit code 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+# The options a command may take beyond --type, --matrix and --cap.
+_OPTIONS = {
+    "I": dict(nargs="*", default=[], metavar="GEN",
+              help="parabolic generators, e.g. s1 s3"),
+    "format": dict(choices=("csv", "json", "pretty"), default="pretty"),
+    "cache-dir": dict(default=None),
+    "seed": dict(type=int, default=0, help="seed for random-word suites"),
+    "char": dict(type=int, default=0, help="characteristic (0 or a prime)"),
+    "count": dict(type=int, default=100,
+                  help="number of random words for gradedrank"),
+    "word-cap": dict(type=int, default=4,
+                     help="word length cap for localization checks"),
+}
+
+
+def _add_options(parser, *names):
+    """Declare --type, --matrix, --cap and the _OPTIONS `names`."""
     parser.add_argument("--type", help="built-in Coxeter type, e.g. A3, B2, H3, I2_7, affA1")
     parser.add_argument("--matrix", help="path to a JSON Coxeter matrix file")
-    parser.add_argument("--I", nargs="*", default=[], metavar="GEN",
-                        help="parabolic generators, e.g. s1 s3")
     parser.add_argument("--cap", type=int, default=6,
                         help="length cap for the group ball (default 6)")
-    parser.add_argument("--format", choices=("csv", "json", "pretty"),
-                        default="pretty")
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for random-word suites")
-    parser.add_argument("--char", type=int, default=0,
-                        help="characteristic (0 or a prime)")
+    for name in names:
+        parser.add_argument("--" + name, **_OPTIONS[name])
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coxkit",
         description="Exact Coxeter/Hecke/antispherical computations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, doc in (("npoly", "antispherical canonical-basis table"),
-                      ("mpoly", "spherical canonical-basis table"),
-                      ("klpoly", "Kazhdan-Lusztig table")):
-        p = sub.add_parser(name, help=doc)
-        _add_common(p)
+                      ("mpoly", "spherical canonical-basis table")):
+        _add_options(sub.add_parser(name, help=doc), "I", "format", "cache-dir")
+    _add_options(sub.add_parser("klpoly", help="Kazhdan-Lusztig table"),
+                 "format", "cache-dir")
 
     p = sub.add_parser("check", help="run a named invariant suite")
     p.add_argument("which", choices=tuple(CHECKS))
-    _add_common(p)
-    p.add_argument("--count", type=int, default=100,
-                   help="number of random words for gradedrank")
-    p.add_argument("--word-cap", type=int, default=4,
-                   help="word length cap for localization checks")
+    _add_options(p, "I", "seed", "count", "word-cap")
 
     p = sub.add_parser("pcan", help="canonical/p-canonical decomposition of a word")
     p.add_argument("word", nargs="*", metavar="GEN",
                    help="letters of the word, e.g. s1 s2 s1")
-    _add_common(p)
+    _add_options(p, "I", "format", "char")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name in ("cap", "count", "word_cap"):
             if getattr(args, name, 0) < 0:
                 raise UsageError("--%s must be >= 0" % name.replace("_", "-"))

@@ -19,6 +19,9 @@ from .scalars import CycInt, ScalarRing
 
 INF = math.inf
 
+# A group ball larger than this raises ResourceError.
+_MAX_ELEMENTS = 2_000_000
+
 
 def _type_number(name, digits):
     try:
@@ -113,8 +116,6 @@ class CoxeterMatrix:
         rows = [["inf" if e is INF else e for e in row] for row in self.entries]
         return json.dumps({"rank": self.rank, "entries": rows}, sort_keys=True)
 
-    canonical_form = to_json
-
     def __eq__(self, other):
         return isinstance(other, CoxeterMatrix) and other.entries == self.entries
 
@@ -175,14 +176,14 @@ class Element:
 class GroupBall:
     """All elements of (W, S) of length <= length_cap, breadth first."""
 
-    def __init__(self, matrix, length_cap, max_elements=2_000_000):
+    def __init__(self, matrix, length_cap):
         self.matrix = matrix
         self.length_cap = length_cap
         self.rank = matrix.rank
         self.ring = matrix.scalar_ring()
         self.cartan = matrix.cartan(self.ring)
         self._int_mode = all(c.is_integer() for row in self.cartan for c in row)
-        self._build(max_elements)
+        self._build()
         self._inv = None
         self._bruhat_memo = {}
         self._root_memo = {}
@@ -190,7 +191,7 @@ class GroupBall:
 
     # -- construction ------------------------------------------------------
 
-    def _build(self, max_elements):
+    def _build(self):
         rank, d = self.rank, self.ring.deg
         if self._int_mode:
             cint = [[c.as_integer() for c in row] for row in self.cartan]
@@ -248,7 +249,7 @@ class GroupBall:
                     j = index.get(key)
                     if j is None:
                         j = len(mats)
-                        if j > max_elements:
+                        if j > _MAX_ELEMENTS:
                             raise ResourceError("group ball exceeds element budget")
                         mats.append(key)
                         index[key] = j
@@ -445,9 +446,7 @@ def _cached_ball(canon, cap):
     return GroupBall(CoxeterMatrix.from_json(canon), cap)
 
 
-def build_ball(matrix, length_cap, max_elements=2_000_000):
+def build_ball(matrix, length_cap):
     if length_cap < 0:
         raise UsageError("length cap must be >= 0")
-    if max_elements == 2_000_000:
-        return _cached_ball(matrix.to_json(), length_cap)
-    return GroupBall(matrix, length_cap, max_elements)
+    return _cached_ball(matrix.to_json(), length_cap)

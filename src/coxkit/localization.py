@@ -28,20 +28,22 @@ relations, at a nonempty I also on the I = {} table that the I-rule
 reduces; m >= 4 raises UnsupportedBraidError.
 
 Pairings at defect sum zero are constants of Frac(K), so multiplicities and
-the Gram check read them off by exact evaluation at an integer point, without
-building a symbolic matrix and without rational arithmetic until the last
-step.  The value of x(alpha_t) mod I at the point is read from the ball's
-stored matrix of x, once per (x, point); a root value r is inverted once,
-as r * adj = norm with adj integral and norm a positive integer.  A
-generator then becomes integral coefficient tuples over one integer
-denominator, straight from its rule, and the top row (column) of a light
-leaf propagates as integral tuples over one running denominator, its gcd
-content divided out after each step.  Only the final dot product becomes a
-CycRat.  At char 0 the forms of multiplicity and gram_invertible are ranked
-fraction-free: each row is scaled by the lcm of its entries' denominators to
-integral K tuples, and Bareiss elimination divides exactly by the previous
-pivot (through its cached (adj, norm) when deg K > 1).  At char p the forms
-are reduced into PrimeFieldK and ranked by Gauss-Jordan elimination.
+the Gram check read them off by exact evaluation at an integer point,
+without building a symbolic matrix and without building a CycRat: every
+value on the way is an integral K coefficient tuple over a positive integer.
+The value of x(alpha_t) mod I at the point is read from the ball's stored
+matrix of x, once per (x, point); a root value r is inverted once, by
+ScalarRing.adjugate, as r * adj = norm with adj integral and norm a positive
+integer.  A generator then becomes integral coefficient tuples over one
+integer denominator, straight from its rule, and the top row (column) of a
+light leaf propagates as integral tuples over one running denominator, its
+gcd content divided out after each step; their dot product is the pairing,
+in lowest terms.  At char 0 the forms of multiplicity and gram_invertible
+are ranked by scalars.bareiss, the package's one char-0 elimination:
+each row is scaled by the lcm of its denominators to integral K tuples, and
+the elimination divides exactly by the previous pivot (through its cached
+(adj, norm) when deg K > 1).  At char p each pairing is reduced into
+PrimeFieldK and the forms are ranked by Gauss-Jordan elimination.
 
 The certificates of a word (`coxkit check localization`) stay
 symbolic.  The double leaf flipped(LL_f) o LL_e of a pair is built once:
@@ -58,13 +60,12 @@ from __future__ import annotations
 import math
 import operator
 import random
-from fractions import Fraction
 
 from .errors import CoxkitError, UnsupportedBraidError
 from .laurent import LaurentPoly
 from .leaves import enumerate_subexprs, path_dom_leq
 from .polyring import Poly, PolyRing, QCoeff, _root_key
-from .scalars import CycRat, PrimeFieldK
+from .scalars import CycRat, PrimeFieldK, bareiss
 
 # The unit term of a generator rule (LocalCalculus._rule).
 _UNIT = ("unit",)
@@ -420,7 +421,10 @@ class LocalCalculus:
                     u = xis.word
         return ops
 
-    def _op_matrix(self, op):
+    def _op_matrix(self, op, flipped=False):
+        """The symbolic matrix of a light-leaf op, or of its flip."""
+        if flipped:
+            op = self._flip_op(op)
         got = self._gen_cache.get(op)
         if got is None:
             kind, w, site, color = op
@@ -437,31 +441,21 @@ class LocalCalculus:
             return ("split", cod, site, None)
         return ("braid", cod, site, None)
 
-    def _flip_matrix(self, op):
-        return self._op_matrix(self._flip_op(op))
-
-    def eval_lightleaf(self, word, e):
-        """LL_e: N_word -> N_rex(endpoint), rex = the canonical reduced word."""
+    def eval_lightleaf(self, word, e, flipped=False):
+        """LL_e: N_word -> N_rex(endpoint), rex = the canonical reduced word;
+        flipped, the flipped leaf N_rex(endpoint) -> N_word.  Each
+        orientation has its own cache."""
         word = tuple(word)
+        cache = self._llbar_cache if flipped else self._ll_cache
         key = (word, e.bits)
-        got = self._ll_cache.get(key)
+        got = cache.get(key)
         if got is None:
-            got = StdMatrix.identity(self.indices(word), self.pr)
-            for op in self._ll_ops(word, e):
-                got = self._op_matrix(op).compose(got)
-            self._ll_cache[key] = got
-        return got
-
-    def eval_lightleaf_flipped(self, word, f):
-        """The flipped leaf: N_rex(endpoint) -> N_word."""
-        word = tuple(word)
-        key = (word, f.bits)
-        got = self._llbar_cache.get(key)
-        if got is None:
-            got = StdMatrix.identity(self.indices(f.endpoint.word), self.pr)
-            for op in reversed(self._ll_ops(word, f)):
-                got = self._flip_matrix(op).compose(got)
-            self._llbar_cache[key] = got
+            ops = self._ll_ops(word, e)
+            start = e.endpoint.word if flipped else word
+            got = StdMatrix.identity(self.indices(start), self.pr)
+            for op in reversed(ops) if flipped else ops:
+                got = self._op_matrix(op, flipped).compose(got)
+            cache[key] = got
         return got
 
     # -- pairings and forms -------------------------------------------------
@@ -474,7 +468,7 @@ class LocalCalculus:
         if e.endpoint != f.endpoint or e.endpoint != x:
             return self.pr.qi_const(self.pr.zero())
         comp = self.eval_lightleaf(word, e).compose(
-            self.eval_lightleaf_flipped(word, f))
+            self.eval_lightleaf(word, f, flipped=True))
         top = next(i for i in comp.domain if i.bits == (1,) * len(i.bits))
         got = comp.entry(top, top)
         return got if got is not None else self.pr.qi_const(self.pr.zero())
@@ -486,8 +480,8 @@ class LocalCalculus:
         word = tuple(word)
         key = (word, e.bits, f.bits)
         if self._last_double[0] != key:
-            self._last_double = key, self.eval_lightleaf_flipped(word, f).compose(
-                self.eval_lightleaf(word, e))
+            self._last_double = key, self.eval_lightleaf(
+                word, f, flipped=True).compose(self.eval_lightleaf(word, e))
         return self._last_double[1]
 
     def _down_set(self, word, e):
@@ -524,7 +518,7 @@ class LocalCalculus:
     def _diagonal_entry(self, word, e):
         """Entry (e, e) of double_leaf(word, e, e), computed alone: row e of
         the flipped leaf dotted with column e of the leaf (None if zero)."""
-        return self.eval_lightleaf_flipped(word, e).compose_entry(
+        return self.eval_lightleaf(word, e, flipped=True).compose_entry(
             self.eval_lightleaf(word, e), e, e)
 
     def check_diagonal(self, word, e):
@@ -592,13 +586,15 @@ class LocalCalculus:
 
     def _inverse(self, value):
         """(adj, norm) for the nonzero value r in K of a root at a point:
-        adj integral, norm a positive int, r * adj == norm; cached by
-        value."""
+        adj integral, norm a positive int, r * adj == norm, in lowest terms
+        (ScalarRing.adjugate divided by its gcd content); cached by value."""
         got = self._inv_cache.get(value)
         if got is None:
-            inv = CycRat(self.pr.ring, value).inverse().coeffs
-            norm = math.lcm(*(q.denominator for q in inv))
-            got = tuple(q.numerator * (norm // q.denominator) for q in inv), norm
+            adj, det = self.pr.ring.adjugate(value)
+            g = math.gcd(det, *adj)
+            if det < 0:
+                g = -g
+            got = tuple(a // g for a in adj), det // g
             self._inv_cache[value] = got
         return got
 
@@ -697,7 +693,8 @@ class LocalCalculus:
     def pairing_value(self, word, e, f, point):
         """The (constant) pairing of e with f, read off by exact evaluation
         at an integer point: top row of LL_e dotted with the top column of
-        the flipped leaf of f."""
+        the flipped leaf of f.  Returns (coeffs, den) in lowest terms:
+        integral K coefficients over a positive integer denominator."""
         word = tuple(word)
         row, rden = self._top_vector(word, e, point, flipped=False)
         col, cden = self._top_vector(word, f, point, flipped=True)
@@ -708,19 +705,19 @@ class LocalCalculus:
             if w is not None:
                 total = list(map(operator.add, total, ring._mul_coeffs(v, w)))
         den = rden * cden
-        return CycRat(ring, (Fraction(a, den) for a in total))
+        g = math.gcd(den, *total)
+        return tuple(a // g for a in total), den // g
 
     def _char0_rank(self, form):
-        """Rank over Frac(K) of a form of CycRat entries: each row scaled by
-        the lcm of its entries' denominators to integral K tuples, then
-        fraction-free Bareiss elimination (_bareiss_rank), dividing through
-        the pivots' cached (adj, norm)."""
+        """Rank over Frac(K) of a form of pairing values (coeffs, den): each
+        row scaled by the lcm of its denominators to integral K tuples, then
+        fraction-free Bareiss elimination (scalars.bareiss), dividing
+        through the pivots' cached (adj, norm)."""
         rows = []
         for row in form:
-            den = math.lcm(*(q.denominator for c in row for q in c.coeffs))
-            rows.append([tuple(q.numerator * (den // q.denominator) for q in c.coeffs)
-                         for c in row])
-        return _bareiss_rank(rows, self.pr.ring, self._inverse)
+            den = math.lcm(*(d for _, d in row))
+            rows.append([tuple(a * (den // d) for a in c) for c, d in row])
+        return bareiss(rows, self.pr.ring, self._inverse)[0]
 
     # -- intersection forms and canonical multiplicities --------------------------
 
@@ -758,7 +755,7 @@ class LocalCalculus:
         out = LaurentPoly.zero()
         for d, form in forms.items():
             if char:
-                rank = _rank([[field.from_cycrat(c) for c in row] for row in form],
+                rank = _rank([[field.reduce(*c) for c in row] for row in form],
                              field)
             else:
                 rank = self._char0_rank(form)
@@ -937,54 +934,6 @@ def _divide_by_linear(pr, poly, root):
             else:
                 rem[tm] = val
     return Poly(pr, quo)
-
-
-def _bareiss_rank(rows, ring, inverse):
-    """Rank of a matrix of integral K coefficient tuples by fraction-free
-    Bareiss elimination (Math. Comp. 22, 1968).  After k pivots every entry
-    left below them is a (k+1)-minor, so dividing by the previous pivot is
-    exact: an integer division when deg K = 1, and otherwise a product with
-    the pivot's adj from inverse(pivot) = (adj, norm), pivot * adj = norm,
-    followed by an integer division by norm.  The last pivot divides nothing
-    and is never inverted.  A nonzero remainder raises CoxkitError."""
-    mul = ring._mul_coeffs
-    rows = [row for row in rows if any(map(any, row))]
-    rank, prev = 0, None
-    while rows and rows[0]:
-        k = next((i for i, row in enumerate(rows) if any(row[0])), None)
-        if k is None:
-            rows = [row[1:] for row in rows]
-            continue
-        piv = rows.pop(k)
-        rank += 1
-        if rows and prev is not None:
-            adj, norm = (None, prev[0]) if ring.deg == 1 else inverse(prev)
-        p, prow = piv[0], piv[1:]
-        new_rows = []
-        for row in rows:
-            a = row[0] if any(row[0]) else None
-            new = []
-            for x, y in zip(row[1:], prow):
-                v = mul(p, x)
-                if a is not None and any(y):
-                    v = tuple(map(operator.sub, v, mul(a, y)))
-                if prev is not None and any(v):
-                    v = _exact_div(v if adj is None else mul(v, adj), norm)
-                new.append(v)
-            new_rows.append(new)
-        rows = new_rows
-        prev = p
-    return rank
-
-
-def _exact_div(coeffs, norm):
-    out = []
-    for c in coeffs:
-        q, r = divmod(c, norm)
-        if r:
-            raise CoxkitError("Bareiss elimination left an inexact division")
-        out.append(q)
-    return tuple(out)
 
 
 def _rank(rows, field):

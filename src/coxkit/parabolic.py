@@ -242,12 +242,10 @@ class ParabolicKLTable:
     def poly(self, y, x):
         return self.b(x).coeff(y)
 
-    def table_rows(self, elements=None):
+    def table_rows(self):
         """(y, x, poly) rows for x in ^IW, nonzero polynomials only."""
-        if elements is None:
-            elements = self.ball.min_reps(self.I)
         rows = []
-        for x in sorted(elements, key=_idx):
+        for x in sorted(self.ball.min_reps(self.I), key=_idx):
             rows.extend((y, x, p) for y, p in
                         sorted(self.b(x).coeffs.items(), key=_item_idx))
         return rows

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 import math
+import operator
 
 from .errors import (CoxkitError, NotInvertibleError, RingParameterError,
                      UnsupportedCharacteristicError)
@@ -131,6 +132,22 @@ class ScalarRing:
             prev, cur = cur, cur * self.theta() - prev
         return -cur
 
+    def adjugate(self, coeffs):
+        """(adj, det) for r in K given by its integral coefficients, with
+        r * adj == det: det is the norm N(r), the determinant of the matrix
+        of multiplication by r, and adj the first column of that matrix's
+        adjugate, its cofactors along the first row.  Both come from
+        bareiss over Z; r = 0 gives det = 0."""
+        d = self.deg
+        cols = [tuple(coeffs)]
+        for _ in range(d - 1):
+            cols.append(self._reduce([0] + list(cols[-1])))  # times theta
+        below = [[(col[i],) for col in cols] for i in range(1, d)]
+        adj = tuple((-1) ** i * bareiss([row[:i] + row[i + 1:] for row in below],
+                                        _Z)[1][0] for i in range(d))
+        # Laplace expansion of the determinant along the first row
+        return adj, sum(col[0] * a for col, a in zip(cols, adj))
+
     # -- internals -------------------------------------------------------
 
     def _reduce(self, coeffs):
@@ -209,8 +226,10 @@ class ScalarRing:
 class CycRat:
     """An element of the fraction field Q(theta), coordinates in Fraction.
 
-    Used for linear algebra (ranks, determinants, inverses) where division
-    is required; CycInt stays the exact integral representation.
+    Used where division is required (the trial division of the diagonal
+    certificate, the constant of a Q_I fraction); CycInt stays the exact
+    integral representation, and ranks, norms and inverses come from
+    bareiss on integral tuples.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -276,32 +295,14 @@ class CycRat:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse, via the multiplication matrix."""
-        ring = self.ring
+        """Multiplicative inverse: with r = a / den for integral a,
+        1/r = den * adj / N(a) by ScalarRing.adjugate."""
         if self.is_zero():
             raise NotInvertibleError("inverse of zero in K")
-        d = ring.deg
-        # columns: self * theta^j expressed in the power basis
-        cols = []
-        cur = self
-        basis_theta = CycRat(ring, [0, 1][:d] + [0] * (d - 2)) if d > 1 else None
-        for _ in range(d):
-            cols.append(cur.coeffs)
-            if d > 1:
-                cur = cur * basis_theta
-        # solve M b = e_0 by Gaussian elimination over Q
-        aug = [[cols[j][i] for j in range(d)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(d)]
-        for col in range(d):
-            piv = next(r for r in range(col, d) if aug[r][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [a / pv for a in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return CycRat(ring, (aug[i][d] for i in range(d)))
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        adj, det = self.ring.adjugate(c.numerator * (den // c.denominator)
+                                      for c in self.coeffs)
+        return CycRat(self.ring, (Fraction(den * a, det) for a in adj))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -419,35 +420,7 @@ class CycInt:
 
     def norm(self):
         """Field norm (determinant of the multiplication-by-self matrix)."""
-        ring = self.ring
-        d = ring.deg
-        if d == 1:
-            return self.coeffs[0]
-        cols = []
-        cur = self.coeffs
-        for j in range(d):
-            cols.append(cur)
-            if j < d - 1:
-                shifted = [0] + list(cur)
-                cur = ring._reduce(shifted)
-        mat = [[Fraction(cols[j][i]) for j in range(d)] for i in range(d)]
-        det = Fraction(1)
-        for col in range(d):
-            piv = next((r for r in range(col, d) if mat[r][col]), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                mat[col], mat[piv] = mat[piv], mat[col]
-                det = -det
-            det *= mat[col][col]
-            inv = 1 / mat[col][col]
-            for r in range(col + 1, d):
-                if mat[r][col]:
-                    f = mat[r][col] * inv
-                    mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-        if det.denominator != 1:
-            raise CoxkitError("norm of an integral element is not an integer")
-        return int(det)
+        return self.ring.adjugate(self.coeffs)[1]
 
     def is_unit(self):
         return abs(self.norm()) == 1
@@ -471,6 +444,71 @@ class CycInt:
             else:
                 terms.append("%d*th^%d" % (c, i) if c != 1 else "th^%d" % i)
         return " + ".join(terms) if terms else "0"
+
+
+_Z = ScalarRing(1)
+
+
+def bareiss(rows, ring, inverse=None):
+    """(rank, det) of a matrix of integral K coefficient tuples by
+    fraction-free Bareiss elimination (Math. Comp. 22, 1968).  After k
+    pivots every entry left below them is a (k+1)-minor, so dividing by the
+    previous pivot is exact: an integer division when deg K = 1, and
+    otherwise a product with the pivot's adj from inverse(pivot) = (adj,
+    norm), pivot * adj = norm (ring.adjugate when inverse is None),
+    followed by an integer division by norm.  The last pivot divides
+    nothing and is never inverted; it is the leading minor of the rows in
+    pivot order, so det, the determinant of a square matrix, is that pivot
+    times the sign of the order, and zero below full rank or when the
+    matrix is not square.  A nonzero remainder raises CoxkitError."""
+    if inverse is None:
+        inverse = ring.adjugate
+    mul = ring._mul_coeffs
+    n = len(rows)
+    square = all(len(row) == n for row in rows)
+    rows = [row for row in rows if any(map(any, row))]
+    rank, prev, sign = 0, None, 1
+    while rows and rows[0]:
+        k = next((i for i, row in enumerate(rows) if any(row[0])), None)
+        if k is None:
+            rows = [row[1:] for row in rows]
+            continue
+        piv = rows.pop(k)   # moved up past k rows
+        if k % 2:
+            sign = -sign
+        rank += 1
+        if rows and prev is not None:
+            adj, norm = (None, prev[0]) if ring.deg == 1 else inverse(prev)
+        p, prow = piv[0], piv[1:]
+        new_rows = []
+        for row in rows:
+            a = row[0] if any(row[0]) else None
+            new = []
+            for x, y in zip(row[1:], prow):
+                v = mul(p, x)
+                if a is not None and any(y):
+                    v = tuple(map(operator.sub, v, mul(a, y)))
+                if prev is not None and any(v):
+                    v = _exact_div(v if adj is None else mul(v, adj), norm)
+                new.append(v)
+            new_rows.append(new)
+        rows = new_rows
+        prev = p
+    if not square or rank < n:
+        return rank, (0,) * ring.deg
+    if prev is None:
+        return rank, (1,) + (0,) * (ring.deg - 1)
+    return rank, prev if sign > 0 else tuple(-a for a in prev)
+
+
+def _exact_div(coeffs, norm):
+    out = []
+    for c in coeffs:
+        q, r = divmod(c, norm)
+        if r:
+            raise CoxkitError("Bareiss elimination left an inexact division")
+        out.append(q)
+    return tuple(out)
 
 
 def _pmod_trim(a, p):
@@ -578,20 +616,19 @@ class PrimeFieldK:
     def one(self):
         return (1,) + (0,) * (self.deg - 1)
 
-    def from_cycrat(self, c):
-        out = []
-        for q in c.coeffs:
-            if q.denominator % self.p == 0:
-                raise UnsupportedCharacteristicError(
-                    "denominator divisible by %d in scalar reduction" % self.p)
-            out.append(q.numerator * pow(q.denominator, self.p - 2, self.p) % self.p)
-        return tuple(out)
+    def reduce(self, coeffs, den):
+        """The image of the element coeffs / den of Frac(K), den > 0;
+        refused when p divides den in lowest terms."""
+        g = math.gcd(den, *coeffs)
+        den //= g
+        if den % self.p == 0:
+            raise UnsupportedCharacteristicError(
+                "denominator divisible by %d in scalar reduction" % self.p)
+        inv = pow(den, -1, self.p)
+        return tuple(a // g * inv % self.p for a in coeffs)
 
     def is_zero(self, a):
         return not any(a)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from coxkit.cli import main
+from coxkit.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -194,3 +194,66 @@ def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path):
         assert out == out0
         assert list(tmp_path.iterdir()) == [entry]
         assert json.loads(entry.read_bytes()) == json.loads(good)
+
+
+@pytest.mark.parametrize("argv", [
+    [cmd] + opt for cmd in ("npoly", "mpoly", "klpoly")
+    for opt in (["--seed", "1"], ["--char", "5"])
+] + [["klpoly", "--I", "s1"]] + [
+    ["check", "positivity"] + opt
+    for opt in (["--format", "csv"], ["--cache-dir", "x"], ["--char", "5"])
+] + [
+    ["pcan", "s1"] + opt for opt in (["--cache-dir", "x"], ["--seed", "1"])
+])
+def test_option_a_command_does_not_read_exits_2(capsys, argv):
+    rc, out, err = run(capsys, argv[:1] + ["--type", "A2", "--cap", "2"] + argv[1:])
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["npoly", "--type", "A2", "--cap", "x"],
+    ["pcan", "--type", "A2", "--char", "two", "s1"],
+    ["klpoly", "--type", "A2", "--format", "xml"],
+    ["check", "nosuch", "--type", "A2"],
+    ["nosuch"],
+    [],
+])
+def test_bad_command_line_is_a_json_usage_error(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("where", ["file", "below_a_file"])
+def test_unwritable_cache_dir_exits_2(capsys, tmp_path, where):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    cache = blocker if where == "file" else blocker / "sub"
+    rc, out, err = run(capsys, ["klpoly", "--type", "A2", "--cap", "3",
+                                "--cache-dir", str(cache)])
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UsageError"
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pcan", "--type", "A3", "--char", "5", "--format", "csv", "s1", "s2"],
+    ["pcan", "--type", "H3", "s1", "s2", "s1", "s3", "s2", "s1"],
+    ["check", "localization", "--type", "B3", "--cap", "5", "--word-cap", "3"],
+    ["check", "localization", "--type", "A2", "--I", "s1", "--cap", "5",
+     "--word-cap", "4"],
+    ["check", "positivity", "--type", "A5", "--cap", "15"],
+    ["check", "finitary", "--type", "B4", "--I", "s1", "s2", "--cap", "16"],
+    ["check", "gradedrank", "--type", "A3", "--cap", "6", "--count", "200",
+     "--seed", "7"],
+    ["klpoly", "--type", "A3", "--cap", "6", "--format", "csv",
+     "--cache-dir", "c"],
+    ["mpoly", "--type", "A2", "--I", "s1", "s2", "--cap", "3", "--format", "json"],
+])
+def test_documented_command_lines_parse(argv):
+    assert build_parser().parse_args(argv).command == argv[0]

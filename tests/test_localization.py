@@ -3,6 +3,7 @@ intersection forms, and canonical multiplicities."""
 
 import gc
 import itertools
+import math
 import operator
 import random
 import weakref
@@ -259,7 +260,8 @@ def test_pairing_value_matches_symbolic_pairing(name, cap, I, length):
                     continue
                 want = calc.pairing(word, e.endpoint, e, f).constant_value()
                 assert want is not None
-                assert calc.pairing_value(word, e, f, point) == want, (word, e, f)
+                got = calc.pairing_value(word, e, f, point)
+                assert _pair_cycrat(ball.ring, got) == want, (word, e, f)
                 pairs += 1
     assert pairs > 20
 
@@ -518,6 +520,39 @@ def _gauss_jordan_rank(form):
     return localization._rank(form, _FRAC_K)
 
 
+def _pair_cycrat(ring, value):
+    """A pairing value (coeffs, den), in lowest terms with den > 0, as a
+    CycRat."""
+    coeffs, den = value
+    assert den > 0 and math.gcd(den, *coeffs) == 1
+    return CycRat(ring, (Fraction(a, den) for a in coeffs))
+
+
+def _cycrat_pair(c):
+    """A CycRat as a pairing value (coeffs, den)."""
+    den = math.lcm(*(q.denominator for q in c.coeffs))
+    return tuple(q.numerator * (den // q.denominator) for q in c.coeffs), den
+
+
+@pytest.mark.parametrize("name, deg", [("A2", 1), ("A3", 2), ("B3", 4), ("H3", 8)])
+def test_inverse_is_adj_over_a_positive_norm_in_lowest_terms(name, deg):
+    ball = build_ball(CoxeterMatrix.from_type(name), 1)
+    ring = ball.ring
+    assert ring.deg == deg
+    calc = LocalCalculus(ball)
+    rng = random.Random(deg)
+    negative = 0
+    for _ in range(100):
+        r = tuple(rng.randint(-30, 30) for _ in range(deg))
+        if not any(r):
+            continue
+        adj, norm = calc._inverse(r)
+        assert norm > 0 and math.gcd(norm, *adj) == 1
+        assert ring._mul_coeffs(r, adj) == (norm,) + (0,) * (deg - 1)
+        negative += ring.adjugate(r)[1] < 0
+    assert negative > 10
+
+
 @pytest.mark.parametrize("name, n", [("A2", 3), ("I2_5", 5), ("B3", 12)])
 def test_bareiss_rank_matches_gauss_jordan(name, n):
     """The char-0 rank (rows scaled to integral K tuples, then fraction-free
@@ -551,7 +586,8 @@ def test_bareiss_rank_matches_gauss_jordan(name, n):
     deficient = 0
     for form in forms:
         want = _gauss_jordan_rank(form)
-        assert calc._char0_rank(form) == want, form
+        assert calc._char0_rank([[_cycrat_pair(c) for c in row]
+                                 for row in form]) == want, form
         deficient += bool(form and form[0]) and want < min(len(form), len(form[0]))
     assert deficient > 20
 
@@ -568,7 +604,8 @@ def test_char0_ranks_match_gauss_jordan_on_leaf_forms(name, cap, I, length):
 
     def checked(form):
         got = bareiss(form)
-        assert got == _gauss_jordan_rank(form), form
+        assert got == _gauss_jordan_rank(
+            [[_pair_cycrat(ball.ring, c) for c in row] for row in form]), form
         ranks.append(got)
         return got
 

@@ -2,12 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from coxkit.errors import (CoxkitError, NotInvertibleError, RingParameterError,
                            UnsupportedCharacteristicError)
-from coxkit.scalars import CycInt, CycRat, PrimeFieldK, ScalarRing
+from coxkit.scalars import CycInt, CycRat, PrimeFieldK, ScalarRing, bareiss
 
 
 @pytest.fixture
@@ -119,7 +120,7 @@ def test_prime_field_basic():
     R = ScalarRing(1)  # K = Z
     for p in (2, 3, 5, 97):
         F = PrimeFieldK(R, p)
-        a = F.from_cycrat(CycRat.from_cycint(R.embed(p + 1)))
+        a = F.reduce(R.embed(p + 1).coeffs, 1)
         assert F.mul(a, F.inv(a)) == F.one()
 
 
@@ -156,7 +157,7 @@ def test_prime_field_rejects_bad_denominator():
     F = PrimeFieldK(R, 5)
     fifth = CycRat.from_cycint(R.one()) / CycRat.from_cycint(R.embed(5))
     with pytest.raises(UnsupportedCharacteristicError):
-        F.from_cycrat(fifth)
+        F.reduce((fifth.coeffs[0].numerator,), fifth.coeffs[0].denominator)
 
 
 def test_mixed_ring_arithmetic_rejected():
@@ -164,3 +165,177 @@ def test_mixed_ring_arithmetic_rejected():
     b = ScalarRing(4).one()
     with pytest.raises(Exception):
         a + b
+
+
+# -- the one exact elimination, against Fraction references -------------------
+
+def _fraction_rank_det(rows, ncols):
+    """(rank, det) over Q by Gaussian elimination on Fractions; det of a
+    square matrix, 0 otherwise."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    det, rank = Fraction(1), 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            mat[rank], mat[piv] = mat[piv], mat[rank]
+            det = -det
+        det *= mat[rank][col]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] / mat[rank][col]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank, det if rank == len(mat) == ncols else Fraction(0)
+
+
+def _random_matrix(rng, nrows, ncols, inner, lo=-6, hi=6):
+    """A product of random nrows x inner and inner x ncols integer
+    matrices (rank at most inner), with leading zeros put into some rows
+    so that pivots need row moves."""
+    left = [[rng.randint(lo, hi) for _ in range(inner)] for _ in range(nrows)]
+    right = [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(inner)]
+    mat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+           if right else [0] * ncols for row in left]
+    for row in mat:
+        if rng.random() < 0.4:
+            k = rng.randint(1, ncols)
+            row[:k] = [0] * k
+    return mat
+
+
+def test_bareiss_rank_and_det_match_fraction_elimination():
+    Z = ScalarRing(1)
+    rng = random.Random(3)
+    mats = [([], 0), ([[]], 0), ([[4]], 1), ([[0]], 1), ([[-3]], 1),
+            ([[0, 1], [1, 0]], 2), ([[1, 2], [2, 4]], 2),
+            ([[0, 0, 2], [0, 3, 1], [5, 1, 1]], 3)]
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        ncols = n if rng.random() < 0.8 else rng.randint(1, 5)
+        mats.append((_random_matrix(rng, n, ncols, rng.randint(0, 5)), ncols))
+    signs = set()
+    for mat, ncols in mats:
+        rank, det = bareiss([[(x,) for x in row] for row in mat], Z)
+        want_rank, want_det = _fraction_rank_det(mat, ncols)
+        assert (rank, det) == (want_rank, (want_det,)), mat
+        signs.add((want_det > 0) - (want_det < 0))
+    assert bareiss([], Z) == (0, (1,))
+    assert signs == {-1, 0, 1}
+
+
+def _laplace_det(ring, rows):
+    """Determinant of a square matrix of CycInt by Laplace expansion."""
+    if not rows:
+        return ring.one()
+    return sum((rows[0][j] * _laplace_det(ring, [r[:j] + r[j + 1:] for r in rows[1:]])
+                * (-1) ** j for j in range(len(rows))), ring.zero())
+
+
+@pytest.mark.parametrize("n", [5, 6, 12])
+def test_bareiss_det_over_k_matches_laplace_expansion(n):
+    R = ScalarRing(n)
+    rng = random.Random(n)
+    nonzero = singular = 0
+    for _ in range(60):
+        size, inner = rng.randint(0, 4), rng.randint(0, 4)
+        # K entries: coefficient-wise random matrices of the same shape
+        parts = [_random_matrix(rng, size, size, inner, -3, 3) for _ in range(R.deg)]
+        mat = [[from_coeffs(R, [p[i][j] for p in parts]) for j in range(size)]
+               for i in range(size)]
+        want = _laplace_det(R, mat)
+        rank, det = bareiss([[c.coeffs for c in row] for row in mat], R)
+        assert det == want.coeffs, mat
+        assert (rank == size) == (not want.is_zero())
+        nonzero += not want.is_zero()
+        singular += want.is_zero() and size > 0
+    assert nonzero > 10 and singular > 5
+
+
+def _mul_columns(ring, coeffs):
+    """Columns r * theta^j (j < deg) of the multiplication-by-r matrix."""
+    cols = [list(coeffs)]
+    for _ in range(ring.deg - 1):
+        cols.append(list(ring._reduce([0] + cols[-1])))
+    return cols
+
+
+def _fraction_norm(a):
+    """N(a) by Gaussian elimination over Fraction on the multiplication
+    matrix (the elimination norm() ran before adjugate)."""
+    cols = _mul_columns(a.ring, a.coeffs)
+    rows = [[col[i] for col in cols] for i in range(a.ring.deg)]
+    det = _fraction_rank_det(rows, a.ring.deg)[1]
+    assert det.denominator == 1
+    return int(det)
+
+
+def _fraction_inverse(a):
+    """1/a by Gauss-Jordan over Fraction on the multiplication matrix (the
+    elimination CycRat.inverse ran before adjugate)."""
+    d = a.ring.deg
+    cols = _mul_columns(a.ring, a.coeffs)
+    aug = [[Fraction(col[i]) for col in cols] + [Fraction(i == 0)] for i in range(d)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return CycRat(a.ring, (aug[i][d] for i in range(d)))
+
+
+@pytest.mark.parametrize("n, deg", [(1, 1), (5, 2), (6, 2), (12, 4), (30, 8)])
+def test_adjugate_norm_and_inverse_match_fraction_eliminations(n, deg):
+    R = ScalarRing(n)
+    assert R.deg == deg
+    rng = random.Random(n)
+    negative = 0
+    for _ in range(150):
+        a = from_coeffs(R, [rng.randint(-9, 9) for _ in range(deg)])
+        adj, det = R.adjugate(a.coeffs)
+        assert det == a.norm() == _fraction_norm(a)
+        assert a * CycInt(R, adj) == R.embed(det)
+        negative += det < 0
+        q = CycRat(R, (Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                       for _ in range(deg)))
+        if not q.is_zero():
+            assert q.inverse() == _fraction_inverse(q)
+            assert a.is_zero() or CycRat.from_cycint(a).inverse() == \
+                _fraction_inverse(CycRat.from_cycint(a))
+    assert negative > 10
+    assert R.adjugate(R.zero().coeffs)[1] == 0
+
+
+def _fraction_reduce(F, coeffs, den):
+    """coeffs / den in F by the per-coefficient rule: each a / den in lowest
+    terms, refused when p divides its denominator."""
+    out = []
+    for a in coeffs:
+        q = Fraction(a, den)
+        if q.denominator % F.p == 0:
+            raise UnsupportedCharacteristicError("denominator divisible by p")
+        out.append(q.numerator * pow(q.denominator, F.p - 2, F.p) % F.p)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n, p", [(1, 5), (1, 7), (5, 3), (5, 7), (6, 5)])
+def test_prime_field_reduce_refuses_exactly_when_a_coefficient_does(n, p):
+    F = PrimeFieldK(ScalarRing(n), p)
+    rng = random.Random(n * p)
+    refused = 0
+    for _ in range(500):
+        den = rng.randint(1, 12) * rng.choice((1, p, p * p))
+        coeffs = tuple(rng.randint(-3, 3) * rng.choice((1, p)) for _ in range(F.deg))
+        try:
+            want = _fraction_reduce(F, coeffs, den)
+        except UnsupportedCharacteristicError:
+            refused += 1
+            with pytest.raises(UnsupportedCharacteristicError):
+                F.reduce(coeffs, den)
+        else:
+            assert F.reduce(coeffs, den) == want
+    assert 50 < refused < 450

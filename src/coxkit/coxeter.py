@@ -2,7 +2,10 @@
 
 Elements are identified by the matrix of the reflection representation on the
 |S|-dimensional space with the simple roots as a basis (pairings
-<alpha_t, alpha_s^vee> = -2cos(pi/m_st), exact in K = Z[2cos(pi/N)]).  A
+<alpha_t, alpha_s^vee> = -2cos(pi/m_st), exact in K = Z[2cos(pi/N)], the
+smallest such ring: N is the lcm of the finite m_st >= 4, as the entries for
+m = 2 and 3 are the integers 0 and -1.  So K = Z for A_n, D_n and affine A,
+Z[sqrt 2] for B_n and Z[golden ratio] for H3).  A
 GroupBall enumerates all elements up to a length cap breadth first; the first
 discovered reduced word of an element is its ShortLex-least one.
 """
@@ -125,13 +128,15 @@ class CoxeterMatrix:
     # -- scalars -----------------------------------------------------------
 
     def ring_modulus(self):
-        """N = lcm of the finite off-diagonal entries (1 if there are none)."""
+        """N = lcm of the finite off-diagonal entries m >= 4 (1 if there are
+        none): the smallest Z[2cos(pi/N)] holding every -2cos(pi/m), since
+        m = 2 and m = 3 give the integers 0 and -1."""
         n = 1
         for i in range(self.rank):
             for j in range(i + 1, self.rank):
                 m = self.entries[i][j]
-                if m is not INF:
-                    n = n * m // math.gcd(n, m)
+                if m is not INF and m >= 4:
+                    n = math.lcm(n, m)
         return n
 
     def scalar_ring(self):

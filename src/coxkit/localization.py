@@ -38,12 +38,15 @@ integer.  A generator then becomes integral coefficient tuples over one
 integer denominator, straight from its rule, and the top row (column) of a
 light leaf propagates as integral tuples over one running denominator, its
 gcd content divided out after each step; their dot product is the pairing,
-in lowest terms.  At char 0 the forms of multiplicity and gram_invertible
-are ranked by scalars.bareiss, the package's one char-0 elimination:
-each row is scaled by the lcm of its denominators to integral K tuples, and
-the elimination divides exactly by the previous pivot (through its cached
-(adj, norm) when deg K > 1).  At char p each pairing is reduced into
-PrimeFieldK and the forms are ranked by Gauss-Jordan elimination.
+in lowest terms.  Every rank is one integer elimination of the form's
+regular representation (ScalarRing.regular: each entry becomes the
+deg K x deg K integer block of multiplication by it; at deg K = 1 the block
+is the entry itself).  At char 0 each row is scaled by the lcm of its
+denominators to integral K tuples, and the forms of multiplicity and
+gram_invertible are ranked by fraction-free scalars.bareiss, divided by
+deg K.  At char p each pairing is reduced into PrimeFieldK and the blocks
+are ranked by forward elimination over ints mod p, divided by the residue
+degree.
 
 The certificates of a word (`coxkit check localization`) stay
 symbolic.  The double leaf flipped(LL_f) o LL_e of a pair is built once:
@@ -65,7 +68,7 @@ from .errors import CoxkitError, UnsupportedBraidError
 from .laurent import LaurentPoly
 from .leaves import enumerate_subexprs, path_dom_leq
 from .polyring import Poly, PolyRing, QCoeff, _root_key
-from .scalars import CycRat, PrimeFieldK, bareiss
+from .scalars import CycRat, PrimeFieldK
 
 # The unit term of a generator rule (LocalCalculus._rule).
 _UNIT = ("unit",)
@@ -711,13 +714,12 @@ class LocalCalculus:
     def _char0_rank(self, form):
         """Rank over Frac(K) of a form of pairing values (coeffs, den): each
         row scaled by the lcm of its denominators to integral K tuples, then
-        fraction-free Bareiss elimination (scalars.bareiss), dividing
-        through the pivots' cached (adj, norm)."""
+        ranked by ScalarRing.rank (Bareiss on the regular representation)."""
         rows = []
         for row in form:
             den = math.lcm(*(d for _, d in row))
             rows.append([tuple(a * (den // d) for a in c) for c, d in row])
-        return bareiss(rows, self.pr.ring, self._inverse)[0]
+        return self.pr.ring.rank(rows)
 
     # -- intersection forms and canonical multiplicities --------------------------
 
@@ -755,8 +757,8 @@ class LocalCalculus:
         out = LaurentPoly.zero()
         for d, form in forms.items():
             if char:
-                rank = _rank([[field.reduce(*c) for c in row] for row in form],
-                             field)
+                rank = field.rank([[field.reduce(*c) for c in row]
+                                   for row in form])
             else:
                 rank = self._char0_rank(form)
             if rank:
@@ -935,30 +937,3 @@ def _divide_by_linear(pr, poly, root):
                 rem[tm] = val
     return Poly(pr, quo)
 
-
-def _rank(rows, field):
-    """Rank by Gauss-Jordan elimination with the operations of `field`
-    (PrimeFieldK)."""
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    rows = [row[:] for row in rows]
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows))
-                    if not field.is_zero(rows[r][col])), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(a, inv) for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not field.is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [field.sub(a, field.mul(f, b))
-                           for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank

@@ -1,7 +1,8 @@
 """Exact arithmetic in K = Z[theta], theta = 2cos(pi/N).
 
 The ring parameter N is fixed once per Coxeter system (the lcm of the finite
-Coxeter matrix entries; N = 1 gives K = Z).  Elements are integer coefficient
+Coxeter matrix entries m >= 4, since -2cos(pi/m) is 0 or -1 for m = 2, 3;
+N = 1 gives K = Z).  Elements are integer coefficient
 vectors modulo the minimal polynomial p_N of theta, which is obtained from the
 cyclotomic polynomial Phi_{2N} through the substitution
 
@@ -10,6 +11,10 @@ cyclotomic polynomial Phi_{2N} through the substitution
 Signs of nonzero elements are decided by evaluating at a shrinking exact
 rational interval around theta; zero is decided algebraically (the canonical
 coefficient vector is zero).
+
+Every rank, norm and inverse is one integer elimination: a matrix over K
+becomes an integer matrix in the regular representation (ScalarRing.regular),
+ranked over Q by fraction-free bareiss and over F_p by rank_mod_p.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 import math
-import operator
 
 from .errors import (CoxkitError, NotInvertibleError, RingParameterError,
                      UnsupportedCharacteristicError)
@@ -117,11 +121,15 @@ class ScalarRing:
         return CycInt(self, tuple(coeffs))
 
     def cos_entry(self, m):
-        """-2cos(pi/m) as an element of K; m = None means infinity."""
+        """-2cos(pi/m) as an element of K; m = None means infinity.  The
+        entries 0 (m = 2) and -1 (m = 3) are integers, in every ring; m >= 4
+        must divide N."""
         if m is None or m == math.inf:
             return self.embed(-2)
         if m < 2:
             raise RingParameterError("Coxeter entry must be >= 2 or infinity")
+        if m <= 3:
+            return self.embed(2 - m)
         if self.n % m != 0:
             raise RingParameterError("m = %d does not divide N = %d" % (m, self.n))
         # Dickson recursion: D_0 = 2, D_1 = theta, D_k(2cos x) = 2cos(kx);
@@ -132,21 +140,44 @@ class ScalarRing:
             prev, cur = cur, cur * self.theta() - prev
         return -cur
 
+    def mul_columns(self, coeffs):
+        """The columns r, r theta, ..., r theta^(deg-1) of the integer matrix
+        of multiplication by r, given by its integral coefficients."""
+        cols = [tuple(coeffs)]
+        for _ in range(self.deg - 1):
+            cols.append(self._reduce([0] + list(cols[-1])))  # times theta
+        return cols
+
     def adjugate(self, coeffs):
         """(adj, det) for r in K given by its integral coefficients, with
         r * adj == det: det is the norm N(r), the determinant of the matrix
         of multiplication by r, and adj the first column of that matrix's
         adjugate, its cofactors along the first row.  Both come from
-        bareiss over Z; r = 0 gives det = 0."""
-        d = self.deg
-        cols = [tuple(coeffs)]
-        for _ in range(d - 1):
-            cols.append(self._reduce([0] + list(cols[-1])))  # times theta
-        below = [[(col[i],) for col in cols] for i in range(1, d)]
-        adj = tuple((-1) ** i * bareiss([row[:i] + row[i + 1:] for row in below],
-                                        _Z)[1][0] for i in range(d))
+        bareiss; r = 0 gives det = 0."""
+        cols = self.mul_columns(coeffs)
+        below = [[col[i] for col in cols] for i in range(1, self.deg)]
+        adj = tuple((-1) ** i * bareiss([row[:i] + row[i + 1:] for row in below])[1]
+                    for i in range(self.deg))
         # Laplace expansion of the determinant along the first row
         return adj, sum(col[0] * a for col, a in zip(cols, adj))
+
+    def regular(self, rows):
+        """The integer matrix of a matrix over K (integral coefficient
+        tuples) in the regular representation: each entry r becomes the
+        deg x deg block of multiplication by r.  It is a ring map, so the
+        rank over Q is deg times the rank over Frac(K), and the determinant
+        is the norm of the determinant over K.  At deg 1 each block is the
+        entry itself."""
+        out = []
+        for row in rows:
+            blocks = [self.mul_columns(c) for c in row]
+            out.extend([col[i] for cols in blocks for col in cols]
+                       for i in range(self.deg))
+        return out
+
+    def rank(self, rows):
+        """Rank over Frac(K) of a matrix of integral coefficient tuples."""
+        return bareiss(self.regular(rows))[0] // self.deg
 
     # -- internals -------------------------------------------------------
 
@@ -229,7 +260,7 @@ class CycRat:
     Used where division is required (the trial division of the diagonal
     certificate, the constant of a Q_I fraction); CycInt stays the exact
     integral representation, and ranks, norms and inverses come from
-    bareiss on integral tuples.
+    bareiss on the integer matrices of integral tuples.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -420,6 +451,8 @@ class CycInt:
 
     def norm(self):
         """Field norm (determinant of the multiplication-by-self matrix)."""
+        if self.ring.deg == 1:
+            return self.coeffs[0]
         return self.ring.adjugate(self.coeffs)[1]
 
     def is_unit(self):
@@ -446,69 +479,76 @@ class CycInt:
         return " + ".join(terms) if terms else "0"
 
 
-_Z = ScalarRing(1)
+def bareiss(rows):
+    """(rank, det) of an integer matrix by fraction-free Bareiss elimination
+    (Math. Comp. 22, 1968).  After k pivots every entry left below them is
+    a (k+1)-minor, so the division by the previous pivot is exact (Sylvester's
+    identity).  The last pivot is the leading minor of the rows in pivot
+    order, so det, the determinant of a square matrix, is that pivot times
+    the sign of the order, and zero below full rank or when the matrix is
+    not square.
 
-
-def bareiss(rows, ring, inverse=None):
-    """(rank, det) of a matrix of integral K coefficient tuples by
-    fraction-free Bareiss elimination (Math. Comp. 22, 1968).  After k
-    pivots every entry left below them is a (k+1)-minor, so dividing by the
-    previous pivot is exact: an integer division when deg K = 1, and
-    otherwise a product with the pivot's adj from inverse(pivot) = (adj,
-    norm), pivot * adj = norm (ring.adjugate when inverse is None),
-    followed by an integer division by norm.  The last pivot divides
-    nothing and is never inverted; it is the leading minor of the rows in
-    pivot order, so det, the determinant of a square matrix, is that pivot
-    times the sign of the order, and zero below full rank or when the
-    matrix is not square.  A nonzero remainder raises CoxkitError."""
-    if inverse is None:
-        inverse = ring.adjugate
-    mul = ring._mul_coeffs
+    A row whose leading entry is zero would only be scaled, by p / prev;
+    the scalings telescope, so each row is kept as it was last computed,
+    with the pivot d it was computed at (1 at the start), and its true
+    entries are the kept ones times prev / d.  Its next update divides by
+    d instead of prev, and a pivot row is scaled once when it is taken."""
     n = len(rows)
     square = all(len(row) == n for row in rows)
-    rows = [row for row in rows if any(map(any, row))]
-    rank, prev, sign = 0, None, 1
-    while rows and rows[0]:
-        k = next((i for i, row in enumerate(rows) if any(row[0])), None)
-        if k is None:
-            rows = [row[1:] for row in rows]
+    rows = [(1, row) for row in rows if any(row)]
+    rank, prev, sign = 0, 1, 1
+    while rows and rows[0][1]:
+        cands = [i for i, (_, row) in enumerate(rows) if row[0]]
+        if not cands:
+            rows = [(d, row[1:]) for d, row in rows]
             continue
-        piv = rows.pop(k)   # moved up past k rows
+        # the sparsest pivot row fills in the fewest entries below it
+        k = min(cands, key=lambda i: len(rows[i][1]) - rows[i][1].count(0))
+        d, piv = rows.pop(k)   # moved up past k rows
         if k % 2:
             sign = -sign
         rank += 1
-        if rows and prev is not None:
-            adj, norm = (None, prev[0]) if ring.deg == 1 else inverse(prev)
+        if d != prev:
+            piv = [x * prev // d for x in piv]
         p, prow = piv[0], piv[1:]
         new_rows = []
-        for row in rows:
-            a = row[0] if any(row[0]) else None
-            new = []
-            for x, y in zip(row[1:], prow):
-                v = mul(p, x)
-                if a is not None and any(y):
-                    v = tuple(map(operator.sub, v, mul(a, y)))
-                if prev is not None and any(v):
-                    v = _exact_div(v if adj is None else mul(v, adj), norm)
-                new.append(v)
-            new_rows.append(new)
+        for d, row in rows:
+            a = row[0]
+            if not a:
+                new_rows.append((d, row[1:]))   # nonzero, as row was
+                continue
+            new = [(p * x - a * y) // d for x, y in zip(row[1:], prow)]
+            if any(new):
+                new_rows.append((p, new))
         rows = new_rows
         prev = p
     if not square or rank < n:
-        return rank, (0,) * ring.deg
-    if prev is None:
-        return rank, (1,) + (0,) * (ring.deg - 1)
-    return rank, prev if sign > 0 else tuple(-a for a in prev)
+        return rank, 0
+    return rank, sign * prev
 
 
-def _exact_div(coeffs, norm):
-    out = []
-    for c in coeffs:
-        q, r = divmod(c, norm)
-        if r:
-            raise CoxkitError("Bareiss elimination left an inexact division")
-        out.append(q)
-    return tuple(out)
+def rank_mod_p(rows, p):
+    """Rank over F_p of an integer matrix, by forward (row-echelon)
+    elimination on its entries mod p."""
+    rows = [r for r in ([x % p for x in row] for row in rows) if any(r)]
+    rank = 0
+    while rows and rows[0]:
+        cands = [i for i, row in enumerate(rows) if row[0]]
+        if not cands:
+            rows = [row[1:] for row in rows]
+            continue
+        piv = rows.pop(min(cands, key=lambda i: len(rows[i]) - rows[i].count(0)))
+        rank += 1
+        inv = pow(piv[0], -1, p)
+        prow = [y * inv % p for y in piv[1:]]
+        new_rows = []
+        for row in rows:
+            a = row[0]
+            new = [(x - a * y) % p for x, y in zip(row[1:], prow)] if a else row[1:]
+            if any(new):
+                new_rows.append(new)
+        rows = new_rows
+    return rank
 
 
 def _pmod_trim(a, p):
@@ -636,6 +676,12 @@ class PrimeFieldK:
     def mul(self, a, b):
         out = _pmod_mulmod(list(a), list(b), self.poly, self.p)
         return tuple(out + [0] * (self.deg - len(out)))
+
+    def rank(self, rows):
+        """Rank of a matrix of field elements: rank_mod_p of its
+        regular-representation blocks (ScalarRing.regular), divided by the
+        residue degree."""
+        return rank_mod_p(self.ring.regular(rows), self.p) // self.deg
 
     def inv(self, a):
         if self.is_zero(a):

@@ -19,7 +19,7 @@ from coxkit.errors import (NotInvertibleError, UnsupportedBraidError,
 from coxkit.laurent import LaurentPoly
 from coxkit.leaves import decorate, path_dom_leq
 from coxkit.localization import LocalCalculus, StdMatrix, relation_oracle
-from coxkit.scalars import CycRat
+from coxkit.scalars import CycRat, PrimeFieldK, ScalarRing
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +219,41 @@ def test_characteristic_validation(a2):
         LocalCalculus(b2).pcanonical((0, 1), char=7)
 
 
+@pytest.mark.parametrize("name, I, length", [
+    ("A3", frozenset(), 6),
+    ("A3", frozenset({1}), 6),
+    ("A3", frozenset({0, 2}), 6),
+    ("A4", frozenset(), 5),
+    ("D4", frozenset(), 4),
+])
+def test_char_2_and_3_match_char_0_where_the_ring_is_z(name, I, length):
+    """K = Z for A_n and D_n, so every prime gives a residue field; on
+    these words the p-canonical decomposition at p = 2 and 3 equals the
+    char-0 one."""
+    ball = build_ball(CoxeterMatrix.from_type(name), length)
+    assert ball.ring.deg == 1
+    calc = LocalCalculus(ball, I)
+    words = 0
+    for word in _words(ball.rank, length):
+        want = calc.pcanonical(word)
+        for char in (2, 3):
+            assert calc.pcanonical(word, char=char) == want, (word, char)
+        words += 1
+    assert words == sum(ball.rank ** n for n in range(length + 1))
+
+
+@pytest.mark.parametrize("name, word, char", [
+    ("H3", (0, 1, 0, 2, 1, 0), 2),      # Z[golden ratio]: y^2 - y - 1 is inert mod 2
+    ("B3", (0, 1, 2, 1, 0), 3),         # Z[sqrt 2]: y^2 - 2 is inert mod 3
+])
+def test_char_p_answers_on_h3_and_b3(name, word, char):
+    ball = build_ball(CoxeterMatrix.from_type(name), len(word))
+    assert ball.ring.deg == 2
+    calc = LocalCalculus(ball)
+    got = calc.pcanonical(word, char=char)
+    assert got and got == calc.pcanonical(word)
+
+
 def test_stdmatrix_identity_and_compose(a2):
     calc = LocalCalculus(a2)
     dom = calc.decompose((0, 1))
@@ -239,9 +274,11 @@ _POINT = (1000003, 1000033, 1000037)
     ("A2", 10, frozenset(), 4),         # K = Z
     ("A2", 10, frozenset({0}), 5),
     ("affA1", 12, frozenset({0}), 5),
-    ("A3", 6, frozenset(), 4),          # deg K = 2
-    ("B3", 6, frozenset(), 3),          # deg K = 4; an m = 4 braid needs length 4
-    ("H3", 6, frozenset(), 4),          # deg K = 8; an m = 5 braid needs length 5
+    ("A3", 6, frozenset(), 4),          # K = Z
+    ("B3", 6, frozenset(), 3),          # deg K = 2; an m = 4 braid needs length 4
+    ("H3", 6, frozenset(), 4),          # deg K = 2; an m = 5 braid needs length 5
+    ("I2_12", 4, frozenset(), 4),       # deg K = 4, no braid below length 12
+    ("I2_30", 4, frozenset(), 4),       # deg K = 8
 ])
 def test_pairing_value_matches_symbolic_pairing(name, cap, I, length):
     """The fraction-free numeric pairing equals the constant of the symbolic
@@ -285,9 +322,9 @@ _LEAF_CASES = [
     ("A2", 10, frozenset(), 4),         # K = Z
     ("A2", 10, frozenset({0}), 5),
     ("affA1", 12, frozenset({0}), 5),
-    ("A3", 6, frozenset(), 4),          # deg K = 2, integer layout
-    ("B3", 6, frozenset(), 3),          # deg K = 4, coefficient layout
-    ("H3", 6, frozenset(), 4),          # deg K = 8, coefficient layout
+    ("A3", 6, frozenset(), 4),          # K = Z, integer layout
+    ("B3", 6, frozenset(), 3),          # deg K = 2, coefficient layout
+    ("H3", 6, frozenset(), 4),          # deg K = 2, coefficient layout
     ("A3", 6, frozenset({1}), 4),       # braid moves mod I: 196 over its leaves
 ]
 
@@ -508,16 +545,44 @@ def test_finished_calculus_is_freed_by_reference_counting(a2, I):
         gc.enable()
 
 
+def _rank(rows, field):
+    """Rank by Gauss-Jordan elimination with the operations of `field`
+    (PrimeFieldK)."""
+    if not rows or not rows[0]:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    rows = [row[:] for row in rows]
+    while rank < len(rows) and col < ncols:
+        piv = next((r for r in range(rank, len(rows))
+                    if not field.is_zero(rows[r][col])), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(a, inv) for a in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not field.is_zero(rows[r][col]):
+                f = rows[r][col]
+                rows[r] = [field.sub(a, field.mul(f, b))
+                           for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
 # Frac(K) on CycRat entries under PrimeFieldK's operation names: with it,
-# localization._rank is the Gauss-Jordan route char-0 forms took before the
-# Bareiss elimination, kept here as the reference.
+# _rank is Gauss-Jordan over Frac(K), the reference for the char-0 ranks
+# (with a PrimeFieldK, the reference for the char-p ranks).
 _FRAC_K = SimpleNamespace(is_zero=lambda a: a.is_zero(),
                           inv=lambda a: a.inverse(),
                           mul=operator.mul, sub=operator.sub)
 
 
 def _gauss_jordan_rank(form):
-    return localization._rank(form, _FRAC_K)
+    return _rank(form, _FRAC_K)
 
 
 def _pair_cycrat(ring, value):
@@ -534,7 +599,8 @@ def _cycrat_pair(c):
     return tuple(q.numerator * (den // q.denominator) for q in c.coeffs), den
 
 
-@pytest.mark.parametrize("name, deg", [("A2", 1), ("A3", 2), ("B3", 4), ("H3", 8)])
+@pytest.mark.parametrize("name, deg", [("A2", 1), ("I2_6", 2), ("I2_12", 4),
+                                       ("I2_30", 8)])
 def test_inverse_is_adj_over_a_positive_norm_in_lowest_terms(name, deg):
     ball = build_ball(CoxeterMatrix.from_type(name), 1)
     ring = ball.ring
@@ -553,15 +619,16 @@ def test_inverse_is_adj_over_a_positive_norm_in_lowest_terms(name, deg):
     assert negative > 10
 
 
-@pytest.mark.parametrize("name, n", [("A2", 3), ("I2_5", 5), ("B3", 12)])
+@pytest.mark.parametrize("name, n", [("A2", 1), ("I2_5", 5), ("I2_12", 12)])
 def test_bareiss_rank_matches_gauss_jordan(name, n):
     """The char-0 rank (rows scaled to integral K tuples, then fraction-free
-    Bareiss) equals the Gauss-Jordan rank over CycRat: K = Z (N = 3) and
-    Z[theta] with N = 5 and 12, on empty and 1 x 1 forms, zero columns and
-    products of random factors of every inner rank."""
+    Bareiss on the regular representation) equals the Gauss-Jordan rank
+    over CycRat: K = Z (N = 1) and Z[theta] with N = 5 and 12, on empty and
+    1 x 1 forms, zero columns and products of random factors of every inner
+    rank."""
     ball = build_ball(CoxeterMatrix.from_type(name), 2)
     ring = ball.ring
-    assert ring.n == n
+    assert ring.n == n and ring.deg == {1: 1, 5: 2, 12: 4}[n]
     calc = LocalCalculus(ball)
     rng = random.Random(n)
     zero = CycRat(ring, (0,) * ring.deg)
@@ -588,6 +655,43 @@ def test_bareiss_rank_matches_gauss_jordan(name, n):
         want = _gauss_jordan_rank(form)
         assert calc._char0_rank([[_cycrat_pair(c) for c in row]
                                  for row in form]) == want, form
+        deficient += bool(form and form[0]) and want < min(len(form), len(form[0]))
+    assert deficient > 20
+
+
+@pytest.mark.parametrize("n, p, deg", [(1, 5, 1), (1, 2, 1), (5, 2, 2), (4, 3, 2),
+                                      (8, 3, 4), (11, 2, 5)])
+def test_char_p_block_rank_matches_gauss_jordan(n, p, deg):
+    """PrimeFieldK.rank (forward elimination mod p on the regular
+    representation, divided by the residue degree) equals Gauss-Jordan with
+    the field's own operations, at residue degree 1, 2, 4 and 5."""
+    ring = ScalarRing(n)
+    field = PrimeFieldK(ring, p)    # refused unless p_N is irreducible mod p
+    assert field.deg == ring.deg == deg
+    rng = random.Random(n * p)
+
+    def entry():
+        return tuple(rng.randint(-4, 4) for _ in range(deg))
+
+    forms = [[], [[]], [[field.zero()]], [[field.one()]]]
+    for _ in range(100):
+        nrows, ncols, inner = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 5)
+        left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+        form = []
+        for row in left:
+            out = []
+            for col in zip(*right) if right else [()] * ncols:
+                total = [0] * deg
+                for a, b in zip(row, col):
+                    total = [x + y for x, y in zip(total, ring._mul_coeffs(a, b))]
+                out.append(field.reduce(total, 1))
+            form.append(out)
+        forms.append(form)
+    deficient = 0
+    for form in forms:
+        want = _rank(form, field)
+        assert field.rank(form) == want, form
         deficient += bool(form and form[0]) and want < min(len(form), len(form[0]))
     assert deficient > 20
 

@@ -41,6 +41,17 @@ def test_cos_entry_requires_divisor():
         ScalarRing(6).cos_entry(5)
 
 
+def test_cos_entry_m2_and_m3_are_integers_in_every_ring():
+    # 0 and -1 need no theta, so ScalarRing(N) holds them whether or not
+    # 2 and 3 divide N; m >= 4 still has to divide N
+    for n in (1, 5):
+        R = ScalarRing(n)
+        assert R.cos_entry(2) == R.zero()
+        assert R.cos_entry(3) == R.embed(-1)
+    with pytest.raises(RingParameterError):
+        ScalarRing(6).cos_entry(5)
+
+
 def test_cos_entry_m4_squares_to_two():
     R = ScalarRing(4)
     c = R.cos_entry(4)
@@ -206,7 +217,6 @@ def _random_matrix(rng, nrows, ncols, inner, lo=-6, hi=6):
 
 
 def test_bareiss_rank_and_det_match_fraction_elimination():
-    Z = ScalarRing(1)
     rng = random.Random(3)
     mats = [([], 0), ([[]], 0), ([[4]], 1), ([[0]], 1), ([[-3]], 1),
             ([[0, 1], [1, 0]], 2), ([[1, 2], [2, 4]], 2),
@@ -217,11 +227,29 @@ def test_bareiss_rank_and_det_match_fraction_elimination():
         mats.append((_random_matrix(rng, n, ncols, rng.randint(0, 5)), ncols))
     signs = set()
     for mat, ncols in mats:
-        rank, det = bareiss([[(x,) for x in row] for row in mat], Z)
+        rank, det = bareiss(mat)
         want_rank, want_det = _fraction_rank_det(mat, ncols)
-        assert (rank, det) == (want_rank, (want_det,)), mat
+        assert (rank, det) == (want_rank, want_det), mat
         signs.add((want_det > 0) - (want_det < 0))
-    assert bareiss([], Z) == (0, (1,))
+    assert bareiss([]) == (0, 1)
+    assert signs == {-1, 0, 1}
+
+
+def test_bareiss_matches_fraction_elimination_on_sparse_matrices():
+    """Mostly-zero matrices, up to 9 x 9: rows skip several pivots before
+    they are next updated (their deferred scaling), and the sparsest row
+    with a nonzero leading entry, not the first, is the pivot."""
+    rng = random.Random(11)
+    signs = set()
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        ncols = n if rng.random() < 0.8 else rng.randint(2, 9)
+        density = rng.choice([0.15, 0.3, 0.5])
+        mat = [[rng.randint(-9, 9) if rng.random() < density else 0
+                for _ in range(ncols)] for _ in range(n)]
+        want_rank, want_det = _fraction_rank_det(mat, ncols)
+        assert bareiss([list(row) for row in mat]) == (want_rank, want_det), mat
+        signs.add((want_det > 0) - (want_det < 0))
     assert signs == {-1, 0, 1}
 
 
@@ -235,6 +263,9 @@ def _laplace_det(ring, rows):
 
 @pytest.mark.parametrize("n", [5, 6, 12])
 def test_bareiss_det_over_k_matches_laplace_expansion(n):
+    """Bareiss on the regular representation of a matrix over K: its
+    integer det is the norm of the Laplace det over K, and its rank is
+    deg K times full rank exactly when that det is nonzero."""
     R = ScalarRing(n)
     rng = random.Random(n)
     nonzero = singular = 0
@@ -245,9 +276,9 @@ def test_bareiss_det_over_k_matches_laplace_expansion(n):
         mat = [[from_coeffs(R, [p[i][j] for p in parts]) for j in range(size)]
                for i in range(size)]
         want = _laplace_det(R, mat)
-        rank, det = bareiss([[c.coeffs for c in row] for row in mat], R)
-        assert det == want.coeffs, mat
-        assert (rank == size) == (not want.is_zero())
+        rank, det = bareiss(R.regular([[c.coeffs for c in row] for row in mat]))
+        assert det == _fraction_norm(want), mat
+        assert (rank == size * R.deg) == (not want.is_zero())
         nonzero += not want.is_zero()
         singular += want.is_zero() and size > 0
     assert nonzero > 10 and singular > 5

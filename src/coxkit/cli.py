@@ -334,7 +334,7 @@ class _Parser(argparse.ArgumentParser):
 
 # The options a command may take beyond --type, --matrix and --cap.
 _OPTIONS = {
-    "I": dict(nargs="*", default=[], metavar="GEN",
+    "I": dict(nargs="*", default=(), metavar="GEN",
               help="parabolic generators, e.g. s1 s3"),
     "format": dict(choices=("csv", "json", "pretty"), default="pretty"),
     "cache-dir": dict(default=None),
@@ -380,9 +380,17 @@ def build_parser():
     return parser
 
 
+# Built by the first main call, not at import, and reused by the later ones:
+# parse_args keeps no state between calls, and no option default is mutable.
+_parser = None
+
+
 def main(argv=None):
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         for name in ("cap", "count", "word_cap"):
             if getattr(args, name, 0) < 0:
                 raise UsageError("--%s must be >= 0" % name.replace("_", "-"))

@@ -23,8 +23,7 @@ class DecoratedSubexpr:
         self.bits = tuple(bits)
         self.stroll = stroll
         self.decorations = tuple(decorations)
-        self.defect = sum(1 for d in decorations if d == "U0") \
-            - sum(1 for d in decorations if d == "D0")
+        self.defect = self.decorations.count("U0") - self.decorations.count("D0")
         self.endpoint = stroll[-1]
 
     def __eq__(self, other):
@@ -86,11 +85,12 @@ def enumerate_subexprs(ball, word, I=None, endpoint=None):
     I = frozenset(I) if I is not None else None
     out = []
 
-    def rec(k, x, bits):
+    # the stroll and decorations of a prefix are carried down, so each leaf
+    # is built as decorate(ball, word, bits) would build it, without a walk
+    def rec(k, x, bits, stroll, decorations):
         if k == len(word):
-            d = decorate(ball, word, bits)
-            if endpoint is None or d.endpoint == endpoint:
-                out.append(d)
+            if endpoint is None or x == endpoint:
+                out.append(DecoratedSubexpr(word, bits, list(stroll), decorations))
             return
         s = word[k]
         xs = ball.right(x, s)
@@ -98,10 +98,11 @@ def enumerate_subexprs(ball, word, I=None, endpoint=None):
             raise CapError("Bruhat stroll leaves the group ball")
         if I is not None and not ball.is_min_rep(xs, I):
             return
-        rec(k + 1, xs, bits + (1,))
-        rec(k + 1, x, bits + (0,))
+        one, zero = ("U1", "U0") if xs.length > x.length else ("D1", "D0")
+        rec(k + 1, xs, bits + (1,), stroll + (xs,), decorations + (one,))
+        rec(k + 1, x, bits + (0,), stroll + (x,), decorations + (zero,))
 
-    rec(0, ball.identity, ())
+    rec(0, ball.identity, (), (ball.identity,), ())
     return out
 
 

@@ -35,10 +35,24 @@ The value of x(alpha_t) mod I at the point is read from the ball's stored
 matrix of x, once per (x, point); a root value r is inverted once, by
 ScalarRing.adjugate, as r * adj = norm with adj integral and norm a positive
 integer.  A generator then becomes integral coefficient tuples over one
-integer denominator, straight from its rule, and the top row (column) of a
-light leaf propagates as integral tuples over one running denominator, its
-gcd content divided out after each step; their dot product is the pairing,
-in lowest terms.  Every rank is one integer elimination of the form's
+integer denominator, straight from its rule, and the top row of a light
+leaf propagates as integral tuples over one running denominator, its gcd
+content divided out after each step.  Only the leaves themselves are
+propagated, never their flips: every generator G: N_w -> N_w' satisfies
+
+    flip(G)[d, c] = G[c, d] E_w(d) / E_w'(c),
+
+E(g) = prod_i x_{i-1}(alpha_{s_i}) mod I the Euler class of a summand g
+with stroll x_0, x_1, ... (the product of its stroll roots).  By induction
+over the generators the pairing is the localization formula (Elias-
+Williamson, "Localized calculus for the Hecke category", arXiv:2011.05432)
+
+    <e, f> = E_top(x)^-1 sum_g LL_e[top, g] LL_f[top, g] E(g),
+
+x the common endpoint and E_top(x) the Euler class of the all-ones stroll
+of x's canonical reduced word, so a k-leaf form costs k propagations.  It
+is returned in lowest terms; a point where E_top(x) vanishes raises
+ZeroDivisionError.  Every rank is one integer elimination of the form's
 regular representation (ScalarRing.regular: each entry becomes the
 deg K x deg K integer block of multiplication by it; at deg K = 1 the block
 is the entry itself).  At char 0 each row is scaled by the lcm of its
@@ -66,7 +80,7 @@ import random
 
 from .errors import CoxkitError, UnsupportedBraidError
 from .laurent import LaurentPoly
-from .leaves import enumerate_subexprs, path_dom_leq
+from .leaves import decorate, enumerate_subexprs, path_dom_leq
 from .polyring import Poly, PolyRing, QCoeff, _root_key
 from .scalars import CycRat, PrimeFieldK
 
@@ -202,6 +216,8 @@ class LocalCalculus:
         self._inv_cache = {}
         self._num_cache = {}
         self._vec_cache = {}
+        self._euler_cache = {}
+        self._top_cache = {}
         # the certificate callers check one pair, or one word, back to back:
         # keep only the last double leaf and the current word's down-sets
         self._last_double = (None, None)
@@ -624,16 +640,15 @@ class LocalCalculus:
         num = tuple(cs * a + ct * b for a, b in zip(r, values[term[3]]))
         return self.pr.ring._mul_coeffs(num, adj), norm
 
-    def _numeric_matrix(self, op, point, flipped=False):
+    def _numeric_matrix(self, op, point):
         """A generator matrix evaluated at an integer point straight from its
-        rule, as (rows, den): rows maps the bits a top vector enters by (the
-        codomain, or the domain when flipped) to [(bits it leaves by,
+        rule, as (rows, den): rows maps each codomain bits to [(domain bits,
         integral coefficients)], and den > 0 is the one integer denominator
         of every entry."""
-        key = (op, point, flipped)
+        key = (op, point)
         got = self._num_cache.get(key)
         if got is None:
-            kind, w, site, color = self._flip_op(op) if flipped else op
+            kind, w, site, color = op
             dom, cod, terms = self._rule(kind, w, site, color)
             cbits = {c.bits for c in cod}
             entries = []
@@ -646,10 +661,7 @@ class LocalCalculus:
                 g = math.gcd(den, *num)
                 if g > 1:
                     num, den = tuple(a // g for a in num), den // g
-                src, dst = fbits, dom[ci].bits
-                if flipped:
-                    src, dst = dst, src
-                entries.append((src, dst, num, den))
+                entries.append((fbits, dom[ci].bits, num, den))
             den = math.lcm(*(d for _, _, _, d in entries))
             rows = {}
             for src, dst, num, d in entries:
@@ -661,12 +673,11 @@ class LocalCalculus:
             self._num_cache[key] = got
         return got
 
-    def _top_vector(self, word, e, point, flipped):
-        """Top row of LL_e (or top column of the flipped leaf) evaluated at
-        an integer point, as (integral coefficients by bits, one integer
-        denominator); cached per leaf so a k-leaf form costs 2k
-        propagations rather than 2k^2."""
-        key = (word, e.bits, point, flipped)
+    def _top_vector(self, word, e, point):
+        """Top row of LL_e evaluated at an integer point, as (integral
+        coefficients by bits, one integer denominator); cached per leaf so a
+        k-leaf form costs k propagations rather than k^2."""
+        key = (word, e.bits, point)
         got = self._vec_cache.get(key)
         if got is not None:
             return got
@@ -674,7 +685,7 @@ class LocalCalculus:
         vec = {(1,) * e.endpoint.length: self._one}
         den = 1
         for op in reversed(self._ll_ops(word, e)):
-            rows, mden = self._numeric_matrix(op, point, flipped=flipped)
+            rows, mden = self._numeric_matrix(op, point)
             new = {}
             for src, v in vec.items():
                 for dst, m in rows.get(src, ()):
@@ -693,21 +704,65 @@ class LocalCalculus:
         self._vec_cache[key] = got
         return got
 
+    def _euler(self, word, stroll, point):
+        """prod_k x_k(alpha_{s_{k+1}}) mod I at an integer point, over the
+        stroll x_0, x_1, ... of a summand of `word`: its Euler class, as
+        integral K coefficients."""
+        ring = self.pr.ring
+        out = self._one
+        for s, x in zip(word, stroll):
+            out = ring._mul_coeffs(out, self._stroll_values(x, point)[s])
+        return out
+
+    def _euler_table(self, word, point):
+        """bits -> Euler class at the point, for every summand of `word`;
+        cached per (word, point)."""
+        key = (word, point)
+        got = self._euler_cache.get(key)
+        if got is None:
+            got = self._euler_cache[key] = {
+                g.bits: self._euler(word, g.stroll, point)
+                for g in self.indices(word)}
+        return got
+
+    def _top_inverse(self, x, point):
+        """(adj, norm) of the Euler class of the top summand of N_rex(x) at
+        the point: the product of the roots along the all-ones stroll of x's
+        canonical reduced word.  ZeroDivisionError if it vanishes there."""
+        key = (x.idx, point)
+        got = self._top_cache.get(key)
+        if got is None:
+            stroll = decorate(self.ball, x.word, (1,) * x.length).stroll
+            top = self._euler(x.word, stroll, point)
+            if not any(top):
+                raise ZeroDivisionError(
+                    "the top Euler class vanishes at the evaluation point")
+            got = self._top_cache[key] = self._inverse(top)
+        return got
+
     def pairing_value(self, word, e, f, point):
         """The (constant) pairing of e with f, read off by exact evaluation
-        at an integer point: top row of LL_e dotted with the top column of
-        the flipped leaf of f.  Returns (coeffs, den) in lowest terms:
-        integral K coefficients over a positive integer denominator."""
+        at an integer point by the localization formula
+
+            <e, f> = E_top(x)^-1 sum_g LL_e[top, g] LL_f[top, g] E(g)
+
+        over the summands g of N_word, E the Euler class (_euler) and x the
+        common endpoint.  Returns (coeffs, den) in lowest terms: integral K
+        coefficients over a positive integer denominator."""
         word = tuple(word)
-        row, rden = self._top_vector(word, e, point, flipped=False)
-        col, cden = self._top_vector(word, f, point, flipped=True)
-        ring = self.pr.ring
-        total = [0] * ring.deg
+        row, rden = self._top_vector(word, e, point)
+        col, cden = self._top_vector(word, f, point)
+        adj, norm = self._top_inverse(e.endpoint, point)
+        euler = self._euler_table(word, point)
+        mul = self.pr.ring._mul_coeffs
+        total = (0,) * len(adj)
         for bits, v in row.items():
             w = col.get(bits)
             if w is not None:
-                total = list(map(operator.add, total, ring._mul_coeffs(v, w)))
-        den = rden * cden
+                total = tuple(map(operator.add, total,
+                                  mul(mul(v, w), euler[bits])))
+        total = mul(total, adj)
+        den = rden * cden * norm
         g = math.gcd(den, *total)
         return tuple(a // g for a in total), den // g
 
@@ -914,7 +969,7 @@ def _divide_by_linear(pr, poly, root):
     if form.is_zero():
         return None
     lm, lc = form.lead()
-    lc = CycRat.from_cycint(lc)
+    inv = None      # 1 / lc, computed at the first monomial that needs it
     rem = dict(poly.coeffs)
     quo = {}
     while rem:
@@ -923,7 +978,9 @@ def _divide_by_linear(pr, poly, root):
         if any(k < 0 for k in q_mono):
             return None
         c = rem.pop(m)
-        qc = _as_cycrat(c) / lc
+        if inv is None:
+            inv = CycRat.from_cycint(lc).inverse()
+        qc = _as_cycrat(c) * inv
         quo[q_mono] = qc
         for fm, fc in form.coeffs.items():
             if fm == lm:

@@ -1,9 +1,14 @@
 """Command-line interface: tables, check suites, exit codes, result cache."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import coxkit
+from coxkit import cli
 from coxkit.cli import build_parser, main
 
 
@@ -257,3 +262,48 @@ def test_unwritable_cache_dir_exits_2(capsys, tmp_path, where):
 ])
 def test_documented_command_lines_parse(argv):
     assert build_parser().parse_args(argv).command == argv[0]
+
+
+# Commands whose options differ from one call to the next, so that an option
+# value left over from an earlier call would change a later output.
+_SEQUENCE = [
+    ["pcan", "--type", "A2", "--I", "s1", "s2", "s1"],
+    ["pcan", "--type", "A2", "s2", "s1"],
+    ["pcan", "--type", "A3", "--char", "5", "--format", "csv", "s1", "s2", "s1"],
+    ["pcan", "--type", "A3", "s1", "s2", "s1"],
+    ["pcan", "--type", "A2", "--char", "4", "s1"],
+    ["npoly", "--type", "A2", "--I", "s1", "--cap", "3", "--format", "csv"],
+    ["npoly", "--type", "A2", "--cap", "3", "--format", "csv"],
+    ["npoly", "--type", "A2", "--cap", "3", "--I"],
+    ["klpoly", "--type", "A2", "--cap", "3"],
+    ["check", "positivity", "--type", "A2", "--cap", "4", "--I", "s2"],
+    ["check", "positivity", "--type", "A2", "--cap", "4"],
+    ["pcan", "--bogus"],
+    ["pcan", "--type", "A2", "--cap", "-1"],
+]
+
+
+def test_in_process_calls_match_fresh_processes(capsys, monkeypatch):
+    """main builds its parser once and reuses it: a run of in-process calls
+    prints what a fresh interpreter per call prints, with the same exit
+    codes."""
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    src = os.path.dirname(os.path.dirname(coxkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    codes = set()
+    for argv in _SEQUENCE:
+        got = run(capsys, argv)
+        done = subprocess.run([sys.executable, "-m", "coxkit.cli"] + argv,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert got == (done.returncode, done.stdout, done.stderr), argv
+        codes.add(got[0])
+    assert codes == {0, 2}
+    assert len(built) == 1

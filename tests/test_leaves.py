@@ -76,6 +76,38 @@ def test_enumerate_counts_and_filtering(a2):
     assert all(is_antispherical(a2, d, I) for d in anti)
 
 
+@pytest.mark.parametrize("name, cap, I, length", [
+    ("A3", 6, None, 5),
+    ("A3", 6, frozenset(), 5),
+    ("affA2", 6, frozenset({0}), 5),
+    ("H3", 6, None, 5),
+])
+def test_enumerate_builds_what_decorate_builds(name, cap, I, length):
+    """Every subexpression enumerate_subexprs yields, with or without an
+    endpoint filter, equals decorate(ball, word, bits) field by field, with
+    the same ball elements in its stroll."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    fields = ("word", "bits", "stroll", "decorations", "defect", "endpoint")
+    leaves = 0
+    for word in itertools.chain.from_iterable(
+            itertools.product(range(ball.rank), repeat=n)
+            for n in range(length + 1)):
+        got = enumerate_subexprs(ball, word, I=I)
+        if I is not None:
+            assert all(is_antispherical(ball, d, I) for d in got)
+        for d in got:
+            want = decorate(ball, word, d.bits)
+            assert all(getattr(d, k) == getattr(want, k) for k in fields), (word, d)
+            assert all(a is b for a, b in zip(d.stroll, want.stroll))
+            assert type(d.stroll) is type(want.stroll)
+            leaves += 1
+        if got:
+            x = got[-1].endpoint
+            at_x = enumerate_subexprs(ball, word, I=I, endpoint=x)
+            assert at_x == [d for d in got if d.endpoint == x]
+    assert leaves > 1000
+
+
 def test_path_dominance(a2):
     word = (0, 1)
     top = decorate(a2, word, (1, 1))

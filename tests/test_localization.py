@@ -336,9 +336,11 @@ def _words(rank, length):
 
 @pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
 def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
-    """Every light-leaf generator evaluated straight from its rule at a
-    point, unflipped and flipped, equals its symbolic matrix evaluated
-    there entry by entry."""
+    """Every light-leaf generator G: N_w -> N_w' evaluated straight from its
+    rule at a point equals its symbolic matrix evaluated there entry by
+    entry, and the evaluated symbolic flip of G is G transposed and
+    weighted by the Euler classes: flip(G)[d, c] = G[c, d] E_w(d) / E_w'(c),
+    the identity behind the localization formula of pairing_value."""
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
     calc = LocalCalculus(ball, I)
     point = _POINT[:ball.rank]
@@ -348,17 +350,165 @@ def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
     braid_free = name == "affA1" or (name == "A2" and I)
     assert kinds >= {"enddot", "merge"} | (set() if braid_free else {"braid"})
     for op in sorted(ops):
-        for flipped in (False, True):
+        kind, w, site, color = op
+        want = _evaluated_entries(
+            calc, calc.gen_matrix(kind, w, site, color=color), point, False)
+        rows, den = calc._numeric_matrix(op, point)
+        assert isinstance(den, int) and den > 0
+        assert all(isinstance(a, int)
+                   for row in rows.values() for _, num in row for a in num)
+        got = {(src, dst): CycRat(ball.ring, (Fraction(a, den) for a in num))
+               for src, row in rows.items() for dst, num in row}
+        assert got == want, op
+
+        # the flipped half: N_w' -> N_w, keyed (c, d) like `got`
+        fkind, fw, fsite, fcolor = calc._flip_op(op)
+        flipped = _evaluated_entries(
+            calc, calc.gen_matrix(fkind, fw, fsite, color=fcolor), point, True)
+        euler_w = calc._euler_table(w, point)
+        euler_cod = calc._euler_table(calc._codomain(kind, w, site, color), point)
+        weighted = {(c, d): val * CycRat(ball.ring, euler_w[d])
+                    / CycRat(ball.ring, euler_cod[c])
+                    for (c, d), val in got.items()}
+        assert flipped == weighted, op
+
+
+class _FlippedColumnPairing:
+    """The numeric pairing as it was computed before the localization
+    formula, kept as the reference: the top row of LL_e dotted with the top
+    column of the flipped leaf of f, each propagated generator by generator
+    at the point (the flipped generators read from the rule of _flip_op)."""
+
+    def __init__(self, calc):
+        self.calc = calc
+        self._num_cache = {}
+        self._vec_cache = {}
+
+    def _numeric_matrix(self, op, point, flipped=False):
+        calc = self.calc
+        key = (op, point, flipped)
+        got = self._num_cache.get(key)
+        if got is None:
             kind, w, site, color = calc._flip_op(op) if flipped else op
-            want = _evaluated_entries(
-                calc, calc.gen_matrix(kind, w, site, color=color), point, flipped)
-            rows, den = calc._numeric_matrix(op, point, flipped=flipped)
-            assert isinstance(den, int) and den > 0
-            assert all(isinstance(a, int)
-                       for row in rows.values() for _, num in row for a in num)
-            got = {(src, dst): CycRat(ball.ring, (Fraction(a, den) for a in num))
-                   for src, row in rows.items() for dst, num in row}
-            assert got == want, (op, flipped)
+            dom, cod, terms = calc._rule(kind, w, site, color)
+            cbits = {c.bits for c in cod}
+            entries = []
+            for ci, fbits, term in terms:
+                if fbits not in cbits:
+                    continue
+                num, den = calc._term_value(term, point)
+                if not any(num):
+                    continue
+                g = math.gcd(den, *num)
+                if g > 1:
+                    num, den = tuple(a // g for a in num), den // g
+                src, dst = fbits, dom[ci].bits
+                if flipped:
+                    src, dst = dst, src
+                entries.append((src, dst, num, den))
+            den = math.lcm(*(d for _, _, _, d in entries))
+            rows = {}
+            for src, dst, num, d in entries:
+                k = den // d
+                if k > 1:
+                    num = tuple(a * k for a in num)
+                rows.setdefault(src, []).append((dst, num))
+            got = rows, den
+            self._num_cache[key] = got
+        return got
+
+    def _top_vector(self, word, e, point, flipped):
+        calc = self.calc
+        key = (word, e.bits, point, flipped)
+        got = self._vec_cache.get(key)
+        if got is not None:
+            return got
+        ring = calc.pr.ring
+        vec = {(1,) * e.endpoint.length: calc._one}
+        den = 1
+        for op in reversed(calc._ll_ops(word, e)):
+            rows, mden = self._numeric_matrix(op, point, flipped=flipped)
+            new = {}
+            for src, v in vec.items():
+                for dst, m in rows.get(src, ()):
+                    w = ring._mul_coeffs(v, m)
+                    cur = new.get(dst)
+                    new[dst] = w if cur is None else tuple(map(operator.add, cur, w))
+            vec = {k: v for k, v in new.items() if any(v)}
+            if not vec:
+                break
+            den *= mden
+            g = math.gcd(den, *(a for v in vec.values() for a in v))
+            if g > 1:
+                vec = {k: tuple(a // g for a in v) for k, v in vec.items()}
+                den //= g
+        got = vec, den
+        self._vec_cache[key] = got
+        return got
+
+    def pairing_value(self, word, e, f, point):
+        word = tuple(word)
+        row, rden = self._top_vector(word, e, point, flipped=False)
+        col, cden = self._top_vector(word, f, point, flipped=True)
+        ring = self.calc.pr.ring
+        total = [0] * ring.deg
+        for bits, v in row.items():
+            w = col.get(bits)
+            if w is not None:
+                total = list(map(operator.add, total, ring._mul_coeffs(v, w)))
+        den = rden * cden
+        g = math.gcd(den, *total)
+        return tuple(a // g for a in total), den // g
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES + [
+    ("I2_12", 4, frozenset(), 4),       # deg K = 4
+    ("I2_30", 4, frozenset(), 4),       # deg K = 8
+])
+def test_pairing_value_matches_flipped_column_pairing(name, cap, I, length):
+    """The localization formula gives, in lowest terms, the pairing of the
+    top row of LL_e with the top column of the flipped leaf of f, for every
+    pair of leaves with a common endpoint (any defects) of every word up to
+    `length`."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc = LocalCalculus(ball, I)
+    ref = _FlippedColumnPairing(LocalCalculus(ball, I))
+    point = _POINT[:ball.rank]
+    pairs = 0
+    for word in _words(ball.rank, length):
+        for e in calc.indices(word):
+            for f in calc.leaves_at(word, e.endpoint):
+                want = ref.pairing_value(word, e, f, point)
+                assert calc.pairing_value(word, e, f, point) == want, (word, e, f)
+                pairs += 1
+    assert pairs > 50
+
+
+def test_vanishing_top_euler_class_is_retried(a2, monkeypatch):
+    # the top summand of N_s at x = s1 has Euler class alpha_1, which
+    # vanishes at (0, 7); the flipped-column pairing reads 1 there, but
+    # the localization formula is 0 / 0 and must refuse the point
+    word, s = (0,), a2.product_of_word((0,))
+    calc = LocalCalculus(a2)
+    (e,) = calc.leaves_at(word, s)
+    with pytest.raises(ZeroDivisionError):
+        calc.pairing_value(word, e, e, (0, 7))
+    assert _FlippedColumnPairing(LocalCalculus(a2)).pairing_value(
+        word, e, e, (0, 7)) == ((1,), 1)
+    assert calc.pairing_value(word, e, e, (5, 7)) == ((1,), 1)
+
+    # multiplicity retries the point, and gram_invertible skips it
+    monkeypatch.setattr(localization, "random",
+                        SimpleNamespace(Random=_FirstPointOnHyperplane))
+    calc = LocalCalculus(a2)
+    seen = _record_pairings(calc)
+    assert calc.multiplicity(word, s) == LaurentPoly.const(1)
+    assert [raised for _, raised in seen] == [True, False]
+    calc = LocalCalculus(a2)
+    seen = _record_pairings(calc)
+    assert not calc.gram_invertible(word, s, tries=1)
+    assert seen == [(seen[0][0], True)] and seen[0][0][0] == 0
+    assert LocalCalculus(a2).gram_invertible(word, s, tries=2)
 
 
 def test_pcanonical_builds_no_symbolic_matrix(monkeypatch):

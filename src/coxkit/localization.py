@@ -65,9 +65,14 @@ degree.
 The certificates of a word (`coxkit check localization`) stay
 symbolic.  The double leaf flipped(LL_f) o LL_e of a pair is built once:
 double_leaf keeps its most recent result, and endpoint matching and
-triangularity read it one after the other.  The diagonal check computes
-only entry (e, e), row e of the flipped leaf dotted with column e of the
-leaf.  Triangularity tests each nonzero entry by membership in the
+triangularity read it one after the other.  Its entries are the PolyRing's
+shared Q_I values, and compose multiplies and sums them through the ring's
+memos, so across a sweep each distinct product or sum is computed once; a
+composed matrix takes its position maps from its factors.  The diagonal
+check computes only entry (e, e), row e of the flipped leaf dotted with
+column e of the leaf, and keeps its verdict per (shared value, set of
+candidate roots), with each candidate's leading coefficient inverted once.
+Triangularity tests each nonzero entry by membership in the
 path-dominance down-sets of e and f, each computed once per word and
 dropped when the word changes.
 """
@@ -115,11 +120,16 @@ class StdMatrix:
 
     __slots__ = ("domain", "codomain", "dpos", "cpos", "entries")
 
-    def __init__(self, domain, codomain, entries=None):
+    def __init__(self, domain, codomain, entries=None, dpos=None, cpos=None):
+        """dpos and cpos, the bits -> position maps of domain and codomain,
+        are built unless given: a result passes on its operands' maps, which
+        are never mutated."""
         self.domain = tuple(domain)
         self.codomain = tuple(codomain)
-        self.dpos = {d.bits: i for i, d in enumerate(self.domain)}
-        self.cpos = {c.bits: i for i, c in enumerate(self.codomain)}
+        self.dpos = {d.bits: i for i, d in enumerate(self.domain)} \
+            if dpos is None else dpos
+        self.cpos = {c.bits: i for i, c in enumerate(self.codomain)} \
+            if cpos is None else cpos
         self.entries = {k: v for k, v in (entries or {}).items() if not v.is_zero()}
 
     @staticmethod
@@ -133,7 +143,8 @@ class StdMatrix:
 
     def compose(self, other):
         """self o other."""
-        if tuple(d.bits for d in self.domain) != \
+        if self.domain is not other.codomain and \
+                tuple(d.bits for d in self.domain) != \
                 tuple(c.bits for c in other.codomain):
             raise CoxkitError("composition shape mismatch")
         by_col = {}
@@ -145,7 +156,7 @@ class StdMatrix:
                 prod = left * val
                 got = out.get((ri, cj))
                 out[(ri, cj)] = prod if got is None else got + prod
-        return StdMatrix(other.domain, self.codomain, out)
+        return StdMatrix(other.domain, self.codomain, out, other.dpos, self.cpos)
 
     def compose_entry(self, other, f, e):
         """Entry (f, e) of self o other (None if zero), summed in the order
@@ -167,11 +178,12 @@ class StdMatrix:
         for k, v in other.entries.items():
             got = out.get(k)
             out[k] = v if got is None else got + v
-        return StdMatrix(self.domain, self.codomain, out)
+        return StdMatrix(self.domain, self.codomain, out, self.dpos, self.cpos)
 
     def scale(self, q):
         return StdMatrix(self.domain, self.codomain,
-                         {k: v * q for k, v in self.entries.items()})
+                         {k: v * q for k, v in self.entries.items()},
+                         self.dpos, self.cpos)
 
     def __eq__(self, other):
         if not isinstance(other, StdMatrix):
@@ -188,16 +200,6 @@ class StdMatrix:
         """True iff all entries between summands with distinct endpoints vanish."""
         return all(self.codomain[ri].endpoint == self.domain[ci].endpoint
                    for ri, ci in self.entries)
-
-    def to_record(self):
-        return {
-            "domain": ["".join(map(str, d.bits)) for d in self.domain],
-            "codomain": ["".join(map(str, c.bits)) for c in self.codomain],
-            "entries": [
-                {"row": ri, "col": ci, "value": val.to_record()}
-                for (ri, ci), val in sorted(self.entries.items())
-            ],
-        }
 
 
 class LocalCalculus:
@@ -218,6 +220,10 @@ class LocalCalculus:
         self._vec_cache = {}
         self._euler_cache = {}
         self._top_cache = {}
+        # check_diagonal: the verdict per (diagonal value, candidate roots),
+        # and the divisor of each candidate root, inverted once
+        self._diag_cache = {}
+        self._divisor_cache = {}
         # the certificate callers check one pair, or one word, back to back:
         # keep only the last double leaf and the current word's down-sets
         self._last_double = (None, None)
@@ -542,27 +548,35 @@ class LocalCalculus:
 
     def check_diagonal(self, word, e):
         """The diagonal double-leaf entry is a unit multiple of a product of
-        roots (trial division by the stroll root images)."""
+        roots (trial division by the stroll root images).  The backtracking
+        division tries every candidate root, so its verdict depends only on
+        the value and the set of candidates: it is kept per (shared value,
+        frozenset of candidate roots)."""
         val = self._diagonal_entry(word, e)
         if val is None:
             return False
         candidates = {}
         for root in list(self.diagonal_root_candidates(word, e)) + list(val.den):
             candidates[_root_key(tuple(self.pr._embed(c) for c in root))] = root
-        candidates = list(candidates.values())
+        key = (val.idx, frozenset(candidates))
+        got = self._diag_cache.get(key)
+        if got is not None:
+            return got
+        divisors = [self._divisor(k, root) for k, root in candidates.items()]
+        got = self._diag_cache[key] = _divides_to_unit(self.pr, val.num, divisors)
+        return got
 
-        # roots come in scalar multiples (e.g. alpha and 2*alpha mod I), so
-        # greedy division can strand a non-unit content; backtrack instead
-        def divides_to_unit(num):
-            if num.is_constant():
-                return _unit_fraction(_as_cycrat(num.constant()))
-            for root in candidates:
-                q = _divide_by_linear(self.pr, num, root)
-                if q is not None and divides_to_unit(q):
-                    return True
-            return False
-
-        return divides_to_unit(val.num)
+    def _divisor(self, key, root):
+        """(linear form, leading monomial, 1 / leading coefficient) of a
+        nonzero candidate root, cached by its _root_key `key`, so each
+        leading coefficient is inverted once per calculus."""
+        got = self._divisor_cache.get(key)
+        if got is None:
+            form = self.pr.linear(root)
+            lm, lc = form.lead()
+            got = self._divisor_cache[key] = \
+                form, lm, CycRat.from_cycint(lc).inverse()
+        return got
 
     def gram_invertible(self, word, x, tries=6, seed=11):
         """Nondegeneracy over Q_I, certified by exact evaluation at points."""
@@ -960,16 +974,26 @@ def _unit_fraction(c):
     return c.to_cycint().is_unit()
 
 
-def _divide_by_linear(pr, poly, root):
-    """Exact division of poly by the linear form of `root`, or None.
+def _divides_to_unit(pr, num, divisors):
+    """True if num is a unit of K times a product of the divisors' forms.
+    Roots come in scalar multiples (e.g. alpha and 2*alpha mod I), so greedy
+    division can strand a non-unit content; this backtracks instead."""
+    if num.is_constant():
+        return _unit_fraction(_as_cycrat(num.constant()))
+    for divisor in divisors:
+        q = _divide_by_linear(pr, num, divisor)
+        if q is not None and _divides_to_unit(pr, q, divisors):
+            return True
+    return False
+
+
+def _divide_by_linear(pr, poly, divisor):
+    """Exact division of poly by a linear form, or None; `divisor` is
+    (form, leading monomial lm, 1 / leading coefficient) (_divisor).
 
     Works over Frac(K): coefficients may become CycRat during division.
     """
-    form = pr.linear(root)
-    if form.is_zero():
-        return None
-    lm, lc = form.lead()
-    inv = None      # 1 / lc, computed at the first monomial that needs it
+    form, lm, inv = divisor
     rem = dict(poly.coeffs)
     quo = {}
     while rem:
@@ -978,8 +1002,6 @@ def _divide_by_linear(pr, poly, root):
         if any(k < 0 for k in q_mono):
             return None
         c = rem.pop(m)
-        if inv is None:
-            inv = CycRat.from_cycint(lc).inverse()
         qc = _as_cycrat(c) * inv
         quo[q_mono] = qc
         for fm, fc in form.coeffs.items():

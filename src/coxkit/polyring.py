@@ -6,12 +6,19 @@ operators.  R_I is the quotient killing {alpha_s : s in I}; Q_I additionally
 inverts the images of roots not supported on I.  Fractions keep their
 denominators as formal multisets of roots (no gcd reduction); equality is
 tested by cross-multiplication.
+
+Q_I is hash-consed per PolyRing: the ring holds exactly one shared QCoeff
+per distinct structure (numerator terms and sorted denominator roots), each
+with a small integer index, and memoizes products and sums by the ordered
+index pair of their operands.  A certificate sweep repeats a few hundred
+distinct products tens of thousands of times, so Poly arithmetic runs only
+on a memo miss.
 """
 
 from __future__ import annotations
 
 from .errors import CoxkitError, NotInvertibleError
-from .scalars import CycInt, CycRat
+from .scalars import CycInt
 
 
 class PolyRing:
@@ -23,8 +30,13 @@ class PolyRing:
         self.ring = ball.ring
         self._zero_mono = (0,) * self.rank
         self._action_memo = {}
-        # the one unit of Q_I: identities and unit rule terms share it, and a
-        # product with it is the other factor
+        # Q_I, hash-consed: structure -> the shared QCoeff, and the ordered
+        # index pair of two operands -> their shared product or sum
+        self._qi_table = {}
+        self._qi_mul = {}
+        self._qi_add = {}
+        # the first shared value, the unit of Q_I: identities and unit rule
+        # terms share it, and a product with it is the other factor
         self.unit = QCoeff(self, self.one())
 
     # -- constructors ------------------------------------------------------
@@ -205,35 +217,43 @@ class Poly:
 
 
 class QCoeff:
-    """num / (product of root images): an element of Q_I.
+    """num / (product of root images): an element of Q_I, num over K.
 
     The denominator is a formal tuple of root coordinate vectors (each
     already reduced mod I and nonzero), sorted by _root_key.  The
     constructor sorts what it is given; products, sums over one denominator
     and negations keep the order by construction (_make), and a product
-    sorts only when both factors have roots.  Values are never mutated, so
-    they are shared: each PolyRing holds one unit (PolyRing.unit), and a
-    product with that object is the other factor itself.  No gcd reduction
-    is done; equality cross-multiplies.
+    sorts only when both factors have roots.
+
+    Values are never mutated, and each PolyRing shares them: every QCoeff
+    it makes, by the constructor or by arithmetic, is its one object for
+    that structure, numbered `idx` in order of creation (PolyRing.unit is
+    0, and a product with it is the other factor).  Products and sums are
+    memoized on the ring by the ordered index pair.  Values equal in Q_I
+    but written differently stay distinct objects, and equality
+    cross-multiplies.
     """
 
-    __slots__ = ("pr", "num", "den")
+    __slots__ = ("pr", "num", "den", "idx")
 
-    def __init__(self, pr, num, den=()):
-        self.pr = pr
-        self.num = num
-        if num.coeffs:
-            self.den = tuple(sorted((tuple(r) for r in den), key=_root_key))
-        else:
-            self.den = ()
+    def __new__(cls, pr, num, den=()):
+        return QCoeff._make(
+            pr, num, tuple(sorted((tuple(r) for r in den), key=_root_key)))
 
     @staticmethod
     def _make(pr, num, den):
-        """num / den for a den that is already a sorted tuple of tuples."""
-        q = object.__new__(QCoeff)
-        q.pr = pr
-        q.num = num
-        q.den = den if num.coeffs else ()
+        """The ring's shared num / den, for a den that is already a sorted
+        tuple of tuples; the only place a QCoeff is created."""
+        if not num.coeffs:
+            den = ()
+        key = (frozenset([(m, c.coeffs) for m, c in num.coeffs.items()]),
+               tuple(map(_root_key, den)))
+        table = pr._qi_table
+        q = table.get(key)
+        if q is None:
+            q = object.__new__(QCoeff)
+            q.pr, q.num, q.den, q.idx = pr, num, den, len(table)
+            table[key] = q
         return q
 
     def den_poly(self):
@@ -246,6 +266,14 @@ class QCoeff:
         return self.num.is_zero()
 
     def __add__(self, other):
+        memo = self.pr._qi_add
+        key = (self.idx, other.idx)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = self._sum(other)
+        return got
+
+    def _sum(self, other):
         if self.is_zero():
             return other
         if other.is_zero():
@@ -265,25 +293,29 @@ class QCoeff:
         return self + (-other)
 
     def __mul__(self, other):
+        pr = self.pr
         if isinstance(other, Poly):
-            other = QCoeff(self.pr, other)
-        unit = self.pr.unit
+            other = QCoeff(pr, other)
+        unit = pr.unit
         if self is unit:
             return other
         if other is unit:
             return self
-        den = self.den
-        if not den:
-            den = other.den
-        elif other.den:
-            den = tuple(sorted(den + other.den, key=_root_key))
-        return QCoeff._make(self.pr, self.num * other.num, den)
-
-    def div_root(self, root):
-        """Divide by an (already reduced, nonzero) root coordinate vector."""
-        return QCoeff(self.pr, self.num, self.den + (tuple(root),))
+        memo = pr._qi_mul
+        key = (self.idx, other.idx)
+        got = memo.get(key)
+        if got is None:
+            den = self.den
+            if not den:
+                den = other.den
+            elif other.den:
+                den = tuple(sorted(den + other.den, key=_root_key))
+            got = memo[key] = QCoeff._make(pr, self.num * other.num, den)
+        return got
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, QCoeff):
             return NotImplemented
         common, rest1, rest2 = _multiset_split(self.den, other.den)
@@ -292,21 +324,6 @@ class QCoeff:
 
     def __hash__(self):
         raise TypeError("QCoeff is unhashable (equality is semantic)")
-
-    def constant_value(self):
-        """The element c of Frac(K) with self == c, or None if non-constant."""
-        if self.num.is_zero():
-            return CycRat(self.pr.ring, (0,) * self.pr.ring.deg)
-        den = self.den_poly()
-        _, nl = self.num.lead()
-        _, dl = den.lead()
-        if self.num * dl == den * nl:
-            return CycRat.from_cycint(nl) / CycRat.from_cycint(dl)
-        return None
-
-    def to_record(self):
-        return {"num": repr(self.num),
-                "den_roots": [[repr(c) for c in root] for root in self.den]}
 
     def __repr__(self):
         if not self.den:

@@ -32,6 +32,35 @@ def aff():
     return build_ball(CoxeterMatrix.from_type("affA1"), 12)
 
 
+def _qcoeff_record(q):
+    return {"num": repr(q.num),
+            "den_roots": [[repr(c) for c in root] for root in q.den]}
+
+
+def _matrix_record(m):
+    """A StdMatrix as plain data: summand bits and sorted entries."""
+    return {
+        "domain": ["".join(map(str, d.bits)) for d in m.domain],
+        "codomain": ["".join(map(str, c.bits)) for c in m.codomain],
+        "entries": [
+            {"row": ri, "col": ci, "value": _qcoeff_record(val)}
+            for (ri, ci), val in sorted(m.entries.items())
+        ],
+    }
+
+
+def _constant_value(q):
+    """The element c of Frac(K) with q == c, or None if q is not constant."""
+    if q.num.is_zero():
+        return CycRat(q.pr.ring, (0,) * q.pr.ring.deg)
+    den = q.den_poly()
+    _, nl = q.num.lead()
+    _, dl = den.lead()
+    if q.num * dl == den * nl:
+        return CycRat.from_cycint(nl) / CycRat.from_cycint(dl)
+    return None
+
+
 def test_decompose(a2):
     calc = LocalCalculus(a2, frozenset({0}))
     # the single-letter word s has no antispherical subexpressions when s in I
@@ -44,7 +73,7 @@ def test_decompose(a2):
 def test_poly_box_matrix(a2):
     calc = LocalCalculus(a2)
     m = calc.gen_matrix("poly", (0,), 0, poly=calc.pr.alpha(1))
-    rec = m.to_record()
+    rec = _matrix_record(m)
     assert rec["domain"] == ["1", "0"]
     assert rec["entries"] == [
         {"row": 0, "col": 0, "value": {"num": "a2", "den_roots": []}},
@@ -57,7 +86,7 @@ def test_barbell_matrix(a2):
     barbell = calc.gen_matrix("enddot", (0,), 0).compose(
         calc.gen_matrix("startdot", (), 0, color=0))
     assert barbell == calc.gen_matrix("poly", (), 0, poly=calc.pr.alpha(0))
-    assert barbell.to_record()["entries"][0]["value"]["num"] == "a1"
+    assert _matrix_record(barbell)["entries"][0]["value"]["num"] == "a1"
 
 
 def test_braid_top_entry_is_one(a2):
@@ -125,7 +154,7 @@ def test_lightleaf_matrix_affine(aff):
     e = decorate(aff, word, (1, 0, 0))
     m = calc.eval_lightleaf(word, e)
     assert [d.bits for d in m.codomain] == [(1,), (0,)]
-    rec = m.to_record()
+    rec = _matrix_record(m)
     assert rec["domain"] == ["111", "110", "101", "100"]
     assert rec["entries"] == [
         {"row": 0, "col": 3, "value": {"num": "-1", "den_roots": [["0", "1"]]}},
@@ -164,7 +193,7 @@ def intersection_forms(calc, word, x):
     """defect d -> matrix of K-constants pairing defect-d rows with
     defect-(-d) columns, read off the symbolic pairings."""
     def constant(e, f):
-        c = calc.pairing(word, x, e, f).constant_value()
+        c = _constant_value(calc.pairing(word, x, e, f))
         assert c is not None, "non-constant pairing at defect %d" % e.defect
         return c
     return calc._forms(word, x, constant)
@@ -295,7 +324,7 @@ def test_pairing_value_matches_symbolic_pairing(name, cap, I, length):
             for f in calc.leaves_at(word, e.endpoint):
                 if e.defect + f.defect:
                     continue
-                want = calc.pairing(word, e.endpoint, e, f).constant_value()
+                want = _constant_value(calc.pairing(word, e.endpoint, e, f))
                 assert want is not None
                 got = calc.pairing_value(word, e, f, point)
                 assert _pair_cycrat(ball.ring, got) == want, (word, e, f)
@@ -695,6 +724,24 @@ def test_finished_calculus_is_freed_by_reference_counting(a2, I):
         gc.enable()
 
 
+@pytest.mark.parametrize("I", [frozenset(), frozenset({0})])
+def test_calculus_that_checked_certificates_is_freed_by_reference_counting(
+        a2, I):
+    gc.disable()
+    try:
+        calc = LocalCalculus(a2, I)
+        word = (1, 0, 1)
+        for e in calc.indices(word):
+            assert calc.check_diagonal(word, e)
+            for f in calc.leaves_at(word, e.endpoint):
+                assert calc.check_triangularity(word, e, f)
+        ref = weakref.ref(calc)
+        del calc
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def _rank(rows, field):
     """Rank by Gauss-Jordan elimination with the operations of `field`
     (PrimeFieldK)."""
@@ -896,3 +943,112 @@ def test_certificate_sweep_leaves_generators_and_unit_unchanged(name, cap, I,
                    for k, v in got.entries.items()), (kind, w, site)
     assert calc.pr.unit is unit and unit.den == ()
     assert unit.num.coeffs == calc.pr.one().coeffs
+
+
+def _root_product(pr, roots):
+    out = pr.one()
+    for root in roots:
+        out = out * pr.linear(root)
+    return out
+
+
+def _sorted_roots(roots):
+    return sorted(roots, key=lambda r: tuple(c.coeffs for c in r))
+
+
+def _reference_compose(pr, left, right):
+    """left o right for matrices {(row, col): (num, den roots)} with plain
+    Poly arithmetic: a product multiplies the numerators over the
+    concatenated denominators; a sum over one denominator adds numerators,
+    any other sum cross-multiplies.  No QCoeff is made."""
+    by_row = {}
+    for (ki, cj), b in right.items():
+        by_row.setdefault(ki, []).append((cj, b))
+    out = {}
+    for (ri, ki), (an, ad) in left.items():
+        for cj, (bn, bd) in by_row.get(ki, ()):
+            num, den = an * bn, _sorted_roots(ad + bd)
+            got = out.get((ri, cj))
+            if got is not None:
+                gn, gd = got
+                if gd == den:
+                    num = gn + num
+                else:
+                    num = gn * _root_product(pr, den) + num * _root_product(pr, gd)
+                    den = _sorted_roots(gd + den)
+            out[(ri, cj)] = num, den
+    return {k: v for k, v in out.items() if not v[0].is_zero()}
+
+
+def _reference_leaf(calc, word, e, flipped):
+    """The light leaf of e, or its flip, composed by _reference_compose from
+    the entries of its generator matrices."""
+    ops = calc._ll_ops(word, e)
+    start = calc.indices(e.endpoint.word if flipped else word)
+    out = {(i, i): (calc.pr.one(), []) for i in range(len(start))}
+    for op in reversed(ops) if flipped else ops:
+        gen = calc._op_matrix(op, flipped)
+        out = _reference_compose(calc.pr, {k: (q.num, list(q.den)) for k, q in
+                                           gen.entries.items()}, out)
+    return out
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
+def test_memoized_double_leaves_match_plain_poly_arithmetic(name, cap, I,
+                                                            length):
+    """Every entry of every double leaf, composed over the ring's shared
+    values and memoized products and sums, equals the entry composed from
+    the same generators with plain Poly products and concatenated
+    denominators."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc, ref = LocalCalculus(ball, I), LocalCalculus(ball, I)
+    pr = calc.pr
+    pairs = 0
+    for word in _words(ball.rank, length):
+        leaves = {(e.bits, flipped): _reference_leaf(ref, word, e, flipped)
+                  for e in ref.indices(word) for flipped in (False, True)}
+        for e in calc.indices(word):
+            for f in calc.leaves_at(word, e.endpoint):
+                got = calc.double_leaf(word, e, f).entries
+                want = _reference_compose(pr, leaves[(f.bits, True)],
+                                          leaves[(e.bits, False)])
+                assert got.keys() == want.keys(), (word, e, f)
+                for k, (num, den) in want.items():
+                    q = got[k]
+                    assert q.num * _root_product(pr, den) \
+                        == num * _root_product(pr, q.den), (word, e, f, k)
+                pairs += 1
+    assert pairs > 50 and len(pr._qi_mul) > 20
+
+
+@pytest.mark.parametrize("name, cap, I, length", [
+    ("A2", 10, frozenset(), 4),
+    ("affA1", 12, frozenset({0}), 5),
+    ("H3", 6, frozenset(), 4),          # deg K = 2
+])
+def test_diagonal_verdicts_of_a_warm_calculus_match_fresh_ones(name, cap, I,
+                                                               length):
+    """After a whole word sweep, check_diagonal answers every (word, e) as a
+    fresh calculus does, with all candidate roots and with only the
+    denominator's: the kept verdict is keyed by the candidates too."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    warm = LocalCalculus(ball, I)
+    words = list(_words(ball.rank, length))
+    for word in words:
+        for e in warm.indices(word):
+            warm.check_diagonal(word, e)
+
+    def den_only(calc):
+        calc.diagonal_root_candidates = lambda word, e: []
+        return calc
+
+    refused = 0
+    for word in words:
+        for e in warm.indices(word):
+            want = LocalCalculus(ball, I).check_diagonal(word, e)
+            assert warm.check_diagonal(word, e) == want, (word, e)
+            want = den_only(LocalCalculus(ball, I)).check_diagonal(word, e)
+            assert den_only(warm).check_diagonal(word, e) == want, (word, e)
+            del warm.diagonal_root_candidates
+            refused += not want
+    assert refused > 0

@@ -101,6 +101,11 @@ def test_qcoeff_cross_multiplied_equality(a2):
     assert (ratio - unreduced).is_zero()
 
 
+def _div_root(q, root):
+    """q divided by an (already reduced, nonzero) root coordinate vector."""
+    return QCoeff(q.pr, q.num, q.den + (tuple(root),))
+
+
 def test_qcoeff_arithmetic(a2):
     ball, pr = a2
     rs = (pr.ring.one(), pr.ring.zero())
@@ -111,7 +116,7 @@ def test_qcoeff_arithmetic(a2):
     # 1/as + 1/at = (as + at) / (as at)
     assert total == QCoeff(pr, pr.alpha(0) + pr.alpha(1), (rs, rt))
     assert (a * b) == QCoeff(pr, pr.one(), (rs, rt))
-    assert a.div_root(rs) == QCoeff(pr, pr.one(), (rs, rs))
+    assert _div_root(a, rs) == QCoeff(pr, pr.one(), (rs, rs))
 
 
 def test_poly_evaluate(a2):
@@ -164,3 +169,27 @@ def test_shared_unit_is_the_identity_of_products():
     assert pr.unit == pr.qi_const(pr.one()) and pr.unit.den == ()
     # another unit-valued QCoeff multiplies as usual, to an equal value
     assert pr.qi_const(pr.one()) * q == q
+
+
+def test_equal_structures_are_one_shared_object():
+    """Q_I is hash-consed per ring: a value built twice, by the constructor
+    in any denominator order or by arithmetic, is one object, and the unit
+    is the ring's first; values equal in Q_I but written differently, or
+    made by another ring, are distinct objects."""
+    ball = build_ball(CoxeterMatrix.from_type("A2"), 10)
+    pr = PolyRing(ball)
+    assert pr.unit.idx == 0 and pr.qi_const(pr.one()) is pr.unit
+    rs = (pr.ring.one(), pr.ring.zero())
+    rt = (pr.ring.zero(), pr.ring.one())
+    a = QCoeff(pr, pr.alpha(1), (rs, rt))
+    assert QCoeff(pr, pr.alpha(1), [rt, rs]) is a
+    assert QCoeff(pr, pr.alpha(1), (rs,)) * QCoeff(pr, pr.one(), (rt,)) is a
+    assert a * a is a * a and a + a is a + a
+    assert -(-a) is a and (a - a) is pr.qi_const(pr.zero())
+    b = QCoeff(pr, pr.alpha(1) * pr.alpha(0), (rs, rs, rt))
+    assert b is not a and b == a
+    assert len({id(q) for q in pr._qi_table.values()}) == len(pr._qi_table)
+    assert sorted(q.idx for q in pr._qi_table.values()) \
+        == list(range(len(pr._qi_table)))
+    other = PolyRing(ball)
+    assert QCoeff(other, other.alpha(1), (rs, rt)) is not a

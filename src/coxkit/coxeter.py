@@ -1,13 +1,15 @@
 """Coxeter system engine.
 
-Elements are identified by the matrix of the reflection representation on the
-|S|-dimensional space with the simple roots as a basis (pairings
-<alpha_t, alpha_s^vee> = -2cos(pi/m_st), exact in K = Z[2cos(pi/N)], the
-smallest such ring: N is the lcm of the finite m_st >= 4, as the entries for
-m = 2 and 3 are the integers 0 and -1.  So K = Z for A_n, D_n and affine A,
-Z[sqrt 2] for B_n and Z[golden ratio] for H3).  A
-GroupBall enumerates all elements up to a length cap breadth first; the first
-discovered reduced word of an element is its ShortLex-least one.
+The reflection representation lives on the |S|-dimensional space with the
+simple roots as a basis (pairings <alpha_t, alpha_s^vee> = -2cos(pi/m_st),
+exact in K = Z[2cos(pi/N)], the smallest such ring: N is the lcm of the
+finite m_st >= 4, as the entries for m = 2 and 3 are the integers 0 and -1.
+So K = Z for A_n, D_n and affine A, Z[sqrt 2] for B_n and Z[golden ratio]
+for H3).  An element x is identified by the heights of x(alpha_t), one per
+t: together they are x^-1(rho), and W acts freely on the chamber holding rho
+(Tits).  A GroupBall enumerates all elements up to a length cap breadth
+first; the first discovered reduced word of an element is its
+ShortLex-least one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 
 from .errors import (CapError, CoxkitError, NotFinitaryError, ResourceError,
                      UsageError)
-from .scalars import CycInt, ScalarRing
+from .scalars import ScalarRing
 
 INF = math.inf
 
@@ -154,22 +156,15 @@ class CoxeterMatrix:
 
 
 class Element:
-    """An interned group element; identity and hash are per-ball."""
+    """A group element, one object per index of its ball: equality is identity."""
 
-    __slots__ = ("ball", "idx", "word", "length", "_hash")
+    __slots__ = ("ball", "idx", "word", "length")
 
     def __init__(self, ball, idx, word):
         self.ball = ball
         self.idx = idx
         self.word = word
         self.length = len(word)
-        self._hash = hash((id(ball), idx))
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and other.ball is self.ball and other.idx == self.idx
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "<%s>" % ("".join("s%d" % (g + 1) for g in self.word) or "e")
@@ -187,58 +182,42 @@ class GroupBall:
         self.rank = matrix.rank
         self.ring = matrix.scalar_ring()
         self.cartan = matrix.cartan(self.ring)
-        self._int_mode = all(c.is_integer() for row in self.cartan for c in row)
         self._build()
         self._inv = None
         self._bruhat_memo = {}
-        self._root_memo = {}
+        zero, one = self.ring.zero(), self.ring.one()
+        self._root_memo = {0: tuple(tuple(one if u == s else zero for u in range(self.rank))
+                                    for s in range(self.rank))}
         self._wi_memo = {}
 
     # -- construction ------------------------------------------------------
 
     def _build(self):
+        """Key each element x by x^-1(rho): block t holds the `deg`
+        coefficients of rho(x(alpha_t)), the height of x(alpha_t).  Since
+        rho lies inside the fundamental chamber, on which W acts freely
+        (Tits' theorem; Humphreys, Reflection Groups and Coxeter Groups,
+        5.13), distinct elements get distinct keys.  Right multiplication by
+        s negates block s and changes only the neighbours t of s:
+        key(xs)_t = key(x)_t - <alpha_t, alpha_s^vee> key(x)_s."""
         rank, d = self.rank, self.ring.deg
-        if self._int_mode:
-            cint = [[c.as_integer() for c in row] for row in self.cartan]
-            ident = tuple(1 if i == j else 0 for j in range(rank) for i in range(rank))
-        else:
-            cvec = [[c.coeffs for c in row] for row in self.cartan]
-            one = (1,) + (0,) * (d - 1)
-            zero = (0,) * d
-            ident = tuple(v for j in range(rank) for i in range(rank)
-                          for v in (one if i == j else zero))
+        cvec = [[c.coeffs for c in row] for row in self.cartan]
         neigh = [[t for t in range(rank) if t != s and not self.cartan[t][s].is_zero()]
                  for s in range(rank)]
         mul = self.ring._mul_coeffs
 
-        if self._int_mode:
-            def mul_key(mat, s):
-                lst = list(mat)
-                b = s * rank
-                cs = mat[b:b + rank]
-                lst[b:b + rank] = [-v for v in cs]
-                for t in neigh[s]:
-                    a = cint[t][s]
-                    bt = t * rank
-                    lst[bt:bt + rank] = [p - a * q
-                                         for p, q in zip(mat[bt:bt + rank], cs)]
-                return tuple(lst)
-        else:
-            def mul_key(mat, s):
-                lst = list(mat)
-                b = s * rank * d
-                cs = [mat[b + u * d:b + (u + 1) * d] for u in range(rank)]
-                lst[b:b + rank * d] = [-v for v in mat[b:b + rank * d]]
-                for t in neigh[s]:
-                    a = cvec[t][s]
-                    bt = t * rank * d
-                    for u in range(rank):
-                        aq = mul(a, cs[u])
-                        off = bt + u * d
-                        lst[off:off + d] = [p - q for p, q in zip(mat[off:off + d], aq)]
-                return tuple(lst)
+        def mul_key(key, s):
+            lst = list(key)
+            b = s * d
+            ks = key[b:b + d]
+            lst[b:b + d] = [-v for v in ks]
+            for t in neigh[s]:
+                bt = t * d
+                lst[bt:bt + d] = [p - q for p, q in zip(key[bt:bt + d], mul(cvec[t][s], ks))]
+            return tuple(lst)
 
-        mats = [ident]
+        ident = ((1,) + (0,) * (d - 1)) * rank
+        keys = [ident]
         index = {ident: 0}
         words = [()]
         right = [[None] * rank]
@@ -246,18 +225,18 @@ class GroupBall:
         for _length in range(self.length_cap):
             nxt = []
             for x in frontier:
-                mat = mats[x]
+                key = keys[x]
                 for s in range(rank):
                     if right[x][s] is not None:
                         continue
-                    key = mul_key(mat, s)
-                    j = index.get(key)
+                    ykey = mul_key(key, s)
+                    j = index.get(ykey)
                     if j is None:
-                        j = len(mats)
+                        j = len(keys)
                         if j > _MAX_ELEMENTS:
                             raise ResourceError("group ball exceeds element budget")
-                        mats.append(key)
-                        index[key] = j
+                        keys.append(ykey)
+                        index[ykey] = j
                         words.append(words[x] + (s,))
                         right.append([None] * rank)
                         nxt.append(j)
@@ -267,14 +246,13 @@ class GroupBall:
         # Boundary elements can still have in-ball products (their descents);
         # fill those in so length comparisons at the cap stay correct.
         for x in frontier:
-            mat = mats[x]
+            key = keys[x]
             for s in range(rank):
                 if right[x][s] is None:
-                    j = index.get(mul_key(mat, s))
+                    j = index.get(mul_key(key, s))
                     if j is not None:
                         right[x][s] = j
                         right[j][s] = x
-        self._mats = mats
         self._right = right
         self.elements = [Element(self, i, w) for i, w in enumerate(words)]
         self.identity = self.elements[0]
@@ -332,25 +310,31 @@ class GroupBall:
     def root_image(self, x, s):
         """x(alpha_s) as a tuple of CycInt coordinates in the simple-root basis.
 
-        Block s of the stored matrix of x holds exactly these coordinates:
-        one int each when the Cartan matrix is integral, else `deg`
-        coefficients each.
+        All `rank` images of x come at once from its parent p = x t, t the
+        last letter of x's word: x(alpha_u) = p(alpha_u) - <alpha_u,
+        alpha_t^vee> p(alpha_t).  A loop climbs to the nearest element whose
+        images are known and memoizes every element on the way down.
         """
-        key = (x.idx, s)
-        got = self._root_memo.get(key)
-        if got is not None:
-            return got
-        ring, rank = self.ring, self.rank
-        mat = self._mats[x.idx]
-        if self._int_mode:
-            got = tuple(ring.embed(c) for c in mat[s * rank:(s + 1) * rank])
-        else:
-            d = ring.deg
-            b = s * rank * d
-            got = tuple(CycInt(ring, mat[b + u * d:b + (u + 1) * d])
-                        for u in range(rank))
-        self._root_memo[key] = got
-        return got
+        memo = self._root_memo
+        got = memo.get(x.idx)
+        if got is None:
+            chain = []
+            y = x
+            while y.idx not in memo:
+                chain.append(y)
+                y = self.right(y, y.word[-1])
+            got = memo[y.idx]
+            cartan = self.cartan
+            for y in reversed(chain):
+                t = y.word[-1]
+                pt = got[t]
+                got = tuple(
+                    tuple(-b for b in pt) if u == t
+                    else img if cartan[u][t].is_zero()
+                    else tuple(a - cartan[u][t] * b for a, b in zip(img, pt))
+                    for u, img in enumerate(got))
+                memo[y.idx] = got
+        return got[s]
 
     # -- Bruhat order ----------------------------------------------------------
 

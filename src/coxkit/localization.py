@@ -359,7 +359,7 @@ class LocalCalculus:
         tag, x = term[0], term[1]
         if tag == "poly":
             return pr.qi_const(pr.reduce_mod_I(pr.w_action(x, term[2]), self.I))
-        coords = pr.root_coords(x, term[2])
+        coords = self.ball.root_image(x, term[2])
         if tag == "root":
             return pr.qi_const(pr.reduce_mod_I(pr.linear(coords), self.I))
         den = (pr.reduce_root_mod_I(coords, self.I),)
@@ -367,7 +367,7 @@ class LocalCalculus:
             return QCoeff(pr, pr.const(term[3]), den)
         cs, ct = term[4], term[5]
         num = pr.linear([cs * a + ct * b for a, b in
-                         zip(coords, pr.root_coords(x, term[3]))])
+                         zip(coords, self.ball.root_image(x, term[3]))])
         return QCoeff(pr, pr.reduce_mod_I(num, self.I), den)
 
     # -- reduced-word graph ------------------------------------------------
@@ -537,7 +537,7 @@ class LocalCalculus:
         roots = []
         for k, s in enumerate(word):
             roots.append(pr.reduce_root_mod_I(
-                pr.root_coords(e.stroll[k], s), self.I))
+                self.ball.root_image(e.stroll[k], s), self.I))
         return roots
 
     def _diagonal_entry(self, word, e):
@@ -645,7 +645,7 @@ class LocalCalculus:
             # NotInvertibleError if the root is 0 in Q_I; otherwise only the
             # point is bad, which multiplicity retries and gram_invertible
             # skips
-            self.pr.reduce_root_mod_I(self.pr.root_coords(x, term[2]), self.I)
+            self.pr.reduce_root_mod_I(self.ball.root_image(x, term[2]), self.I)
             raise ZeroDivisionError("a root vanishes at the evaluation point")
         adj, norm = self._inverse(r)
         if tag == "inv":

@@ -69,17 +69,13 @@ class PolyRing:
 
     # -- W-action and Demazure operators ------------------------------------
 
-    def root_coords(self, x, s):
-        """Coordinates of x(alpha_s) in the simple-root basis."""
-        return self.ball.root_image(x, s)
-
     def w_action(self, w, f):
         """Substitute alpha_s -> w(alpha_s) throughout f."""
         if w.length == 0:
             return f
         images = self._action_memo.get(w.idx)
         if images is None:
-            images = [self.linear(self.root_coords(w, s)) for s in range(self.rank)]
+            images = [self.linear(self.ball.root_image(w, s)) for s in range(self.rank)]
             self._action_memo[w.idx] = images
         out = self.zero()
         for mono, c in f.coeffs.items():

@@ -10,8 +10,17 @@ from coxkit.coxeter import INF, CoxeterMatrix, GroupBall, build_ball
 from coxkit.errors import CoxkitError, NotFinitaryError, UsageError
 
 
+def matrix_of(name):
+    """A built-in type, or "M_a_b_c": the rank-3 matrix with off-diagonal
+    entries m12, m13, m23 = a, b, c (each an int or "inf")."""
+    if name.startswith("M_"):
+        a, b, c = (INF if v == "inf" else int(v) for v in name[2:].split("_"))
+        return CoxeterMatrix(((1, a, b), (a, 1, c), (b, c, 1)))
+    return CoxeterMatrix.from_type(name)
+
+
 def ball_of(name, cap):
-    return build_ball(CoxeterMatrix.from_type(name), cap)
+    return build_ball(matrix_of(name), cap)
 
 
 def root_sign(root):
@@ -78,7 +87,8 @@ def test_right_descends_examples():
     assert right_descends(ball, st, t)
 
 
-@pytest.mark.parametrize("name,cap", [("A3", 6), ("B3", 9), ("affA2", 8)])
+@pytest.mark.parametrize("name,cap", [("A3", 6), ("B3", 9), ("affA2", 8), ("I2_12", 12),
+                                      ("M_inf_3_4", 8), ("M_3_2_7", 8)])
 def test_descent_agrees_with_length(name, cap):
     ball = ball_of(name, cap)
     rng = random.Random(17)
@@ -92,7 +102,8 @@ def test_descent_agrees_with_length(name, cap):
         assert right_descends(ball, x, s) == (xs.length < x.length)
 
 
-@pytest.mark.parametrize("name,cap", [("A3", 6), ("B3", 9), ("H3", 10), ("affA1", 12)])
+@pytest.mark.parametrize("name,cap", [("A3", 6), ("B3", 9), ("H3", 10), ("affA1", 12),
+                                      ("I2_12", 12), ("M_inf_3_4", 8), ("M_3_2_7", 8)])
 def test_root_dichotomy(name, cap):
     # every x(alpha_s) has all coordinate signs >= 0 or all <= 0
     ball = ball_of(name, cap)
@@ -117,13 +128,82 @@ def walked_root_image(ball, x, s):
     return tuple(v)
 
 
-@pytest.mark.parametrize("name,cap", [("A3", 6), ("B3", 9), ("H3", 8), ("affA2", 8)])
+@pytest.mark.parametrize("name,cap", [("A3", 6), ("B3", 9), ("H3", 8), ("affA2", 8),
+                                      ("I2_12", 12), ("M_inf_3_4", 8), ("M_3_2_7", 8),
+                                      ("M_4_5_7", 5)])
 def test_root_image_matches_word_walk(name, cap):
-    # A3 and affA2 store integer matrices, B3 and H3 coefficient tuples
+    # scalar rings of degree 1 (A3, affA2), 2 (B3, H3, M_inf_3_4),
+    # 3 (M_3_2_7), 4 (I2_12) and 48 (M_4_5_7)
     ball = ball_of(name, cap)
     for x in ball.elements:
         for s in range(ball.rank):
             assert ball.root_image(x, s) == walked_root_image(ball, x, s)
+
+
+def test_root_image_of_a_long_element_needs_no_recursion():
+    # the walk up to a known ancestor is a loop: 2500 steps here, past
+    # Python's default recursion limit of 1000
+    ball = GroupBall(CoxeterMatrix.from_type("affA1"), 2500)
+    x = ball.elements[-1]
+    assert x.length == 2500
+    for s in range(ball.rank):
+        assert ball.root_image(x, s) == walked_root_image(ball, x, s)
+
+
+# -- the key against reflection matrices ------------------------------------------
+
+def reference_ball(matrix, cap):
+    """Words and right table of the ball keyed by full reflection matrices
+    over CycInt, breadth first as GroupBall: column u of x's matrix is
+    x(alpha_u), and xs(alpha_u) = x(alpha_u) - <alpha_u, alpha_s^vee> x(alpha_s).
+    At length cap only products already found are recorded."""
+    ring = matrix.scalar_ring()
+    cartan = matrix.cartan(ring)
+    rank = matrix.rank
+    ident = tuple(tuple(ring.embed(1 if v == u else 0) for v in range(rank))
+                  for u in range(rank))
+    mats, index, words = [ident], {ident: 0}, [()]
+    right = [[None] * rank]
+    frontier = [0]
+    for length in range(cap + 1):
+        nxt = []
+        for x in frontier:
+            for s in range(rank):
+                if right[x][s] is not None:
+                    continue
+                m = mats[x]
+                y = tuple(tuple(a - cartan[u][s] * b for a, b in zip(m[u], m[s]))
+                          for u in range(rank))
+                j = index.get(y)
+                if j is None:
+                    if length == cap:
+                        continue
+                    j = len(mats)
+                    mats.append(y)
+                    index[y] = j
+                    words.append(words[x] + (s,))
+                    right.append([None] * rank)
+                    nxt.append(j)
+                right[x][s] = j
+                right[j][s] = x
+        frontier = nxt
+    return words, right
+
+
+@pytest.mark.parametrize("name,cap", [
+    ("A1", 5), ("A2", 10), ("A3", 14), ("A4", 10), ("A5", 15), ("A7", 6),
+    ("B2", 10), ("B3", 9), ("B4", 16), ("D4", 10), ("H3", 15),
+    ("I2_5", 5), ("I2_6", 6), ("I2_7", 8), ("I2_12", 12), ("I2_30", 30),
+    ("affA1", 20), ("affA2", 10),
+    ("M_3_2_7", 6), ("M_inf_3_4", 6), ("M_4_5_7", 6)])
+def test_ball_matches_reflection_matrix_ball(name, cap):
+    matrix = matrix_of(name)
+    ball = GroupBall(matrix, cap)
+    words, right = reference_ball(matrix, cap)
+    assert [x.word for x in ball.elements] == words
+    assert [[None if y is None else y.idx
+             for y in (ball.right(x, s) for s in range(ball.rank))]
+            for x in ball.elements] == right
 
 
 # -- Bruhat order -----------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_reduce_mod_I(a2, aff):
     assert pr.reduce_mod_I(f, frozenset()) == f
     aball, apr = aff
     # affA1: t(alpha_s) = alpha_s + 2 alpha_t, reduced mod I = {s} to 2 alpha_t
-    img = apr.linear(apr.root_coords(aball.product_of_word((1,)), 0))
+    img = apr.linear(aball.root_image(aball.product_of_word((1,)), 0))
     assert img == apr.alpha(0) + apr.alpha(1) + apr.alpha(1)
     assert apr.reduce_mod_I(img, frozenset({0})) == apr.alpha(1) + apr.alpha(1)
 
@@ -139,7 +139,7 @@ def test_qcoeff_results_keep_the_sorted_denominator():
     constructed (sorted) QCoeff with the same roots."""
     ball = build_ball(CoxeterMatrix.from_type("A3"), 6)
     pr = PolyRing(ball)
-    roots = [pr.reduce_root_mod_I(pr.root_coords(x, s), frozenset())
+    roots = [pr.reduce_root_mod_I(ball.root_image(x, s), frozenset())
              for x in ball.elements[:12] for s in range(ball.rank)]
     rng = random.Random(3)
 

@@ -29,12 +29,13 @@ reduces; m >= 4 raises UnsupportedBraidError.
 
 Pairings at defect sum zero are constants of Frac(K), so multiplicities and
 the Gram check read them off by exact evaluation at an integer point,
-without building a symbolic matrix and without building a CycRat: every
-value on the way is an integral K coefficient tuple over a positive integer.
-The value of x(alpha_t) mod I at the point is read from the ball's stored
-matrix of x, once per (x, point); a root value r is inverted once, by
+without building a symbolic matrix: every value on the way is an integral
+K coefficient tuple over a positive integer.  The value of x(alpha_t) mod I
+at the point is the ball's root image x(alpha_t) dotted with the point,
+once per (x, point); a root value r is inverted once, by
 ScalarRing.adjugate, as r * adj = norm with adj integral and norm a positive
-integer.  A generator then becomes integral coefficient tuples over one
+integer (_inverse, the one place an element of K is inverted).  A
+generator then becomes integral coefficient tuples over one
 integer denominator, straight from its rule, and the top row of a light
 leaf propagates as integral tuples over one running denominator, its gcd
 content divided out after each step.  Only the leaves themselves are
@@ -71,7 +72,9 @@ memos, so across a sweep each distinct product or sum is computed once; a
 composed matrix takes its position maps from its factors.  The diagonal
 check computes only entry (e, e), row e of the flipped leaf dotted with
 column e of the leaf, and keeps its verdict per (shared value, set of
-candidate roots), with each candidate's leading coefficient inverted once.
+candidate roots).  It divides by the candidate roots exactly over K, each
+candidate's leading coefficient inverted once by _inverse; a quotient with
+a coefficient outside K ends its branch.
 Triangularity tests each nonzero entry by membership in the
 path-dominance down-sets of e and f, each computed once per word and
 dropped when the word changes.
@@ -87,7 +90,7 @@ from .errors import CoxkitError, UnsupportedBraidError
 from .laurent import LaurentPoly
 from .leaves import decorate, enumerate_subexprs, path_dom_leq
 from .polyring import Poly, PolyRing, QCoeff, _root_key
-from .scalars import CycRat, PrimeFieldK
+from .scalars import CycInt, PrimeFieldK
 
 # The unit term of a generator rule (LocalCalculus._rule).
 _UNIT = ("unit",)
@@ -555,9 +558,8 @@ class LocalCalculus:
         val = self._diagonal_entry(word, e)
         if val is None:
             return False
-        candidates = {}
-        for root in list(self.diagonal_root_candidates(word, e)) + list(val.den):
-            candidates[_root_key(tuple(self.pr._embed(c) for c in root))] = root
+        candidates = {_root_key(root): root for root in
+                      list(self.diagonal_root_candidates(word, e)) + list(val.den)}
         key = (val.idx, frozenset(candidates))
         got = self._diag_cache.get(key)
         if got is not None:
@@ -567,15 +569,14 @@ class LocalCalculus:
         return got
 
     def _divisor(self, key, root):
-        """(linear form, leading monomial, 1 / leading coefficient) of a
-        nonzero candidate root, cached by its _root_key `key`, so each
-        leading coefficient is inverted once per calculus."""
+        """(linear form, leading monomial, (adj, norm)) of a nonzero
+        candidate root, lc * adj == norm > 0 for its leading coefficient lc
+        (_inverse), cached by its _root_key `key`."""
         got = self._divisor_cache.get(key)
         if got is None:
             form = self.pr.linear(root)
             lm, lc = form.lead()
-            got = self._divisor_cache[key] = \
-                form, lm, CycRat.from_cycint(lc).inverse()
+            got = self._divisor_cache[key] = form, lm, self._inverse(lc.coeffs)
         return got
 
     def gram_invertible(self, word, x, tries=6, seed=11):
@@ -618,7 +619,8 @@ class LocalCalculus:
         return got
 
     def _inverse(self, value):
-        """(adj, norm) for the nonzero value r in K of a root at a point:
+        """(adj, norm) for a nonzero r in K (a root value at a point, or a
+        candidate root's leading coefficient), given by its coefficients:
         adj integral, norm a positive int, r * adj == norm, in lowest terms
         (ScalarRing.adjugate divided by its gcd content); cached by value."""
         got = self._inv_cache.get(value)
@@ -963,23 +965,19 @@ def _braid3_equations(calc, b, r):
     return [(d1, rhs1), (d2, rhs2), (d3, rhs3)]
 
 
-def _as_cycrat(c):
-    return CycRat.from_cycint(c) if not isinstance(c, CycRat) else c
-
-
-def _unit_fraction(c):
-    """True if c in Frac(K) is a unit of K (integral with unit inverse too)."""
-    if not c.is_integral():
-        return False
-    return c.to_cycint().is_unit()
-
-
 def _divides_to_unit(pr, num, divisors):
     """True if num is a unit of K times a product of the divisors' forms.
     Roots come in scalar multiples (e.g. alpha and 2*alpha mod I), so greedy
-    division can strand a non-unit content; this backtracks instead."""
+    division can strand a non-unit content; this backtracks instead.
+
+    Every division is exact over K, not over Frac(K).  A branch succeeds only
+    along a path num = L_1 ... L_k u, u a unit of K, and every candidate form
+    L_i is over K, so every quotient u L_(j+1) ... L_k on that path is over
+    K too.  A branch whose quotient has a coefficient outside K can never
+    succeed, so _divide_by_linear stops it at that coefficient and the
+    verdict is the one division over Frac(K) gives."""
     if num.is_constant():
-        return _unit_fraction(_as_cycrat(num.constant()))
+        return num.constant().is_unit()
     for divisor in divisors:
         q = _divide_by_linear(pr, num, divisor)
         if q is not None and _divides_to_unit(pr, q, divisors):
@@ -988,12 +986,13 @@ def _divides_to_unit(pr, num, divisors):
 
 
 def _divide_by_linear(pr, poly, divisor):
-    """Exact division of poly by a linear form, or None; `divisor` is
-    (form, leading monomial lm, 1 / leading coefficient) (_divisor).
-
-    Works over Frac(K): coefficients may become CycRat during division.
-    """
-    form, lm, inv = divisor
+    """The quotient of poly by a linear form over K, or None if the form
+    does not divide poly or the quotient has a coefficient outside K;
+    `divisor` is (form, leading monomial lm, (adj, norm)) with
+    lc * adj == norm > 0 for the leading coefficient lc (_divisor), so each
+    quotient coefficient c / lc is c * adj / norm."""
+    form, lm, (adj, norm) = divisor
+    ring = pr.ring
     rem = dict(poly.coeffs)
     quo = {}
     while rem:
@@ -1001,8 +1000,10 @@ def _divide_by_linear(pr, poly, divisor):
         q_mono = tuple(a - b for a, b in zip(m, lm))
         if any(k < 0 for k in q_mono):
             return None
-        c = rem.pop(m)
-        qc = _as_cycrat(c) * inv
+        scaled = ring._mul_coeffs(rem.pop(m).coeffs, adj)
+        if any(a % norm for a in scaled):
+            return None
+        qc = CycInt(ring, (a // norm for a in scaled))
         quo[q_mono] = qc
         for fm, fc in form.coeffs.items():
             if fm == lm:
@@ -1015,4 +1016,3 @@ def _divide_by_linear(pr, poly, divisor):
             else:
                 rem[tm] = val
     return Poly(pr, quo)
-

@@ -12,9 +12,13 @@ Signs of nonzero elements are decided by evaluating at a shrinking exact
 rational interval around theta; zero is decided algebraically (the canonical
 coefficient vector is zero).
 
-Every rank, norm and inverse is one integer elimination: a matrix over K
-becomes an integer matrix in the regular representation (ScalarRing.regular),
-ranked over Q by fraction-free bareiss and over F_p by rank_mod_p.
+There is one element format, CycInt, for K itself.  An element of Frac(K)
+is an integral coefficient tuple over a positive integer, and r in K is
+inverted as r * adj = N(r) (ScalarRing.adjugate), so no fraction field is
+built.  Every rank, norm and inverse is one integer elimination: a matrix
+over K becomes an integer matrix in the regular representation
+(ScalarRing.regular), ranked over Q by fraction-free bareiss and over F_p by
+rank_mod_p; PrimeFieldK only reduces into F_p and ranks there.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 import math
 
-from .errors import (CoxkitError, NotInvertibleError, RingParameterError,
-                     UnsupportedCharacteristicError)
+from .errors import CoxkitError, RingParameterError, UnsupportedCharacteristicError
 
 
 def _poly_divmod(num, den):
@@ -252,117 +255,6 @@ class ScalarRing:
         self._bracket = (lo, hi)
         self._bracket_rounds = rounds
         return lo, hi
-
-
-class CycRat:
-    """An element of the fraction field Q(theta), coordinates in Fraction.
-
-    Used where division is required (the trial division of the diagonal
-    certificate, the constant of a Q_I fraction); CycInt stays the exact
-    integral representation, and ranks, norms and inverses come from
-    bareiss on the integer matrices of integral tuples.
-    """
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    @staticmethod
-    def from_cycint(a):
-        return CycRat(a.ring, a.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, CycRat):
-            return other
-        if isinstance(other, CycInt):
-            return CycRat.from_cycint(other)
-        if isinstance(other, (int, Fraction)):
-            return CycRat(self.ring, (other,) + (0,) * (self.ring.deg - 1))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycRat(self.ring, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycRat(self.ring, (-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        ring = self.ring
-        out = [Fraction(0)] * (2 * ring.deg - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        # reduce mod p_N over Q
-        p = ring.poly
-        for k in range(len(out) - 1, ring.deg - 1, -1):
-            c = out[k]
-            if c:
-                out[k] = Fraction(0)
-                for j in range(ring.deg):
-                    out[k - ring.deg + j] -= c * p[j]
-        return CycRat(ring, out[: ring.deg])
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        """Multiplicative inverse: with r = a / den for integral a,
-        1/r = den * adj / N(a) by ScalarRing.adjugate."""
-        if self.is_zero():
-            raise NotInvertibleError("inverse of zero in K")
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        adj, det = self.ring.adjugate(c.numerator * (den // c.denominator)
-                                      for c in self.coeffs)
-        return CycRat(self.ring, (Fraction(den * a, det) for a in adj))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ring.n == other.ring.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring.n, self.coeffs))
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_cycint(self):
-        if not self.is_integral():
-            raise CoxkitError("%r is not integral" % (self,))
-        return CycInt(self.ring, (int(c) for c in self.coeffs))
-
-    def __repr__(self):
-        return "CycRat%r" % (self.coeffs,)
 
 
 class CycInt:
@@ -635,7 +527,8 @@ def _prime_factors(n):
 class PrimeFieldK:
     """The residue field F_p[y]/(p_N), for primes where p_N stays irreducible.
 
-    Elements are coefficient tuples (length deg) of ints in [0, p).
+    Elements are coefficient tuples (length deg) of ints in [0, p); the
+    field reduces elements of Frac(K) into it and ranks matrices over it.
     """
 
     def __init__(self, ring, p):
@@ -643,18 +536,11 @@ class PrimeFieldK:
             raise UnsupportedCharacteristicError("characteristic must be prime")
         self.ring = ring
         self.p = p
-        self.poly = [c % p for c in ring.poly]
-        if not _irreducible_mod_p(self.poly, p):
+        if not _irreducible_mod_p([c % p for c in ring.poly], p):
             raise UnsupportedCharacteristicError(
                 "minimal polynomial is reducible mod %d; the scalar ring does "
                 "not reduce to a field" % p)
         self.deg = ring.deg
-
-    def zero(self):
-        return (0,) * self.deg
-
-    def one(self):
-        return (1,) + (0,) * (self.deg - 1)
 
     def reduce(self, coeffs, den):
         """The image of the element coeffs / den of Frac(K), den > 0;
@@ -667,24 +553,8 @@ class PrimeFieldK:
         inv = pow(den, -1, self.p)
         return tuple(a // g * inv % self.p for a in coeffs)
 
-    def is_zero(self, a):
-        return not any(a)
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        out = _pmod_mulmod(list(a), list(b), self.poly, self.p)
-        return tuple(out + [0] * (self.deg - len(out)))
-
     def rank(self, rows):
         """Rank of a matrix of field elements: rank_mod_p of its
         regular-representation blocks (ScalarRing.regular), divided by the
         residue degree."""
         return rank_mod_p(self.ring.regular(rows), self.p) // self.deg
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise NotInvertibleError("inverse of zero in F_%d^%d" % (self.p, self.deg))
-        out = _pmod_powmod(list(a), self.p ** self.deg - 2, self.poly, self.p)
-        return tuple(out + [0] * (self.deg - len(out)))

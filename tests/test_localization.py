@@ -19,7 +19,8 @@ from coxkit.errors import (NotInvertibleError, UnsupportedBraidError,
 from coxkit.laurent import LaurentPoly
 from coxkit.leaves import decorate, path_dom_leq
 from coxkit.localization import LocalCalculus, StdMatrix, relation_oracle
-from coxkit.scalars import CycRat, PrimeFieldK, ScalarRing
+from coxkit.scalars import PrimeFieldK, ScalarRing
+from field_refs import CycRat, prime_field_ops
 
 
 @pytest.fixture(scope="module")
@@ -744,7 +745,7 @@ def test_calculus_that_checked_certificates_is_freed_by_reference_counting(
 
 def _rank(rows, field):
     """Rank by Gauss-Jordan elimination with the operations of `field`
-    (PrimeFieldK)."""
+    (_FRAC_K, or prime_field_ops of a PrimeFieldK)."""
     if not rows or not rows[0]:
         return 0
     ncols = len(rows[0])
@@ -770,9 +771,9 @@ def _rank(rows, field):
     return rank
 
 
-# Frac(K) on CycRat entries under PrimeFieldK's operation names: with it,
+# Frac(K) on CycRat entries under prime_field_ops' operation names: with it,
 # _rank is Gauss-Jordan over Frac(K), the reference for the char-0 ranks
-# (with a PrimeFieldK, the reference for the char-p ranks).
+# (with prime_field_ops, the reference for the char-p ranks).
 _FRAC_K = SimpleNamespace(is_zero=lambda a: a.is_zero(),
                           inv=lambda a: a.inverse(),
                           mul=operator.mul, sub=operator.sub)
@@ -861,16 +862,18 @@ def test_bareiss_rank_matches_gauss_jordan(name, n):
 def test_char_p_block_rank_matches_gauss_jordan(n, p, deg):
     """PrimeFieldK.rank (forward elimination mod p on the regular
     representation, divided by the residue degree) equals Gauss-Jordan with
-    the field's own operations, at residue degree 1, 2, 4 and 5."""
+    the field's element operations (prime_field_ops), at residue degree 1,
+    2, 4 and 5."""
     ring = ScalarRing(n)
     field = PrimeFieldK(ring, p)    # refused unless p_N is irreducible mod p
     assert field.deg == ring.deg == deg
+    ops = prime_field_ops(field)
     rng = random.Random(n * p)
 
     def entry():
         return tuple(rng.randint(-4, 4) for _ in range(deg))
 
-    forms = [[], [[]], [[field.zero()]], [[field.one()]]]
+    forms = [[], [[]], [[ops.zero()]], [[ops.one()]]]
     for _ in range(100):
         nrows, ncols, inner = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 5)
         left = [[entry() for _ in range(inner)] for _ in range(nrows)]
@@ -887,7 +890,7 @@ def test_char_p_block_rank_matches_gauss_jordan(n, p, deg):
         forms.append(form)
     deficient = 0
     for form in forms:
-        want = _rank(form, field)
+        want = _rank(form, ops)
         assert field.rank(form) == want, form
         deficient += bool(form and form[0]) and want < min(len(form), len(form[0]))
     assert deficient > 20
@@ -1052,3 +1055,98 @@ def test_diagonal_verdicts_of_a_warm_calculus_match_fresh_ones(name, cap, I,
             del warm.diagonal_root_candidates
             refused += not want
     assert refused > 0
+
+
+def _frac_k_divides_to_unit(num, divisors, seen):
+    """check_diagonal's trial division as it ran over Frac(K), the reference
+    for the division over K: num maps monomials to CycRat coefficients, and
+    each divisor is (form with CycRat coefficients, leading monomial,
+    1 / leading coefficient).  Each quotient with a coefficient outside K
+    bumps seen["outside"]."""
+    if all(not any(m) for m in num):
+        c = next(iter(num.values()), None)
+        return c is not None and c.is_integral() and c.to_cycint().is_unit()
+    for divisor in divisors:
+        q = _frac_k_divide(num, divisor)
+        if q is not None:
+            seen["outside"] += not all(c.is_integral() for c in q.values())
+            if _frac_k_divides_to_unit(q, divisors, seen):
+                return True
+    return False
+
+
+def _frac_k_divide(poly, divisor):
+    form, lm, inv = divisor
+    rem = dict(poly)
+    quo = {}
+    while rem:
+        m = max(rem)
+        q_mono = tuple(a - b for a, b in zip(m, lm))
+        if any(k < 0 for k in q_mono):
+            return None
+        qc = rem.pop(m) * inv
+        quo[q_mono] = qc
+        for fm, fc in form.items():
+            if fm == lm:
+                continue
+            tm = tuple(a + b for a, b in zip(q_mono, fm))
+            val = rem.get(tm, CycRat(fc.ring, (0,) * fc.ring.deg)) - qc * fc
+            if val.is_zero():
+                rem.pop(tm, None)
+            else:
+                rem[tm] = val
+    return quo
+
+
+@pytest.mark.parametrize("name, deg", [("A3", 1), ("H3", 2), ("I2_7", 3),
+                                       ("I2_12", 4)])
+def test_division_over_k_matches_division_over_frac_k(name, deg):
+    """The diagonal certificate's trial division, exact over K, gives the
+    verdict of the division over Frac(K): on random products of candidate
+    roots (with scalar multiples such as alpha and 2 alpha among the
+    candidates) times units or non-units of K, on products missing a
+    candidate and on non-products, over scalar rings of degree 1 to 4."""
+    ball = build_ball(CoxeterMatrix.from_type(name), 3)
+    ring = ball.ring
+    assert ring.deg == deg
+    calc = LocalCalculus(ball)
+    pr = calc.pr
+    rng = random.Random(deg)
+    roots = sorted({tuple(ball.root_image(x, s)) for x in ball.elements
+                    for s in range(ball.rank)}, key=localization._root_key)
+    roots += [tuple(2 * c for c in root) for root in roots[:3]]
+    units = [ring.one(), -ring.one()] + [u for u in (ring.theta(),
+                                                     ring.theta() + 1)
+                                         if u.is_unit()]
+    non_units = [c for c in (ring.embed(2), ring.embed(3), ring.theta() + 1,
+                             ring.theta() + 2)
+                 if not c.is_zero() and not c.is_unit()]
+    assert len(non_units) >= 2
+
+    def frac_k(poly):
+        return {m: CycRat.from_cycint(c) for m, c in poly.coeffs.items()}
+
+    verdicts = {True: 0, False: 0}
+    seen = {"outside": 0}
+    for _ in range(1000):
+        cands = rng.sample(roots, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            cands.append(tuple(2 * c for c in cands[0]))
+        factors = [rng.choice(cands) for _ in range(rng.randint(0, 3))]
+        if factors and rng.random() < 0.15:
+            factors.append(rng.choice(roots))       # maybe not a candidate
+        num = pr.const(rng.choice(units if rng.random() < 0.6 else non_units))
+        for root in factors:
+            num = num * pr.linear(root)
+        if rng.random() < 0.1:                      # not a product
+            num = num + pr.alpha(rng.randrange(ball.rank)) * pr.const(
+                rng.choice(units))
+        divisors = [calc._divisor(localization._root_key(r), r) for r in cands]
+        got = localization._divides_to_unit(pr, num, divisors)
+        refs = [(frac_k(form), lm, CycRat.from_cycint(form.coeffs[lm]).inverse())
+                for form, lm, _ in divisors]
+        assert got == _frac_k_divides_to_unit(frac_k(num), refs, seen), \
+            (num, cands)
+        verdicts[got] += 1
+    assert min(verdicts.values()) >= 300, verdicts
+    assert seen["outside"] > 0

@@ -8,7 +8,8 @@ import pytest
 
 from coxkit.errors import (CoxkitError, NotInvertibleError, RingParameterError,
                            UnsupportedCharacteristicError)
-from coxkit.scalars import CycInt, CycRat, PrimeFieldK, ScalarRing, bareiss
+from coxkit.scalars import CycInt, PrimeFieldK, ScalarRing, bareiss
+from field_refs import CycRat, prime_field_ops
 
 
 @pytest.fixture
@@ -131,8 +132,17 @@ def test_prime_field_basic():
     R = ScalarRing(1)  # K = Z
     for p in (2, 3, 5, 97):
         F = PrimeFieldK(R, p)
+        Fp = prime_field_ops(F)
         a = F.reduce(R.embed(p + 1).coeffs, 1)
-        assert F.mul(a, F.inv(a)) == F.one()
+        assert Fp.mul(a, Fp.inv(a)) == Fp.one()
+        assert a == (1,)
+        assert F.reduce((-1,), p + 1) == (p - 1,)
+        assert F.reduce((p,), p * (p + 1)) == F.reduce((1,), p + 1) == (1,)
+        assert F.rank([]) == 0 and F.rank([[Fp.zero()]]) == 0
+        assert F.rank([[a]]) == 1 and F.rank([[a, a], [a, a]]) == 1
+        # det = -2: singular exactly mod 2
+        m = [[F.reduce((x,), 1) for x in row] for row in ((1, 2), (3, 4))]
+        assert F.rank(m) == (1 if p == 2 else 2)
 
 
 def test_partial_operations_raise_typed_errors(R6):
@@ -144,7 +154,7 @@ def test_partial_operations_raise_typed_errors(R6):
         half.to_cycint()
     with pytest.raises(CoxkitError):
         R6.theta().as_integer()
-    F = PrimeFieldK(ScalarRing(1), 5)
+    F = prime_field_ops(PrimeFieldK(ScalarRing(1), 5))
     with pytest.raises(NotInvertibleError):
         F.inv(F.zero())
 

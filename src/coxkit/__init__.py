@@ -15,11 +15,11 @@ from .localization import LocalCalculus, StdMatrix, relation_oracle
 from .parabolic import (MElt, NElt, ParabolicKLTable, check_deodhar,
                         check_finitary, check_monotonicity, project_pi)
 from .polyring import Poly, PolyRing, QCoeff
-from .scalars import CycInt, PrimeFieldK, ScalarRing
+from .scalars import PrimeFieldK, ScalarRing
 
 __all__ = [
     "CoxeterMatrix", "Element", "GroupBall", "build_ball", "INF",
-    "LaurentPoly", "CycInt", "PrimeFieldK", "ScalarRing",
+    "LaurentPoly", "PrimeFieldK", "ScalarRing",
     "KLTable",
     "MElt", "NElt", "ParabolicKLTable", "check_deodhar", "check_finitary",
     "check_monotonicity", "n_bar", "project_pi",

@@ -66,12 +66,16 @@ class CoxeterMatrix:
         else:
             raise UsageError("unknown Coxeter type %r" % name)
         if prefix == "affA":
+            if n < 1:
+                raise UsageError("affA n needs n >= 1")
             if n == 1:
                 return CoxeterMatrix(((1, INF), (INF, 1)))
             rank = n + 1
             edges = [(i, (i + 1) % rank) for i in range(rank)]
             order = 3
         elif prefix == "A":
+            if n < 0:
+                raise UsageError("A n needs n >= 0")
             rank = n
             edges = [(i, i + 1) for i in range(n - 1)]
             order = 3
@@ -145,7 +149,7 @@ class CoxeterMatrix:
         return ScalarRing(self.ring_modulus())
 
     def cartan(self, ring=None):
-        """c[t][s] = <alpha_t, alpha_s^vee> as CycInt."""
+        """c[t][s] = <alpha_t, alpha_s^vee>, an element of K."""
         ring = ring or self.scalar_ring()
         two = ring.embed(2)
         return tuple(
@@ -201,10 +205,10 @@ class GroupBall:
         s negates block s and changes only the neighbours t of s:
         key(xs)_t = key(x)_t - <alpha_t, alpha_s^vee> key(x)_s."""
         rank, d = self.rank, self.ring.deg
-        cvec = [[c.coeffs for c in row] for row in self.cartan]
-        neigh = [[t for t in range(rank) if t != s and not self.cartan[t][s].is_zero()]
+        cartan = self.cartan
+        neigh = [[t for t in range(rank) if t != s and any(cartan[t][s])]
                  for s in range(rank)]
-        mul = self.ring._mul_coeffs
+        mul = self.ring.mul
 
         def mul_key(key, s):
             lst = list(key)
@@ -213,7 +217,7 @@ class GroupBall:
             lst[b:b + d] = [-v for v in ks]
             for t in neigh[s]:
                 bt = t * d
-                lst[bt:bt + d] = [p - q for p, q in zip(key[bt:bt + d], mul(cvec[t][s], ks))]
+                lst[bt:bt + d] = [p - q for p, q in zip(key[bt:bt + d], mul(cartan[t][s], ks))]
             return tuple(lst)
 
         ident = ((1,) + (0,) * (d - 1)) * rank
@@ -308,7 +312,7 @@ class GroupBall:
     # -- roots ---------------------------------------------------------------
 
     def root_image(self, x, s):
-        """x(alpha_s) as a tuple of CycInt coordinates in the simple-root basis.
+        """x(alpha_s) as a tuple of K coordinates in the simple-root basis.
 
         All `rank` images of x come at once from its parent p = x t, t the
         last letter of x's word: x(alpha_u) = p(alpha_u) - <alpha_u,
@@ -325,13 +329,14 @@ class GroupBall:
                 y = self.right(y, y.word[-1])
             got = memo[y.idx]
             cartan = self.cartan
+            neg, sub, mul = self.ring.neg, self.ring.sub, self.ring.mul
             for y in reversed(chain):
                 t = y.word[-1]
                 pt = got[t]
                 got = tuple(
-                    tuple(-b for b in pt) if u == t
-                    else img if cartan[u][t].is_zero()
-                    else tuple(a - cartan[u][t] * b for a, b in zip(img, pt))
+                    tuple(map(neg, pt)) if u == t
+                    else img if not any(cartan[u][t])
+                    else tuple(sub(a, mul(cartan[u][t], b)) for a, b in zip(img, pt))
                     for u, img in enumerate(got))
                 memo[y.idx] = got
         return got[s]
@@ -401,9 +406,10 @@ class GroupBall:
         if not self.is_min_rep(x, I):
             raise UsageError("parabolic_test requires x in ^IW")
         root = self.root_image(x, s)
+        zero, one = self.ring.zero(), self.ring.one()
         exit_r = None
         for r in I:
-            if all((root[u] == (1 if u == r else 0)) for u in range(self.rank)):
+            if all(root[u] == (one if u == r else zero) for u in range(self.rank)):
                 exit_r = r
                 break
         xs = self.right(x, s)

@@ -89,8 +89,8 @@ import random
 from .errors import CoxkitError, UnsupportedBraidError
 from .laurent import LaurentPoly
 from .leaves import decorate, enumerate_subexprs, path_dom_leq
-from .polyring import Poly, PolyRing, QCoeff, _root_key
-from .scalars import CycInt, PrimeFieldK
+from .polyring import Poly, PolyRing, QCoeff
+from .scalars import PrimeFieldK
 
 # The unit term of a generator rule (LocalCalculus._rule).
 _UNIT = ("unit",)
@@ -231,7 +231,7 @@ class LocalCalculus:
         # keep only the last double leaf and the current word's down-sets
         self._last_double = (None, None)
         self._down_sets = (None, {})
-        self._one = self.pr.ring.one().coeffs
+        self._one = self.pr.ring.one()
 
     # -- standard summands ---------------------------------------------------
 
@@ -369,7 +369,7 @@ class LocalCalculus:
         if tag == "inv":
             return QCoeff(pr, pr.const(term[3]), den)
         cs, ct = term[4], term[5]
-        num = pr.linear([cs * a + ct * b for a, b in
+        num = pr.linear([tuple(cs * p + ct * q for p, q in zip(a, b)) for a, b in
                          zip(coords, self.ball.root_image(x, term[3]))])
         return QCoeff(pr, pr.reduce_mod_I(num, self.I), den)
 
@@ -558,25 +558,25 @@ class LocalCalculus:
         val = self._diagonal_entry(word, e)
         if val is None:
             return False
-        candidates = {_root_key(root): root for root in
-                      list(self.diagonal_root_candidates(word, e)) + list(val.den)}
+        candidates = dict.fromkeys(
+            list(self.diagonal_root_candidates(word, e)) + list(val.den))
         key = (val.idx, frozenset(candidates))
         got = self._diag_cache.get(key)
         if got is not None:
             return got
-        divisors = [self._divisor(k, root) for k, root in candidates.items()]
+        divisors = [self._divisor(root) for root in candidates]
         got = self._diag_cache[key] = _divides_to_unit(self.pr, val.num, divisors)
         return got
 
-    def _divisor(self, key, root):
+    def _divisor(self, root):
         """(linear form, leading monomial, (adj, norm)) of a nonzero
         candidate root, lc * adj == norm > 0 for its leading coefficient lc
-        (_inverse), cached by its _root_key `key`."""
-        got = self._divisor_cache.get(key)
+        (_inverse), cached by the root."""
+        got = self._divisor_cache.get(root)
         if got is None:
             form = self.pr.linear(root)
             lm, lc = form.lead()
-            got = self._divisor_cache[key] = form, lm, self._inverse(lc.coeffs)
+            got = self._divisor_cache[root] = form, lm, self._inverse(lc)
         return got
 
     def gram_invertible(self, word, x, tries=6, seed=11):
@@ -613,7 +613,7 @@ class LocalCalculus:
             pt = tuple(0 if u in self.I else c for u, c in enumerate(point))
             got = tuple(
                 tuple(sum(map(operator.mul, pt, col)) for col in
-                      zip(*(c.coeffs for c in self.ball.root_image(x, t))))
+                      zip(*self.ball.root_image(x, t)))
                 for t in range(self.pr.rank))
             self._value_cache[key] = got
         return got
@@ -654,7 +654,7 @@ class LocalCalculus:
             return tuple(term[3] * a for a in adj), norm
         cs, ct = term[4], term[5]
         num = tuple(cs * a + ct * b for a, b in zip(r, values[term[3]]))
-        return self.pr.ring._mul_coeffs(num, adj), norm
+        return self.pr.ring.mul(num, adj), norm
 
     def _numeric_matrix(self, op, point):
         """A generator matrix evaluated at an integer point straight from its
@@ -705,7 +705,7 @@ class LocalCalculus:
             new = {}
             for src, v in vec.items():
                 for dst, m in rows.get(src, ()):
-                    w = ring._mul_coeffs(v, m)
+                    w = ring.mul(v, m)
                     cur = new.get(dst)
                     new[dst] = w if cur is None else tuple(map(operator.add, cur, w))
             vec = {k: v for k, v in new.items() if any(v)}
@@ -727,7 +727,7 @@ class LocalCalculus:
         ring = self.pr.ring
         out = self._one
         for s, x in zip(word, stroll):
-            out = ring._mul_coeffs(out, self._stroll_values(x, point)[s])
+            out = ring.mul(out, self._stroll_values(x, point)[s])
         return out
 
     def _euler_table(self, word, point):
@@ -770,7 +770,7 @@ class LocalCalculus:
         col, cden = self._top_vector(word, f, point)
         adj, norm = self._top_inverse(e.endpoint, point)
         euler = self._euler_table(word, point)
-        mul = self.pr.ring._mul_coeffs
+        mul = self.pr.ring.mul
         total = (0,) * len(adj)
         for bits, v in row.items():
             w = col.get(bits)
@@ -977,7 +977,7 @@ def _divides_to_unit(pr, num, divisors):
     succeed, so _divide_by_linear stops it at that coefficient and the
     verdict is the one division over Frac(K) gives."""
     if num.is_constant():
-        return num.constant().is_unit()
+        return pr.ring.is_unit(num.constant())
     for divisor in divisors:
         q = _divide_by_linear(pr, num, divisor)
         if q is not None and _divides_to_unit(pr, q, divisors):
@@ -993,6 +993,7 @@ def _divide_by_linear(pr, poly, divisor):
     quotient coefficient c / lc is c * adj / norm."""
     form, lm, (adj, norm) = divisor
     ring = pr.ring
+    zero = ring.zero()
     rem = dict(poly.coeffs)
     quo = {}
     while rem:
@@ -1000,19 +1001,17 @@ def _divide_by_linear(pr, poly, divisor):
         q_mono = tuple(a - b for a, b in zip(m, lm))
         if any(k < 0 for k in q_mono):
             return None
-        scaled = ring._mul_coeffs(rem.pop(m).coeffs, adj)
+        scaled = ring.mul(rem.pop(m), adj)
         if any(a % norm for a in scaled):
             return None
-        qc = CycInt(ring, (a // norm for a in scaled))
-        quo[q_mono] = qc
+        qc = quo[q_mono] = tuple(a // norm for a in scaled)
         for fm, fc in form.coeffs.items():
             if fm == lm:
                 continue  # leading term already cancelled by the pop
             tm = tuple(a + b for a, b in zip(q_mono, fm))
-            got = rem.get(tm, None)
-            val = (-qc) * fc if got is None else got + (-qc) * fc
-            if val.is_zero():
-                rem.pop(tm, None)
-            else:
+            val = ring.sub(rem.get(tm, zero), ring.mul(qc, fc))
+            if any(val):
                 rem[tm] = val
+            else:
+                rem.pop(tm, None)
     return Poly(pr, quo)

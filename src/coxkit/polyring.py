@@ -17,8 +17,9 @@ on a memo miss.
 
 from __future__ import annotations
 
-from .errors import CoxkitError, NotInvertibleError
-from .scalars import CycInt
+import math
+
+from .errors import CoxkitError, NotInvertibleError, RingParameterError
 
 
 class PolyRing:
@@ -57,12 +58,10 @@ class PolyRing:
         return Poly(self, {mono: self.ring.one()})
 
     def linear(self, coords):
-        """The linear form sum coords[t] * alpha_t."""
+        """The linear form sum coords[t] * alpha_t, coords in K."""
         out = {}
         for t, c in enumerate(coords):
-            if isinstance(c, int):
-                c = self.ring.embed(c)
-            if not c.is_zero():
+            if any(c):
                 mono = tuple(1 if u == t else 0 for u in range(self.rank))
                 out[mono] = c
         return Poly(self, out)
@@ -111,14 +110,11 @@ class PolyRing:
 
     def reduce_root_mod_I(self, coords, I):
         """Image of a root's coordinate vector in R_I; must stay nonzero."""
-        out = tuple(self.ring.zero() if s in I else self._embed(c)
-                    for s, c in enumerate(coords))
-        if all(c.is_zero() for c in out):
+        zero = self.ring.zero()
+        out = tuple(zero if s in I else c for s, c in enumerate(coords))
+        if not any(map(any, out)):
             raise NotInvertibleError("root supported inside I is not invertible in Q_I")
         return out
-
-    def _embed(self, c):
-        return self.ring.embed(c) if isinstance(c, int) else c
 
     def qi_const(self, f):
         return QCoeff(self, f, ())
@@ -131,31 +127,43 @@ class Poly:
 
     def __init__(self, pr, coeffs):
         self.pr = pr
-        self.coeffs = {m: c for m, c in coeffs.items() if not c.is_zero()}
+        self.coeffs = {m: c for m, c in coeffs.items() if any(c)}
+
+    def _ring_of(self, other):
+        """The scalar ring of self and other, which must share it and the
+        rank: two rings of one degree, or two ranks, would mix silently."""
+        pr, opr = self.pr, other.pr
+        if opr is not pr and (opr.ring != pr.ring or opr.rank != pr.rank):
+            raise RingParameterError("mixed polynomial rings: %r rank %d vs %r rank %d"
+                                     % (pr.ring, pr.rank, opr.ring, opr.rank))
+        return pr.ring
 
     def __add__(self, other):
+        add = self._ring_of(other).add
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             got = out.get(m)
-            out[m] = c if got is None else got + c
+            out[m] = c if got is None else add(got, c)
         return Poly(self.pr, out)
 
     def __neg__(self):
-        return Poly(self.pr, {m: -c for m, c in self.coeffs.items()})
+        neg = self.pr.ring.neg
+        return Poly(self.pr, {m: neg(c) for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, CycInt)):
+        if not isinstance(other, Poly):
             other = self.pr.const(other)
+        ring = self._ring_of(other)
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
+                c = ring.mul(c1, c2)
                 got = out.get(m)
-                out[m] = c if got is None else got + c
+                out[m] = c if got is None else ring.add(got, c)
         return Poly(self.pr, out)
 
     __rmul__ = __mul__
@@ -190,24 +198,22 @@ class Poly:
         """Evaluate at integer coordinates alpha_s = point[s], in K."""
         total = self.pr.ring.zero()
         for m, c in self.coeffs.items():
-            term = c
-            for s, k in enumerate(m):
-                for _ in range(k):
-                    term = term * point[s]
-            total = total + term
+            k = math.prod(p ** e for p, e in zip(point, m))
+            total = tuple(a + k * b for a, b in zip(total, c))
         return total
 
     def __repr__(self):
         if not self.coeffs:
             return "0"
+        ring = self.pr.ring
         parts = []
         for m in sorted(self.coeffs, reverse=True):
             c = self.coeffs[m]
             vars_ = "*".join(
                 ("a%d" % (s + 1)) + ("" if k == 1 else "^%d" % k)
                 for s, k in enumerate(m) if k)
-            body = repr(c) if not vars_ else (
-                vars_ if c == 1 else "(%r)*%s" % (c, vars_))
+            body = ring.format(c) if not vars_ else (
+                vars_ if c == ring.one() else "(%s)*%s" % (ring.format(c), vars_))
             parts.append(body)
         return " + ".join(parts)
 
@@ -216,7 +222,7 @@ class QCoeff:
     """num / (product of root images): an element of Q_I, num over K.
 
     The denominator is a formal tuple of root coordinate vectors (each
-    already reduced mod I and nonzero), sorted by _root_key.  The
+    already reduced mod I and nonzero), sorted as tuples.  The
     constructor sorts what it is given; products, sums over one denominator
     and negations keep the order by construction (_make), and a product
     sorts only when both factors have roots.
@@ -233,8 +239,7 @@ class QCoeff:
     __slots__ = ("pr", "num", "den", "idx")
 
     def __new__(cls, pr, num, den=()):
-        return QCoeff._make(
-            pr, num, tuple(sorted((tuple(r) for r in den), key=_root_key)))
+        return QCoeff._make(pr, num, tuple(sorted(map(tuple, den))))
 
     @staticmethod
     def _make(pr, num, den):
@@ -242,8 +247,7 @@ class QCoeff:
         tuple of tuples; the only place a QCoeff is created."""
         if not num.coeffs:
             den = ()
-        key = (frozenset([(m, c.coeffs) for m, c in num.coeffs.items()]),
-               tuple(map(_root_key, den)))
+        key = (frozenset(num.coeffs.items()), den)
         table = pr._qi_table
         q = table.get(key)
         if q is None:
@@ -305,7 +309,7 @@ class QCoeff:
             if not den:
                 den = other.den
             elif other.den:
-                den = tuple(sorted(den + other.den, key=_root_key))
+                den = tuple(sorted(den + other.den))
             got = memo[key] = QCoeff._make(pr, self.num * other.num, den)
         return got
 
@@ -325,10 +329,6 @@ class QCoeff:
         if not self.den:
             return repr(self.num)
         return "(%r) / (%r)" % (self.num, self.den_poly())
-
-
-def _root_key(root):
-    return tuple(c.coeffs for c in root)
 
 
 def _multiset_split(den1, den2):

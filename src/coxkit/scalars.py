@@ -8,24 +8,23 @@ cyclotomic polynomial Phi_{2N} through the substitution
 
     Phi_{2N}(z) = z^(deg/2) * p_N(z + 1/z).
 
-Signs of nonzero elements are decided by evaluating at a shrinking exact
-rational interval around theta; zero is decided algebraically (the canonical
-coefficient vector is zero).
-
-There is one element format, CycInt, for K itself.  An element of Frac(K)
-is an integral coefficient tuple over a positive integer, and r in K is
-inverted as r * adj = N(r) (ScalarRing.adjugate), so no fraction field is
-built.  Every rank, norm and inverse is one integer elimination: a matrix
-over K becomes an integer matrix in the regular representation
-(ScalarRing.regular), ranked over Q by fraction-free bareiss and over F_p by
-rank_mod_p; PrimeFieldK only reduces into F_p and ranks there.
+An element of K is a tuple of `deg` ints, its coefficients in the basis
+1, theta, ..., theta^(deg-1); ScalarRing is the one place that does
+arithmetic on it (add, sub, neg, mul, norm, is_unit).  Zero is the zero
+tuple.  An element of Frac(K) is an integral coefficient tuple over a
+positive integer, and r in K is inverted as r * adj = N(r)
+(ScalarRing.adjugate), so no fraction field is built.  Every rank, norm and
+inverse is one integer elimination: a matrix over K becomes an integer
+matrix in the regular representation (ScalarRing.regular), ranked over Q by
+fraction-free bareiss and over F_p by rank_mod_p; PrimeFieldK only reduces
+into F_p and ranks there.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 import math
+import operator
 
 from .errors import CoxkitError, RingParameterError, UnsupportedCharacteristicError
 
@@ -79,10 +78,6 @@ def minimal_poly(n):
     return tuple(p)
 
 
-def _float_root(n, k):
-    return 2.0 * math.cos(math.pi * k / n)
-
-
 class ScalarRing:
     """The ring Z[theta] with theta = 2cos(pi/N)."""
 
@@ -92,8 +87,6 @@ class ScalarRing:
         self.n = n
         self.poly = minimal_poly(n)
         self.deg = len(self.poly) - 1
-        self._bracket = None
-        self._bracket_rounds = 0
 
     def __repr__(self):
         return "ScalarRing(N=%d)" % self.n
@@ -107,7 +100,7 @@ class ScalarRing:
     # -- element constructors -------------------------------------------
 
     def embed(self, k):
-        return CycInt(self, (k,) + (0,) * (self.deg - 1))
+        return (k,) + (0,) * (self.deg - 1)
 
     def zero(self):
         return self.embed(0)
@@ -119,9 +112,7 @@ class ScalarRing:
         if self.deg == 1:
             # theta is rational: p = x - p[0]... solve linear minimal poly.
             return self.embed(-self.poly[0])
-        coeffs = [0] * self.deg
-        coeffs[1] = 1
-        return CycInt(self, tuple(coeffs))
+        return (0, 1) + (0,) * (self.deg - 2)
 
     def cos_entry(self, m):
         """-2cos(pi/m) as an element of K; m = None means infinity.  The
@@ -138,10 +129,51 @@ class ScalarRing:
         # Dickson recursion: D_0 = 2, D_1 = theta, D_k(2cos x) = 2cos(kx);
         # k = N/m >= 1 as m divides N
         k = self.n // m
-        prev, cur = self.embed(2), self.theta()
+        theta = self.theta()
+        prev, cur = self.embed(2), theta
         for _ in range(k - 1):
-            prev, cur = cur, cur * self.theta() - prev
-        return -cur
+            prev, cur = cur, self.sub(self.mul(cur, theta), prev)
+        return self.neg(cur)
+
+    # -- arithmetic on elements -------------------------------------------
+
+    def add(self, a, b):
+        return tuple(map(operator.add, a, b))
+
+    def sub(self, a, b):
+        return tuple(map(operator.sub, a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        if self.deg == 1:
+            return (a[0] * b[0],)
+        out = [0] * (2 * self.deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] += x * y
+        return self._reduce(out)
+
+    def norm(self, a):
+        """Field norm: the determinant of multiplication by a."""
+        if self.deg == 1:
+            return a[0]
+        return self.adjugate(a)[1]
+
+    def is_unit(self, a):
+        return abs(self.norm(a)) == 1
+
+    def format(self, a):
+        """a as a polynomial in th = theta, e.g. '1 + 2*th + th^2'."""
+        terms = [str(a[0])] if a[0] else []
+        for i, c in enumerate(a[1:], 1):
+            if c:
+                power = "th" if i == 1 else "th^%d" % i
+                terms.append(power if c == 1 else "%d*%s" % (c, power))
+        return " + ".join(terms) or "0"
 
     def mul_columns(self, coeffs):
         """The columns r, r theta, ..., r theta^(deg-1) of the integer matrix
@@ -195,180 +227,6 @@ class ScalarRing:
         coeffs = coeffs[: self.deg]
         coeffs += [0] * (self.deg - len(coeffs))
         return tuple(coeffs)
-
-    def _mul_coeffs(self, a, b):
-        if self.deg == 1:
-            return (a[0] * b[0],)
-        out = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return self._reduce(out)
-
-    def _theta_bracket(self):
-        """Exact rational bracket [lo, hi] isolating theta, p(lo) and p(hi)
-        of opposite signs (lo below theta, hi above)."""
-        if self._bracket is None:
-            if self.deg == 1:
-                v = Fraction(-self.poly[0])
-                self._bracket = (v, v)
-            else:
-                # theta = 2cos(pi/N) is the largest root of p_N; the other
-                # roots are 2cos(k pi / N) for k > 1 coprime to 2N.
-                second = max(
-                    (_float_root(self.n, k) for k in range(2, self.n + 1)
-                     if math.gcd(k, 2 * self.n) == 1),
-                    default=-2.0,
-                )
-                lo = Fraction(*((_float_root(self.n, 1) + second) / 2.0).as_integer_ratio())
-                hi = Fraction(2)
-                if self._eval_sign(lo) * self._eval_sign(hi) >= 0:
-                    raise CoxkitError("bracket does not isolate theta for N = %d"
-                                      % self.n)
-                self._bracket = (lo, hi)
-        return self._bracket
-
-    def _eval_sign(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.poly):
-            acc = acc * x + c
-        return (acc > 0) - (acc < 0)
-
-    def _refine_bracket(self, rounds):
-        # rounds counts total bisections since the initial bracket; the
-        # stored bracket is reused, never re-refined past what was asked
-        lo, hi = self._theta_bracket()
-        if lo == hi or rounds <= self._bracket_rounds:
-            return lo, hi
-        slo = self._eval_sign(lo)
-        for _ in range(rounds - self._bracket_rounds):
-            mid = (lo + hi) / 2
-            sm = self._eval_sign(mid)
-            if sm == 0:
-                raise CoxkitError("rational root of irreducible p_N")
-            if sm == slo:
-                lo = mid
-            else:
-                hi = mid
-        self._bracket = (lo, hi)
-        self._bracket_rounds = rounds
-        return lo, hi
-
-
-class CycInt:
-    """An element of Z[theta], canonical remainder mod p_N."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = tuple(coeffs)
-
-    def _check(self, other):
-        if not isinstance(other, CycInt):
-            if isinstance(other, int):
-                return self.ring.embed(other)
-            return NotImplemented
-        if other.ring.n != self.ring.n:
-            raise RingParameterError("mixed scalar rings N=%d vs N=%d"
-                                     % (self.ring.n, other.ring.n))
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycInt(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycInt(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return CycInt(self.ring, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycInt(self.ring, self.ring._mul_coeffs(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.embed(other)
-        return isinstance(other, CycInt) and other.ring.n == self.ring.n \
-            and other.coeffs == self.coeffs
-
-    def __hash__(self):
-        return hash((self.ring.n, self.coeffs))
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def is_integer(self):
-        return not any(self.coeffs[1:])
-
-    def as_integer(self):
-        if not self.is_integer():
-            raise CoxkitError("%r is not an integer" % (self,))
-        return self.coeffs[0]
-
-    def sign(self):
-        """Exact sign of the real number self(theta)."""
-        if self.is_zero():
-            return 0
-        if self.is_integer():
-            c = self.coeffs[0]
-            return (c > 0) - (c < 0)
-        rounds = 64
-        while True:
-            lo, hi = self.ring._refine_bracket(rounds)
-            vlo, vhi = self._interval_eval(lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            rounds *= 2
-
-    def norm(self):
-        """Field norm (determinant of the multiplication-by-self matrix)."""
-        if self.ring.deg == 1:
-            return self.coeffs[0]
-        return self.ring.adjugate(self.coeffs)[1]
-
-    def is_unit(self):
-        return abs(self.norm()) == 1
-
-    def _interval_eval(self, lo, hi):
-        vlo = vhi = Fraction(0)
-        for c in reversed(self.coeffs):
-            cand = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-            vlo, vhi = min(cand) + c, max(cand) + c
-        return vlo, vhi
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("%d*th" % c if c != 1 else "th")
-            else:
-                terms.append("%d*th^%d" % (c, i) if c != 1 else "th^%d" % i)
-        return " + ".join(terms) if terms else "0"
 
 
 def bareiss(rows):

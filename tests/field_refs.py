@@ -2,16 +2,19 @@
 
 `CycRat` is Frac(K) with coordinates in Fraction, the tests' reference for
 every value the library carries as an integral K tuple over a positive
-integer.  `prime_field_ops` gives the element operations of a `PrimeFieldK`
-(zero, one, is_zero, sub, mul, inv) for the tests' Gauss-Jordan ranks.
+integer.  `sign` and `root_sign` are the root-sign oracle: the exact sign
+of an element of K as a real number.  `prime_field_ops` gives the element
+operations of a `PrimeFieldK` (zero, one, is_zero, sub, mul, inv) for the
+tests' Gauss-Jordan ranks.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
 from coxkit.errors import CoxkitError, NotInvertibleError
-from coxkit.scalars import CycInt, _pmod_mulmod, _pmod_powmod
+from coxkit.scalars import _pmod_mulmod, _pmod_powmod
 
 
 class CycRat:
@@ -23,10 +26,6 @@ class CycRat:
     def __init__(self, ring, coeffs):
         self.ring = ring
         self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    @staticmethod
-    def from_cycint(a):
-        return CycRat(a.ring, a.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, CycRat):
@@ -96,13 +95,70 @@ class CycRat:
     def is_integral(self):
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def to_cycint(self):
+    def to_integral(self):
+        """self as an element of K, an integral coefficient tuple."""
         if not self.is_integral():
             raise CoxkitError("%r is not integral" % (self,))
-        return CycInt(self.ring, (int(c) for c in self.coeffs))
+        return tuple(int(c) for c in self.coeffs)
 
     def __repr__(self):
         return "CycRat%r" % (self.coeffs,)
+
+
+def _poly_sign(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+@lru_cache(maxsize=None)
+def _theta_bracket(ring, rounds):
+    """A rational interval [lo, hi] around theta = 2cos(pi/N), deg K >= 2,
+    after `rounds` bisections.  theta is the largest root of p_N, and the
+    next one is 2cos(k pi / N) for the least k > 1 coprime to 2N, so the
+    start [midpoint of the two, 2] isolates theta."""
+    second = max((2 * math.cos(math.pi * k / ring.n) for k in range(2, ring.n + 1)
+                  if math.gcd(k, 2 * ring.n) == 1), default=-2.0)
+    lo, hi = Fraction((2 * math.cos(math.pi / ring.n) + second) / 2), Fraction(2)
+    slo = _poly_sign(ring.poly, lo)
+    if slo * _poly_sign(ring.poly, hi) >= 0:
+        raise CoxkitError("bracket does not isolate theta for N = %d" % ring.n)
+    for _ in range(rounds):
+        mid = (lo + hi) / 2
+        if _poly_sign(ring.poly, mid) == slo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def sign(ring, a):
+    """Exact sign of the real number a(theta), a in K: a is evaluated over
+    ever finer rational intervals around theta until the value interval
+    excludes 0.  Zero is the zero tuple."""
+    if not any(a[1:]):
+        return (a[0] > 0) - (a[0] < 0)
+    rounds = 64
+    while True:
+        lo, hi = _theta_bracket(ring, rounds)
+        vlo = vhi = Fraction(0)
+        for c in reversed(a):
+            cand = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+            vlo, vhi = min(cand) + c, max(cand) + c
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        rounds *= 2
+
+
+def root_sign(ring, root):
+    """+1 / -1 for a positive / negative root, per the sign dichotomy."""
+    signs = {sign(ring, c) for c in root}
+    if {1, -1} <= signs:
+        raise CoxkitError("root with mixed coordinate signs")
+    return -1 if -1 in signs else 1
 
 
 def prime_field_ops(field):

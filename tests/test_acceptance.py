@@ -13,13 +13,13 @@ import time
 import pytest
 
 from coxkit.coxeter import CoxeterMatrix, build_ball
-from coxkit.errors import CoxkitError
 from coxkit.hecke import bar
 from coxkit.laurent import ONE
 from coxkit.leaves import char_of_word, enumerate_subexprs, graded_rank
 from coxkit.localization import LocalCalculus, relation_oracle
 from coxkit.parabolic import (NElt, ParabolicKLTable, check_deodhar,
                               check_finitary, check_monotonicity)
+from field_refs import root_sign
 
 
 def criterion(n):
@@ -41,21 +41,9 @@ def ball_of(name, cap):
     return build_ball(CoxeterMatrix.from_type(name), cap)
 
 
-def root_sign(root):
-    """+1 / -1 for a positive / negative root, per the sign dichotomy."""
-    pos = neg = False
-    for c in root:
-        sg = c.sign()
-        pos |= sg > 0
-        neg |= sg < 0
-    if pos and neg:
-        raise CoxkitError("root with mixed coordinate signs")
-    return -1 if neg else 1
-
-
 def right_descends(ball, x, s):
     """The root-theoretic descent oracle: x(alpha_s) is a negative root."""
-    return root_sign(ball.root_image(x, s)) < 0
+    return root_sign(ball.ring, ball.root_image(x, s)) < 0
 
 
 def all_subsets(rank):

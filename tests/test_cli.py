@@ -142,7 +142,7 @@ def test_bad_matrix_file_exit_2(capsys, tmp_path, name, content):
     assert json.loads(err)["error"] == "UsageError"
 
 
-@pytest.mark.parametrize("name", ["Ax", "A", "I2_x"])
+@pytest.mark.parametrize("name", ["Ax", "A", "I2_x", "A-1", "affA-1", "affA0"])
 def test_bad_type_number_exit_2(capsys, name):
     rc, _, err = run(capsys, ["klpoly", "--type", name, "--cap", "2"])
     assert rc == 2

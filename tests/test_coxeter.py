@@ -8,6 +8,7 @@ import pytest
 
 from coxkit.coxeter import INF, CoxeterMatrix, GroupBall, build_ball
 from coxkit.errors import CoxkitError, NotFinitaryError, UsageError
+from field_refs import root_sign
 
 
 def matrix_of(name):
@@ -23,21 +24,9 @@ def ball_of(name, cap):
     return build_ball(matrix_of(name), cap)
 
 
-def root_sign(root):
-    """+1 / -1 for a positive / negative root, per the sign dichotomy."""
-    pos = neg = False
-    for c in root:
-        sg = c.sign()
-        pos |= sg > 0
-        neg |= sg < 0
-    if pos and neg:
-        raise CoxkitError("root with mixed coordinate signs")
-    return -1 if neg else 1
-
-
 def right_descends(ball, x, s):
     """The root-theoretic descent oracle: x(alpha_s) is a negative root."""
-    return root_sign(ball.root_image(x, s)) < 0
+    return root_sign(ball.ring, ball.root_image(x, s)) < 0
 
 
 # -- matrices -------------------------------------------------------------------
@@ -49,6 +38,10 @@ def test_matrix_validation():
         CoxeterMatrix(((2, 3), (3, 1)))  # bad diagonal
     with pytest.raises(UsageError):
         CoxeterMatrix(((1, 1), (1, 1)))  # off-diagonal < 2
+    for name, family in (("A-1", "A n"), ("affA-1", "affA n"), ("affA0", "affA n")):
+        with pytest.raises(UsageError, match=family):
+            CoxeterMatrix.from_type(name)
+    assert CoxeterMatrix.from_type("A0").rank == 0  # the trivial Coxeter system
 
 
 def test_matrix_json_roundtrip():
@@ -109,7 +102,7 @@ def test_root_dichotomy(name, cap):
     ball = ball_of(name, cap)
     for x in ball.elements:
         for s in range(ball.rank):
-            signs = {root_sign(ball.root_image(x, s))}
+            signs = {root_sign(ball.ring, ball.root_image(x, s))}
             assert signs <= {1, -1}
 
 
@@ -122,9 +115,9 @@ def walked_root_image(ball, x, s):
         # reflection t: v -> v - <v, alpha_t^vee> alpha_t
         pair = ring.zero()
         for u, c in enumerate(v):
-            if not c.is_zero():
-                pair = pair + c * ball.cartan[u][t]
-        v[t] = v[t] - pair
+            if any(c):
+                pair = ring.add(pair, ring.mul(c, ball.cartan[u][t]))
+        v[t] = ring.sub(v[t], pair)
     return tuple(v)
 
 
@@ -154,7 +147,7 @@ def test_root_image_of_a_long_element_needs_no_recursion():
 
 def reference_ball(matrix, cap):
     """Words and right table of the ball keyed by full reflection matrices
-    over CycInt, breadth first as GroupBall: column u of x's matrix is
+    over K, breadth first as GroupBall: column u of x's matrix is
     x(alpha_u), and xs(alpha_u) = x(alpha_u) - <alpha_u, alpha_s^vee> x(alpha_s).
     At length cap only products already found are recorded."""
     ring = matrix.scalar_ring()
@@ -172,8 +165,8 @@ def reference_ball(matrix, cap):
                 if right[x][s] is not None:
                     continue
                 m = mats[x]
-                y = tuple(tuple(a - cartan[u][s] * b for a, b in zip(m[u], m[s]))
-                          for u in range(rank))
+                y = tuple(tuple(ring.sub(a, ring.mul(cartan[u][s], b))
+                                for a, b in zip(m[u], m[s])) for u in range(rank))
                 j = index.get(y)
                 if j is None:
                     if length == cap:

@@ -84,9 +84,10 @@ def test_reduce_mod_I(a2, aff):
 
 def test_qi_invert_root(a2):
     ball, pr = a2
+    one, zero = pr.ring.one(), pr.ring.zero()
     with pytest.raises(NotInvertibleError):
-        pr.reduce_root_mod_I((1, 0), frozenset({0}))
-    q = QCoeff(pr, pr.one(), (pr.reduce_root_mod_I((1, 1), frozenset({0})),))
+        pr.reduce_root_mod_I((one, zero), frozenset({0}))
+    q = QCoeff(pr, pr.one(), (pr.reduce_root_mod_I((one, one), frozenset({0})),))
     # (alpha_s + alpha_t) mod I is alpha_t; the inverse times alpha_t is 1
     assert q * pr.qi_const(pr.alpha(1)) == pr.qi_const(pr.one())
 
@@ -122,7 +123,7 @@ def test_qcoeff_arithmetic(a2):
 def test_poly_evaluate(a2):
     ball, pr = a2
     f = pr.alpha(0) * pr.alpha(1) + pr.const(4)
-    assert f.evaluate((pr.ring.embed(2), pr.ring.embed(3))) == pr.ring.embed(10)
+    assert f.evaluate((2, 3)) == pr.ring.embed(10)
 
 
 def test_degree_and_homogeneity(a2):

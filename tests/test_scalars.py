@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from coxkit.coxeter import CoxeterMatrix, build_ball
 from coxkit.errors import (CoxkitError, NotInvertibleError, RingParameterError,
                            UnsupportedCharacteristicError)
-from coxkit.scalars import CycInt, PrimeFieldK, ScalarRing, bareiss
-from field_refs import CycRat, prime_field_ops
+from coxkit.localization import LocalCalculus
+from coxkit.polyring import PolyRing
+from coxkit.scalars import PrimeFieldK, ScalarRing, bareiss
+from field_refs import CycRat, prime_field_ops, sign
 
 
 @pytest.fixture
@@ -17,24 +20,19 @@ def R6():
     return ScalarRing(6)
 
 
-def from_coeffs(ring, coeffs):
-    """The element of K with the given power-basis coefficients."""
-    return CycInt(ring, ring._reduce(list(coeffs)))
-
-
 def test_cos_entry_infinite_is_minus_two(R6):
     assert R6.cos_entry(None) == R6.embed(-2)
 
 
 def test_cos_entry_m2_is_zero(R6):
-    assert R6.cos_entry(2).is_zero()
+    assert R6.cos_entry(2) == R6.zero()
 
 
 def test_cos_entry_m3_in_ring_six(R6):
     # -2cos(pi/3) = -1; via Chebyshev rewriting -(theta^2 - 2) with theta^2 = 3
     assert R6.cos_entry(3) == R6.embed(-1)
     theta = R6.theta()
-    assert -(theta * theta - R6.embed(2)) == R6.embed(-1)
+    assert R6.neg(R6.sub(R6.mul(theta, theta), R6.embed(2))) == R6.embed(-1)
 
 
 def test_cos_entry_requires_divisor():
@@ -56,33 +54,34 @@ def test_cos_entry_m2_and_m3_are_integers_in_every_ring():
 def test_cos_entry_m4_squares_to_two():
     R = ScalarRing(4)
     c = R.cos_entry(4)
-    assert c * c == R.embed(2)
+    assert R.mul(c, c) == R.embed(2)
 
 
 def test_theta_squared_reduces(R6):
     theta = R6.theta()
-    assert theta * theta == R6.embed(3)
+    assert R6.mul(theta, theta) == R6.embed(3)
 
 
 def test_ring_ops(R6):
-    a = R6.theta() + R6.embed(7)
-    assert a + R6.zero() == a
-    assert R6.embed(5) * R6.embed(2) == R6.embed(10)
-    assert a - a == R6.zero()
-    assert (-a) + a == R6.zero()
+    a = R6.add(R6.theta(), R6.embed(7))
+    assert R6.add(a, R6.zero()) == a
+    assert R6.mul(R6.embed(5), R6.embed(2)) == R6.embed(10)
+    assert R6.sub(a, a) == R6.zero()
+    assert R6.add(R6.neg(a), a) == R6.zero()
 
 
 def test_sign_examples(R6):
-    assert R6.zero().sign() == 0
-    assert (R6.theta() - R6.embed(1)).sign() == 1  # sqrt(3) > 1
-    assert (R6.theta() * R6.theta() - R6.embed(3)).sign() == 0
+    theta = R6.theta()
+    assert sign(R6, R6.zero()) == 0
+    assert sign(R6, R6.sub(theta, R6.embed(1))) == 1  # sqrt(3) > 1
+    assert sign(R6, R6.sub(R6.mul(theta, theta), R6.embed(3))) == 0
 
 
 def test_sign_zero_iff_canonical_zero(R6):
     rng = random.Random(5)
     for _ in range(200):
-        a = from_coeffs(R6, [rng.randint(-4, 4) for _ in range(R6.deg)])
-        assert (a.sign() == 0) == a.is_zero()
+        a = tuple(rng.randint(-4, 4) for _ in range(R6.deg))
+        assert (sign(R6, a) == 0) == (a == R6.zero())
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 12])
@@ -91,30 +90,28 @@ def test_sign_matches_float_evaluation(n):
     theta = 2 * math.cos(math.pi / n)
     rng = random.Random(n)
     for _ in range(1000):
-        coeffs = [rng.randint(-6, 6) for _ in range(R.deg)]
-        a = from_coeffs(R, coeffs)
-        approx = sum(c * theta ** i for i, c in enumerate(coeffs))
+        a = tuple(rng.randint(-6, 6) for _ in range(R.deg))
+        approx = sum(c * theta ** i for i, c in enumerate(a))
         if abs(approx) > 1e-9:
-            assert a.sign() == (1 if approx > 0 else -1)
+            assert sign(R, a) == (1 if approx > 0 else -1)
         else:
-            assert a.sign() == 0
+            assert sign(R, a) == 0
 
 
 def test_norm_and_units(R6):
-    assert R6.one().is_unit()
-    assert (-R6.one()).is_unit()
-    assert not R6.embed(2).is_unit()
-    assert R6.embed(6).norm() == 36  # deg-2 ring: norm of an integer k is k^2
+    assert R6.is_unit(R6.one())
+    assert R6.is_unit(R6.neg(R6.one()))
+    assert not R6.is_unit(R6.embed(2))
+    assert R6.norm(R6.embed(6)) == 36  # deg-2 ring: norm of an integer k is k^2
     # 2 + theta has norm 4 - 3 = 1 in Z[sqrt(3)]
-    assert (R6.embed(2) + R6.theta()).is_unit()
+    assert R6.is_unit(R6.add(R6.embed(2), R6.theta()))
 
 
 def test_cycrat_inverse_roundtrip(R6):
     rng = random.Random(11)
-    one = CycRat.from_cycint(R6.one())
+    one = CycRat(R6, R6.one())
     for _ in range(100):
-        a = CycRat.from_cycint(
-            from_coeffs(R6, [rng.randint(-5, 5) for _ in range(R6.deg)]))
+        a = CycRat(R6, (rng.randint(-5, 5) for _ in range(R6.deg)))
         if a.is_zero():
             continue
         assert a * a.inverse() == one
@@ -122,10 +119,10 @@ def test_cycrat_inverse_roundtrip(R6):
 
 
 def test_cycrat_integrality(R6):
-    half = CycRat.from_cycint(R6.one()) / CycRat.from_cycint(R6.embed(2))
+    half = CycRat(R6, R6.one()) / CycRat(R6, R6.embed(2))
     assert not half.is_integral()
     assert (half + half).is_integral()
-    assert (half + half).to_cycint() == R6.one()
+    assert (half + half).to_integral() == R6.one()
 
 
 def test_prime_field_basic():
@@ -133,7 +130,7 @@ def test_prime_field_basic():
     for p in (2, 3, 5, 97):
         F = PrimeFieldK(R, p)
         Fp = prime_field_ops(F)
-        a = F.reduce(R.embed(p + 1).coeffs, 1)
+        a = F.reduce(R.embed(p + 1), 1)
         assert Fp.mul(a, Fp.inv(a)) == Fp.one()
         assert a == (1,)
         assert F.reduce((-1,), p + 1) == (p - 1,)
@@ -147,13 +144,13 @@ def test_prime_field_basic():
 
 def test_partial_operations_raise_typed_errors(R6):
     # these checks used to be asserts, which python -O strips
-    half = CycRat.from_cycint(R6.one()) / 2
+    half = CycRat(R6, R6.one()) / 2
     with pytest.raises(NotInvertibleError):
-        CycRat.from_cycint(R6.zero()).inverse()
+        CycRat(R6, R6.zero()).inverse()
     with pytest.raises(CoxkitError):
-        half.to_cycint()
+        half.to_integral()
     with pytest.raises(CoxkitError):
-        R6.theta().as_integer()
+        PrimeFieldK(R6, 5).reduce(R6.theta(), 5)  # theta / 5 has no image mod 5
     F = prime_field_ops(PrimeFieldK(ScalarRing(1), 5))
     with pytest.raises(NotInvertibleError):
         F.inv(F.zero())
@@ -176,16 +173,21 @@ def test_prime_field_rejects_split_prime():
 def test_prime_field_rejects_bad_denominator():
     R = ScalarRing(1)
     F = PrimeFieldK(R, 5)
-    fifth = CycRat.from_cycint(R.one()) / CycRat.from_cycint(R.embed(5))
+    fifth = CycRat(R, R.one()) / CycRat(R, R.embed(5))
     with pytest.raises(UnsupportedCharacteristicError):
         F.reduce((fifth.coeffs[0].numerator,), fifth.coeffs[0].denominator)
 
 
 def test_mixed_ring_arithmetic_rejected():
-    a = ScalarRing(6).one()
-    b = ScalarRing(4).one()
-    with pytest.raises(Exception):
-        a + b
+    # I2_6 and B2: N = 6 and 4, both of degree 2, so the coefficient tuples
+    # alone cannot tell them apart; A2 and A3: one ring, two ranks
+    for a, b in (("I2_6", "B2"), ("A2", "A3")):
+        p, q = (PolyRing(build_ball(CoxeterMatrix.from_type(t), 2)) for t in (a, b))
+        for f, g in ((p.alpha(0), q.alpha(1)), (p.alpha(1), q.alpha(1))):
+            with pytest.raises(RingParameterError):
+                f + g
+            with pytest.raises(RingParameterError):
+                f * g
 
 
 # -- the one exact elimination, against Fraction references -------------------
@@ -264,11 +266,14 @@ def test_bareiss_matches_fraction_elimination_on_sparse_matrices():
 
 
 def _laplace_det(ring, rows):
-    """Determinant of a square matrix of CycInt by Laplace expansion."""
+    """Determinant of a square matrix over K by Laplace expansion."""
     if not rows:
         return ring.one()
-    return sum((rows[0][j] * _laplace_det(ring, [r[:j] + r[j + 1:] for r in rows[1:]])
-                * (-1) ** j for j in range(len(rows))), ring.zero())
+    det = ring.zero()
+    for j in range(len(rows)):
+        term = ring.mul(rows[0][j], _laplace_det(ring, [r[:j] + r[j + 1:] for r in rows[1:]]))
+        det = ring.sub(det, term) if j % 2 else ring.add(det, term)
+    return det
 
 
 @pytest.mark.parametrize("n", [5, 6, 12])
@@ -283,14 +288,14 @@ def test_bareiss_det_over_k_matches_laplace_expansion(n):
         size, inner = rng.randint(0, 4), rng.randint(0, 4)
         # K entries: coefficient-wise random matrices of the same shape
         parts = [_random_matrix(rng, size, size, inner, -3, 3) for _ in range(R.deg)]
-        mat = [[from_coeffs(R, [p[i][j] for p in parts]) for j in range(size)]
+        mat = [[tuple(p[i][j] for p in parts) for j in range(size)]
                for i in range(size)]
         want = _laplace_det(R, mat)
-        rank, det = bareiss(R.regular([[c.coeffs for c in row] for row in mat]))
-        assert det == _fraction_norm(want), mat
-        assert (rank == size * R.deg) == (not want.is_zero())
-        nonzero += not want.is_zero()
-        singular += want.is_zero() and size > 0
+        rank, det = bareiss(R.regular(mat))
+        assert det == _fraction_norm(R, want), mat
+        assert (rank == size * R.deg) == any(want)
+        nonzero += any(want)
+        singular += not any(want) and size > 0
     assert nonzero > 10 and singular > 5
 
 
@@ -302,12 +307,12 @@ def _mul_columns(ring, coeffs):
     return cols
 
 
-def _fraction_norm(a):
+def _fraction_norm(ring, a):
     """N(a) by Gaussian elimination over Fraction on the multiplication
     matrix (the elimination norm() ran before adjugate)."""
-    cols = _mul_columns(a.ring, a.coeffs)
-    rows = [[col[i] for col in cols] for i in range(a.ring.deg)]
-    det = _fraction_rank_det(rows, a.ring.deg)[1]
+    cols = _mul_columns(ring, a)
+    rows = [[col[i] for col in cols] for i in range(ring.deg)]
+    det = _fraction_rank_det(rows, ring.deg)[1]
     assert det.denominator == 1
     return int(det)
 
@@ -336,19 +341,19 @@ def test_adjugate_norm_and_inverse_match_fraction_eliminations(n, deg):
     rng = random.Random(n)
     negative = 0
     for _ in range(150):
-        a = from_coeffs(R, [rng.randint(-9, 9) for _ in range(deg)])
-        adj, det = R.adjugate(a.coeffs)
-        assert det == a.norm() == _fraction_norm(a)
-        assert a * CycInt(R, adj) == R.embed(det)
+        a = tuple(rng.randint(-9, 9) for _ in range(deg))
+        adj, det = R.adjugate(a)
+        assert det == R.norm(a) == _fraction_norm(R, a)
+        assert R.mul(a, adj) == R.embed(det)
         negative += det < 0
         q = CycRat(R, (Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                        for _ in range(deg)))
         if not q.is_zero():
             assert q.inverse() == _fraction_inverse(q)
-            assert a.is_zero() or CycRat.from_cycint(a).inverse() == \
-                _fraction_inverse(CycRat.from_cycint(a))
+            assert not any(a) or CycRat(R, a).inverse() == \
+                _fraction_inverse(CycRat(R, a))
     assert negative > 10
-    assert R.adjugate(R.zero().coeffs)[1] == 0
+    assert R.adjugate(R.zero())[1] == 0
 
 
 def _fraction_reduce(F, coeffs, den):
@@ -380,3 +385,67 @@ def test_prime_field_reduce_refuses_exactly_when_a_coefficient_does(n, p):
         else:
             assert F.reduce(coeffs, den) == want
     assert 50 < refused < 450
+
+
+# -- one element format: integral coefficient tuples ---------------------------
+
+def _is_element(ring, a):
+    return type(a) is tuple and len(a) == ring.deg and all(type(c) is int for c in a)
+
+
+# rank-3 matrices with m12, m13, m23 = 3, 2, 7 and 4, 5, 7
+_RANK3 = {"M_3_2_7": ((1, 3, 2), (3, 1, 7), (2, 7, 1)),
+          "M_4_5_7": ((1, 4, 5), (4, 1, 7), (5, 7, 1))}
+
+
+@pytest.mark.parametrize("name, deg", [("A3", 1), ("B3", 2), ("M_3_2_7", 3),
+                                       ("I2_12", 4), ("M_4_5_7", 48)])
+def test_k_values_are_tuples_of_deg_ints(name, deg):
+    """Every element of K the library hands out is a tuple of deg ints:
+    ring constants, Cartan entries, root images, Poly coefficients (linear,
+    w_action, demazure), Poly.evaluate and the stroll values at a point."""
+    matrix = CoxeterMatrix(_RANK3[name]) if name in _RANK3 \
+        else CoxeterMatrix.from_type(name)
+    ball = build_ball(matrix, 3)
+    ring, rank = ball.ring, ball.rank
+    assert ring.deg == deg
+    consts = [ring.embed(3), ring.zero(), ring.one(), ring.theta(), ring.cos_entry(None)]
+    consts += [c for row in ball.cartan for c in row]
+    assert all(_is_element(ring, c) for c in consts)
+    calc = LocalCalculus(ball)
+    pr = calc.pr
+    point = tuple(range(2, 2 + rank))
+    f = pr.alpha(0) * pr.alpha(rank - 1) + pr.const(3)
+    for x in ball.elements:
+        roots = [ball.root_image(x, s) for s in range(rank)]
+        assert all(_is_element(ring, c) for root in roots for c in root)
+        polys = [pr.linear(root) for root in roots]
+        polys += [pr.w_action(x, f), pr.demazure(0, pr.w_action(x, f))]
+        assert all(_is_element(ring, c) for g in polys for c in g.coeffs.values())
+        assert all(_is_element(ring, g.evaluate(point)) for g in polys)
+        assert all(_is_element(ring, v) for v in calc._stroll_values(x, point))
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 6, 7, 12, 140])
+def test_element_ops_match_the_fraction_reference(n):
+    """add, sub, neg and mul against CycRat (Fraction coordinates), norm and
+    is_unit against the Fraction elimination of the multiplication matrix;
+    at N = 140 (deg 48) one adjugate takes seconds, so norm and is_unit are
+    left out there, and 50 elements keep the Fraction products short."""
+    R = ScalarRing(n)
+    rng = random.Random(n)
+    zero = CycRat(R, R.zero())
+    units = 0
+    for _ in range(50 if n == 140 else 500):
+        a, b = (tuple(rng.randint(-2, 2) for _ in range(R.deg)) for _ in range(2))
+        ra, rb = CycRat(R, a), CycRat(R, b)
+        assert CycRat(R, R.add(a, b)) == ra + rb
+        assert CycRat(R, R.sub(a, b)) == ra - rb
+        assert CycRat(R, R.neg(a)) == zero - ra
+        assert CycRat(R, R.mul(a, b)) == ra * rb
+        if n != 140:
+            norm = _fraction_norm(R, a)
+            assert R.norm(a) == norm
+            assert R.is_unit(a) == (abs(norm) == 1)
+            units += abs(norm) == 1
+    assert n == 140 or units > 0

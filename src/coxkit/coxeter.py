@@ -178,7 +178,10 @@ class Element:
 
 
 class GroupBall:
-    """All elements of (W, S) of length <= length_cap, breadth first."""
+    """All elements of (W, S) of length <= length_cap, breadth first.
+
+    right_idx[i][s] is the index of elements[i] * s, or None outside the
+    ball."""
 
     def __init__(self, matrix, length_cap):
         self.matrix = matrix
@@ -257,7 +260,7 @@ class GroupBall:
                     if j is not None:
                         right[x][s] = j
                         right[j][s] = x
-        self._right = right
+        self.right_idx = right
         self.elements = [Element(self, i, w) for i, w in enumerate(words)]
         self.identity = self.elements[0]
 
@@ -268,7 +271,7 @@ class GroupBall:
 
     def right(self, x, s):
         """x*s, or None if it falls outside the ball."""
-        j = self._right[x.idx][s]
+        j = self.right_idx[x.idx][s]
         return self.elements[j] if j is not None else None
 
     def right_checked(self, x, s):

@@ -16,9 +16,24 @@ every I.
 The rule above is written once, in `_bs_raw`, on raw polynomials: plain
 {exponent: int} dicts.  `ParaElt.mul_bs` wraps its result as LaurentPoly
 values; the induction (`ParabolicKLTable._induce`) keeps the candidate
-column raw while it strips the v^{<=0} tails in place, and wraps it once at
-the end.  Each table interns its polynomials, so every entry equal to a
-given polynomial is one shared (immutable) LaurentPoly.
+column raw while it strips the v^{<=0} tails in place, and wraps only the
+entries it reads.  Each table interns its polynomials, so every entry equal
+to a given polynomial is one shared (immutable) LaurentPoly.
+
+Most of a column follows from a few of its entries.  Write d_x = sum_y p_y
+n_y.  For every right descent t of x, d_x b_t = (v + v^{-1}) d_x, and the
+coefficient of n_y on the left is p_{yt} + v p_y when yt > y lies in ^IW,
+and 0 in N when yt is not in ^IW.  Equating it with (v + v^{-1}) p_y gives
+the descent rule
+
+    p_y = v p_{yt}    yt > y, yt in ^IW
+    p_y = 0           yt not in ^IW, in N only (M sets no condition there)
+
+(Deodhar, J. Algebra 111, 1987, for the parabolic case; du Cloux,
+Experiment. Math. 11, 2002, reduces KL tables to the extremal pairs it
+leaves).  So the induction computes from b_{xs} b_s only the entries y that
+no descent of x shifts, checks that the ones the rule sets to 0 are 0, and
+fills every other entry with v times an entry one longer.
 """
 
 from __future__ import annotations
@@ -181,6 +196,9 @@ class ParabolicKLTable:
         self._b = {ball.identity: cls.unit(ball, self.I)}
         # sorted (exponent, coeff) items -> the one LaurentPoly of this table
         self._polys = {((0, 1),): ONE}
+        # id of an interned polynomial p -> the interned v p
+        self._vshift = {}
+        self._down = self._up = None
 
     def b(self, x):
         got = self._b.get(x)
@@ -188,26 +206,102 @@ class ParabolicKLTable:
             got = self._b[x] = self._induce(x)
         return got
 
-    def _induce(self, x):
-        """Forms b_{xs} b_s for the largest-index descent s and strips the
-        bar-symmetric completions of all v^{<=0} tails of lower terms.
-
-        The candidate is a raw column {z: {exponent: int}}; the lower terms
-        are visited once each, longest first, and each strip subtracts
-        corr * b_z from it in place.  The result must be the defining shape
-        d_x in n_x + sum_{y != x} vZ[v] n_y.
-        """
+    def _descent_masks(self):
+        """Bitmasks over S per ball index, read from the ball's right_idx
+        table: `_down` holds each element's right descents, and for y in
+        ^IW `_up` holds the s with ys > y in ^IW."""
         ball = self.ball
-        s = max(ball.right_descents(x))
-        start = self.b(ball.right(x, s))
-        cand = _bs_raw(ball, self.I, self.spherical,
-                       {y: p.coeffs for y, p in start.coeffs.items()}, s)
-        lower = sorted((z for z in cand if z is not x),
-                       key=lambda z: (-z.length, z.word))
+        els = ball.elements
+        inq = None
+        if self.I:
+            inq = bytearray(len(els))
+            for y in ball.min_reps(self.I):
+                inq[y.idx] = 1
+        self._down, self._up = down, up = [], []
+        for y, row in zip(els, ball.right_idx):
+            d = u = 0
+            for s, j in enumerate(row):
+                if j is not None:
+                    if els[j].length < y.length:
+                        d |= 1 << s
+                    elif inq is None or inq[j]:
+                        u |= 1 << s
+            down.append(d)
+            up.append(u)
+
+    def _intern(self, y, x, q):
+        """The table's one LaurentPoly equal to the raw entry q at y of d_x,
+        or None for zero; off the top it must lie in vZ[v]."""
+        if 0 in q.values():         # a cancellation left a zero
+            q = {e: c for e, c in q.items() if c}
+        if not q:
+            return None
+        key = tuple(sorted(q.items()))
+        if y is not x and key[0][0] <= 0:
+            raise CoxkitError("canonical-basis induction left a coefficient "
+                              "outside vZ[v] at %r in d_%r" % (y, x))
+        p = self._polys.get(key)
+        if p is None:
+            p = self._polys[key] = LaurentPoly(dict(key))
+        return p
+
+    def _induce(self, x):
+        """d_x = sum_y p_y n_y from b_{xs} b_s, s the largest-index descent
+        of x, by the descent rule of the module docstring.  Let D be the
+        right descents of x.  Each y falls in one of three kinds:
+
+        - shifted: some t in D has yt > y in ^IW, so p_y = v p_{yt}.  The
+          lowest such t names the source yt.  A shifted entry is v times
+          its source, read through the table's shift memo: it is not
+          re-induced, and its source was checked when it was filled.
+        - computed: every other y.  These are the extremal entries, where
+          every t in D has yt < y (or, in M, yt outside ^IW), and in N the
+          entries with some yt outside ^IW, which must vanish.  They take
+          the value of b_{xs} b_s minus the bar-symmetric completions
+          corr * b_z of all v^{<=0} tails of lower terms z, stripped once
+          each, longest first; only they are sorted and interned.
+        - missing source: a shifted y of the candidate whose source is not
+          in the column.  Then p_y = 0, and y is computed too.
+
+        Only the entries of b_{xs} whose image is read go to _bs_raw: every
+        z with zs < z or zs outside ^IW, and an up entry z only when zs is
+        computed.  A skipped entry has no tail: every entry of b_{xs} but
+        the top lies in vZ[v], so a skipped z adds only vZ[v] terms (v p_z
+        at z, p_z at zs), and the top xs is never skipped, as its image x is
+        computed.  So the tails and corrections are those of the full
+        product, and a skipped entry changes only unread entries.  Its
+        terms are added back at a missing source, the one unread entry
+        that is checked.
+
+        Every computed entry is checked: it must lie in vZ[v], the top term
+        must be 1, and an entry that must vanish must be 0; CoxkitError
+        otherwise.
+        """
+        if self._down is None:
+            self._descent_masks()
+        down, up = self._down, self._up
+        ball, I, spherical = self.ball, self.I, self.spherical
+        els, right = ball.elements, ball.right_idx
+        desc = down[x.idx]
+        s = desc.bit_length() - 1
+        bit = 1 << s
+        start = self.b(els[right[x.idx][s]])
+        feed, skipped = {}, {}
+        for z, p in start.coeffs.items():
+            i = z.idx
+            if up[i] & bit and up[right[i][s]] & desc:
+                skipped[z] = p.coeffs
+            else:
+                feed[z] = p.coeffs
+        cand = _bs_raw(ball, I, spherical, feed, s)
+        lower = sorted((z for z in cand if z is not x), key=_idx, reverse=True)
         for z in lower:
             # tail sum_{e<=0} c_e v^e -> corr = c_0 + sum_{e<0} c_e (v^e + v^-e)
+            q = cand[z]
+            if min(q) > 0:
+                continue
             corr = {}
-            for e, c in cand[z].items():
+            for e, c in q.items():
                 if e <= 0 and c:
                     corr[e] = corr[-e] = c
             if not corr:
@@ -220,21 +314,57 @@ class ParabolicKLTable:
                     for e2, c2 in corr.items():
                         e = e1 + e2
                         q[e] = q.get(e, 0) - c1 * c2
-        polys = self._polys
         column = {}
+        filled = []
+        shifted = []
         for y, q in cand.items():
-            if 0 in q.values():         # a cancellation left a zero
-                q = {e: c for e, c in q.items() if c}
-                if not q:
-                    continue
-            key = tuple(sorted(q.items()))
-            if y is not x and key[0][0] <= 0:
-                raise CoxkitError("canonical-basis induction left a coefficient "
-                                  "outside vZ[v] at %r in d_%r" % (y, x))
-            p = polys.get(key)
+            i = y.idx
+            if up[i] & desc:
+                shifted.append(y)
+                continue
+            p = self._intern(y, x, q)
             if p is None:
-                p = polys[key] = LaurentPoly(dict(key))
+                continue
+            if not spherical and desc & ~(down[i] | up[i]):
+                raise CoxkitError("canonical-basis induction left a nonzero "
+                                  "coefficient at %r in d_%r, where yt leaves "
+                                  "^IW for a descent t" % (y, x))
             column[y] = p
+            filled.append((y, p))
+        vshift = self._vshift
+        while filled:
+            y, p = filled.pop()
+            targets = down[y.idx] & desc
+            if not targets:
+                continue
+            row = right[y.idx]
+            vp = None
+            while targets:
+                low = targets & -targets
+                targets ^= low
+                j = row[low.bit_length() - 1]
+                u = up[j] & desc
+                if u & -u == low:       # y = wt is the source of w
+                    w = els[j]
+                    if vp is None:
+                        vp = vshift.get(id(p))
+                        if vp is None:
+                            vp = vshift[id(p)] = self._intern(
+                                w, x, {e + 1: c for e, c in p.coeffs.items()})
+                    column[w] = vp
+                    filled.append((w, vp))
+        for y in shifted:
+            if y in column:
+                continue
+            q = dict(cand[y])
+            ys = els[right[y.idx][s]]
+            back = {z: skipped[z] for z in (y, ys) if z in skipped}
+            for e, c in _bs_raw(ball, I, spherical, back, s).get(y, {}).items():
+                q[e] = q.get(e, 0) + c
+            if self._intern(y, x, q) is not None:
+                raise CoxkitError("canonical-basis induction left a nonzero "
+                                  "coefficient at %r in d_%r, whose descent "
+                                  "shift is zero" % (y, x))
         if column.get(x) is not ONE:
             raise CoxkitError("canonical-basis induction lost the unit top term")
         return start._make(column)

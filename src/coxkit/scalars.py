@@ -186,15 +186,44 @@ class ScalarRing:
     def adjugate(self, coeffs):
         """(adj, det) for r in K given by its integral coefficients, with
         r * adj == det: det is the norm N(r), the determinant of the matrix
-        of multiplication by r, and adj the first column of that matrix's
-        adjugate, its cofactors along the first row.  Both come from
-        bareiss; r = 0 gives det = 0."""
+        M of multiplication by r, and adj the first column of M's
+        adjugate, its cofactors along the first row, so M adj = det e_0.
+        One fraction-free (Bareiss) elimination of [M | e_0] gives det as
+        its last pivot, signed by the row swaps; back-substitution then
+        solves U adj = det b for the triangular U and the column b it
+        leaves, and each division is exact because adj is integral.  r = 0
+        gives det = 0."""
+        coeffs = tuple(coeffs)
+        d = self.deg
+        if d == 1:
+            return (1,), coeffs[0]
+        if not any(coeffs):
+            return self.zero(), 0
         cols = self.mul_columns(coeffs)
-        below = [[col[i] for col in cols] for i in range(1, self.deg)]
-        adj = tuple((-1) ** i * bareiss([row[:i] + row[i + 1:] for row in below])[1]
-                    for i in range(self.deg))
-        # Laplace expansion of the determinant along the first row
-        return adj, sum(col[0] * a for col, a in zip(cols, adj))
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        prev, sign = 1, 1
+        for k in range(d):
+            # K is a field and r != 0, so M is invertible: a pivot exists
+            piv = next(i for i in range(k, d) if rows[i][k])
+            if piv != k:
+                rows[k], rows[piv] = rows[piv], rows[k]
+                sign = -sign
+            prow = rows[k][k + 1:]
+            p = rows[k][k]
+            for i in range(k + 1, d):
+                row = rows[i]
+                a = row[k]
+                # columns <= k of the rows below are never read again
+                row[k + 1:] = [(p * x - a * y) // prev
+                               for x, y in zip(row[k + 1:], prow)]
+            prev = p
+        det = sign * prev
+        adj = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            rest = sum(row[j] * adj[j] for j in range(i + 1, d))
+            adj[i] = (det * row[d] - rest) // row[i]
+        return tuple(adj), det
 
     def regular(self, rows):
         """The integer matrix of a matrix over K (integral coefficient

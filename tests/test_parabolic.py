@@ -13,8 +13,9 @@ from coxkit.coxeter import CoxeterMatrix, build_ball
 from coxkit.errors import CoxkitError
 from coxkit.hecke import KLTable, n_bar
 from coxkit.laurent import LaurentPoly, ONE, V, VINV
-from coxkit.parabolic import (MElt, NElt, ParabolicKLTable, check_deodhar,
-                              check_finitary, check_monotonicity, project_pi)
+from coxkit.parabolic import (MElt, NElt, ParabolicKLTable, _bs_raw,
+                              check_deodhar, check_finitary, check_monotonicity,
+                              project_pi)
 
 H = frozenset()    # the Hecke algebra is N at I = {}
 
@@ -234,6 +235,145 @@ def test_induction_rejects_a_corrupt_lower_column():
     table._b[t] = table.b(t) + NElt.std(ball, H, u)
     with pytest.raises(CoxkitError, match="outside vZ"):
         table.b(ball.product_of_word((1, 0, 1)))
+
+
+def _columns_below(table, n):
+    """Compute every column of length < n, so a corruption planted after
+    this reaches only the columns induced later."""
+    for w in table.ball.min_reps(table.I):
+        if w.length < n:
+            table.b(w)
+
+
+def test_induction_rejects_a_stray_term_on_an_extremal_entry():
+    # b_{s1s3s2} b_s3 = b_x + b_{s1s3} for x = s1s2s3s2, so d_x strips one
+    # tail with b_{s1s3}.  u = s2s3s2 has the right descents s2, s3 of x, so
+    # its entry is extremal and computed from the rule; it is longer than
+    # s1s3, so its own tail is stripped before a stray n_u in the cached
+    # b_{s1s3} lands there with coefficient -1, outside vZ[v]
+    ball = build_ball(CoxeterMatrix.from_type("A3"), 6)
+    table = ParabolicKLTable(ball, H)
+    x = ball.product_of_word((0, 1, 2, 1))
+    z = ball.product_of_word((0, 2))
+    u = ball.product_of_word((1, 2, 1))
+    assert ball.right_descents(u) == ball.right_descents(x) == [1, 2]
+    _columns_below(table, x.length)
+    table._b[z] = table.b(z) + NElt.std(ball, H, u)
+    with pytest.raises(CoxkitError, match="outside vZ"):
+        table.b(x)
+
+
+def test_induction_rejects_a_stray_term_where_n_must_vanish():
+    # the same strip in N with I = {s2}: u = s3s2 has u s3 = s2s3s2 outside
+    # ^IW for the descent s3 of x, and no descent of x takes u up inside
+    # ^IW, so d_x vanishes at u.  A stray v n_u in the cached b_{s1s3}
+    # lands there as -v, inside vZ[v]: only the vanishing rule catches it
+    I = frozenset({1})
+    ball = build_ball(CoxeterMatrix.from_type("A3"), 6)
+    table = ParabolicKLTable(ball, I)
+    x = ball.product_of_word((0, 1, 2, 1))
+    z = ball.product_of_word((0, 2))
+    u = ball.product_of_word((2, 1))
+    assert not ball.is_min_rep(ball.right(u, 2), I)
+    _columns_below(table, x.length)
+    table._b[z] = table.b(z) + NElt.std(ball, I, u, V)
+    with pytest.raises(CoxkitError, match="leaves"):
+        table.b(x)
+
+
+class ReferenceKLTable(ParabolicKLTable):
+    """The induction without the descent rule: every entry of every column
+    is read off b_{xs} b_s after the tail strips, then sorted and interned."""
+
+    def _induce(self, x):
+        """Forms b_{xs} b_s for the largest-index descent s and strips the
+        bar-symmetric completions of all v^{<=0} tails of lower terms.
+
+        The candidate is a raw column {z: {exponent: int}}; the lower terms
+        are visited once each, longest first, and each strip subtracts
+        corr * b_z from it in place.  The result must be the defining shape
+        d_x in n_x + sum_{y != x} vZ[v] n_y.
+        """
+        ball = self.ball
+        s = max(ball.right_descents(x))
+        start = self.b(ball.right(x, s))
+        cand = _bs_raw(ball, self.I, self.spherical,
+                       {y: p.coeffs for y, p in start.coeffs.items()}, s)
+        lower = sorted((z for z in cand if z is not x),
+                       key=lambda z: (-z.length, z.word))
+        for z in lower:
+            # tail sum_{e<=0} c_e v^e -> corr = c_0 + sum_{e<0} c_e (v^e + v^-e)
+            corr = {}
+            for e, c in cand[z].items():
+                if e <= 0 and c:
+                    corr[e] = corr[-e] = c
+            if not corr:
+                continue
+            for y, p in self.b(z).coeffs.items():
+                q = cand.get(y)
+                if q is None:
+                    q = cand[y] = {}
+                for e1, c1 in p.coeffs.items():
+                    for e2, c2 in corr.items():
+                        e = e1 + e2
+                        q[e] = q.get(e, 0) - c1 * c2
+        polys = self._polys
+        column = {}
+        for y, q in cand.items():
+            if 0 in q.values():         # a cancellation left a zero
+                q = {e: c for e, c in q.items() if c}
+                if not q:
+                    continue
+            key = tuple(sorted(q.items()))
+            if y is not x and key[0][0] <= 0:
+                raise CoxkitError("canonical-basis induction left a coefficient "
+                                  "outside vZ[v] at %r in d_%r" % (y, x))
+            p = polys.get(key)
+            if p is None:
+                p = polys[key] = LaurentPoly(dict(key))
+            column[y] = p
+        if column.get(x) is not ONE:
+            raise CoxkitError("canonical-basis induction lost the unit top term")
+        return start._make(column)
+
+
+_M457 = CoxeterMatrix(((1, 4, 5), (4, 1, 7), (5, 7, 1)))
+
+
+@pytest.mark.parametrize("matrix, cap, I, spherical", [
+    ("A5", 15, (), False),
+    ("D4", 12, (), False),
+    ("affA2", 14, (0,), False),
+    ("B4", 16, (0, 1), True),
+    ("H3", 15, (0,), False),
+    ("H3", 15, (0,), True),
+    ("I2_7", 7, (0,), False),
+    ("I2_7", 7, (0,), True),
+    (_M457, 6, (0,), False),
+], ids=["A5", "D4", "affA2-N", "B4-M", "H3-N", "H3-M", "I2_7-N", "I2_7-M",
+        "M457-N"])
+def test_columns_match_the_reference_induction(matrix, cap, I, spherical):
+    """Every column equals the reference induction's, entry by entry as
+    coefficient dicts; every entry, shifted ones included, is the table's
+    one interned object for its value."""
+    if isinstance(matrix, str):
+        matrix = CoxeterMatrix.from_type(matrix)
+    ball = build_ball(matrix, cap)
+    I = frozenset(I)
+    table = ParabolicKLTable(ball, I, spherical=spherical)
+    ref = ReferenceKLTable(ball, I, spherical=spherical)
+    shifted = 0
+    for x in sorted(ball.min_reps(I), key=lambda w: w.idx):
+        got, want = table.b(x), ref.b(x)
+        assert {y: p.coeffs for y, p in got.coeffs.items()} == \
+            {y: p.coeffs for y, p in want.coeffs.items()}
+        descents = ball.right_descents(x)
+        for y, p in got.coeffs.items():
+            assert table._polys[tuple(sorted(p.coeffs.items()))] is p
+            shifted += any(ball.right(y, t).length > y.length
+                           and ball.is_min_rep(ball.right(y, t), I)
+                           for t in descents)
+    assert shifted > 0
 
 
 @pytest.mark.parametrize("name, cap", [("A5", 15), ("affA2", 14), ("B4", 16),

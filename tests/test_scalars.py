@@ -356,6 +356,32 @@ def test_adjugate_norm_and_inverse_match_fraction_eliminations(n, deg):
     assert R.adjugate(R.zero())[1] == 0
 
 
+def _minor_adjugate(ring, coeffs):
+    """(adj, det) by cofactors: each entry of adj is a signed Bareiss
+    minor of the multiplication matrix below its first row, and det is
+    the Laplace expansion along that row (the adjugate before one
+    elimination with back-substitution replaced it)."""
+    cols = ring.mul_columns(coeffs)
+    below = [[col[i] for col in cols] for i in range(1, ring.deg)]
+    adj = tuple((-1) ** i * bareiss([row[:i] + row[i + 1:] for row in below])[1]
+                for i in range(ring.deg))
+    return adj, sum(col[0] * a for col, a in zip(cols, adj))
+
+
+@pytest.mark.parametrize("n, deg, count", [(3, 1, 200), (5, 2, 200), (12, 4, 100),
+                                           (30, 8, 50), (140, 48, 1)])
+def test_adjugate_matches_the_cofactor_reference(n, deg, count):
+    """One elimination with back-substitution gives the cofactors' (adj,
+    det); at N = 140 (deg 48) the reference takes seconds per element."""
+    R = ScalarRing(n)
+    assert R.deg == deg
+    rng = random.Random(n)
+    for _ in range(count):
+        a = tuple(rng.randint(-3, 3) for _ in range(deg))
+        assert R.adjugate(a) == _minor_adjugate(R, a)
+    assert R.adjugate(R.zero()) == _minor_adjugate(R, R.zero())
+
+
 def _fraction_reduce(F, coeffs, den):
     """coeffs / den in F by the per-coefficient rule: each a / den in lowest
     terms, refused when p divides its denominator."""
@@ -430,8 +456,8 @@ def test_k_values_are_tuples_of_deg_ints(name, deg):
 def test_element_ops_match_the_fraction_reference(n):
     """add, sub, neg and mul against CycRat (Fraction coordinates), norm and
     is_unit against the Fraction elimination of the multiplication matrix;
-    at N = 140 (deg 48) one adjugate takes seconds, so norm and is_unit are
-    left out there, and 50 elements keep the Fraction products short."""
+    at N = 140 (deg 48) that elimination takes seconds, so norm and is_unit
+    are left out there, and 50 elements keep the Fraction products short."""
     R = ScalarRing(n)
     rng = random.Random(n)
     zero = CycRat(R, R.zero())

@@ -51,17 +51,27 @@ Williamson, "Localized calculus for the Hecke category", arXiv:2011.05432)
     <e, f> = E_top(x)^-1 sum_g LL_e[top, g] LL_f[top, g] E(g),
 
 x the common endpoint and E_top(x) the Euler class of the all-ones stroll
-of x's canonical reduced word, so a k-leaf form costs k propagations.  It
-is returned in lowest terms; a point where E_top(x) vanishes raises
-ZeroDivisionError.  Every rank is one integer elimination of the form's
+of x's canonical reduced word.  A form is assembled at once
+(pairing_matrix), in lowest terms: the column leaves' top rows indexed by
+summand, each entry times E(g), the row leaves' entries added as sparse
+outer products, and each sum multiplied by adj(E_top(x)) and reduced by
+one gcd; a point where E_top(x) vanishes raises ZeroDivisionError.  The
+pairing is symmetric, so the form at defect -d is the transpose of the
+form at d: multiplicity assembles and ranks only the forms at d >= 0, and
+the d = 0 form and gram_invertible's Gram matrix sum their upper triangle.
+A k-leaf form costs at most k propagations, fewer when leaves share
+suffixes: the row left after undoing the steps i+1..n of a light leaf
+depends only on (x_i, word[i:], bits[i:]), and is kept under that key, so
+across the leaves of a word, and across the words of a sweep, each partial
+row is propagated once.  Every rank is one integer elimination of the form's
 regular representation (ScalarRing.regular: each entry becomes the
 deg K x deg K integer block of multiplication by it; at deg K = 1 the block
 is the entry itself).  At char 0 each row is scaled by the lcm of its
 denominators to integral K tuples, and the forms of multiplicity and
 gram_invertible are ranked by fraction-free scalars.bareiss, divided by
-deg K.  At char p each pairing is reduced into PrimeFieldK and the blocks
-are ranked by forward elimination over ints mod p, divided by the residue
-degree.
+deg K.  At char p each distinct pairing value is reduced into PrimeFieldK
+once and the blocks are ranked by forward elimination over ints mod p,
+divided by the residue degree.
 
 The certificates of a word (`coxkit check localization`) stay
 symbolic.  The double leaf flipped(LL_f) o LL_e of a pair is built once:
@@ -221,7 +231,11 @@ class LocalCalculus:
         self._inv_cache = {}
         self._num_cache = {}
         self._vec_cache = {}
+        self._step_cache = {}
         self._euler_cache = {}
+        # multiplicity's evaluation points, drawn once per calculus
+        self._points = []
+        self._point_rng = None
         self._top_cache = {}
         # check_diagonal: the verdict per (diagonal value, candidate roots),
         # and the divisor of each candidate root, inverted once
@@ -419,34 +433,39 @@ class LocalCalculus:
 
     def _ll_ops(self, word, e):
         """The generator program of the light leaf of e: list of
-        (kind, domain word, site, color) acting N_word -> N_canonical_rex."""
+        (kind, domain word, site, color) acting N_word -> N_canonical_rex,
+        the steps of _step_ops in order."""
         ops = []
-        u = ()
-
-        def rex_ops(frm, to, suffix):
-            for site, w1 in self.rex_path(frm, to):
-                ops.append(("braid", w1 + suffix, site, None))
-
         for i, s in enumerate(word):
-            dec = e.decorations[i]
-            suffix = tuple(word[i + 1:])
-            if dec == "U1":
-                rex_ops(u + (s,), e.stroll[i + 1].word, suffix)
-                u = e.stroll[i + 1].word
-            elif dec == "U0":
-                ops.append(("enddot", u + (s,) + suffix, len(u), s))
+            ops += self._step_ops(e.stroll[i], s, e.decorations[i],
+                                  tuple(word[i + 1:]))
+        return ops
+
+    def _step_ops(self, x, s, dec, suffix):
+        """The generator ops of one step of a light-leaf program: the letter
+        s with decoration dec, read at the stroll element x before it, and
+        `suffix` the rest of the word.  They act N_{x.word + (s,) + suffix}
+        -> N_{y.word + suffix}, y the stroll element after the step, so they
+        depend on nothing else."""
+        u = x.word
+        ops = []
+
+        def rex_ops(frm, to, tail):
+            for site, w1 in self.rex_path(frm, to):
+                ops.append(("braid", w1 + tail, site, None))
+
+        if dec == "U1":
+            rex_ops(u + (s,), self.ball.right(x, s).word, suffix)
+        elif dec == "U0":
+            ops.append(("enddot", u + (s,) + suffix, len(u), s))
+        else:
+            uprime = self.ball.right(x, s).word + (s,)
+            rex_ops(u, uprime, (s,) + suffix)
+            ops.append(("merge", uprime + (s,) + suffix, len(uprime) - 1, s))
+            if dec == "D0":
+                rex_ops(uprime, u, suffix)
             else:
-                xi = e.stroll[i]
-                xis = self.ball.right(xi, s)
-                uprime = xis.word + (s,)
-                rex_ops(u, uprime, (s,) + suffix)
-                ops.append(("merge", uprime + (s,) + suffix, len(uprime) - 1, s))
-                if dec == "D0":
-                    rex_ops(uprime, xi.word, suffix)
-                    u = xi.word
-                else:
-                    ops.append(("enddot", uprime + suffix, len(uprime) - 1, s))
-                    u = xis.word
+                ops.append(("enddot", uprime + suffix, len(uprime) - 1, s))
         return ops
 
     def _op_matrix(self, op, flipped=False):
@@ -590,8 +609,7 @@ class LocalCalculus:
             point = tuple(rng.randint(10 ** 4, 10 ** 6)
                           for _ in range(self.pr.rank))
             try:
-                rows = [[self.pairing_value(word, e, f, point) for f in leaves]
-                        for e in leaves]
+                rows = self.pairing_matrix(word, leaves, leaves, point)
             except ZeroDivisionError:
                 continue
             if self._char0_rank(rows) == len(leaves):
@@ -689,35 +707,61 @@ class LocalCalculus:
             self._num_cache[key] = got
         return got
 
+    def _step_matrices(self, x, s, dec, suffix, point):
+        """The ops of one light-leaf step (_step_ops) at an integer point
+        (_numeric_matrix), in the order a top row meets them, last op
+        first; cached per (x, s, dec, suffix, point)."""
+        key = (x.idx, s, dec, suffix, point)
+        got = self._step_cache.get(key)
+        if got is None:
+            got = self._step_cache[key] = [
+                self._numeric_matrix(op, point)
+                for op in reversed(self._step_ops(x, s, dec, suffix))]
+        return got
+
     def _top_vector(self, word, e, point):
         """Top row of LL_e evaluated at an integer point, as (integral
-        coefficients by bits, one integer denominator); cached per leaf so a
-        k-leaf form costs k propagations rather than k^2."""
-        key = (word, e.bits, point)
-        got = self._vec_cache.get(key)
-        if got is not None:
-            return got
-        ring = self.pr.ring
-        vec = {(1,) * e.endpoint.length: self._one}
-        den = 1
-        for op in reversed(self._ll_ops(word, e)):
-            rows, mden = self._numeric_matrix(op, point)
-            new = {}
-            for src, v in vec.items():
-                for dst, m in rows.get(src, ()):
-                    w = ring.mul(v, m)
-                    cur = new.get(dst)
-                    new[dst] = w if cur is None else tuple(map(operator.add, cur, w))
-            vec = {k: v for k, v in new.items() if any(v)}
-            if not vec:
+        coefficients by bits, one integer denominator).
+
+        The row is propagated from the top summand of N_rex(x) back through
+        the steps of the program, last step first.  Undoing steps n..i+1
+        leaves a row on N_{x_i.word + word[i:]} that depends only on (x_i,
+        word[i:], bits[i:]), since those fix every step op (_step_ops) and
+        the endpoint.  So each partial row is kept under (x_i.idx,
+        word[i:], bits[i:], point), and leaves, of one word or of several,
+        that share a suffix propagate it once."""
+        cache = self._vec_cache
+        stroll, bits = e.stroll, e.bits
+        n = len(word)
+        keys = []
+        for i in range(n + 1):
+            key = (stroll[i].idx, word[i:], bits[i:], point)
+            got = cache.get(key)
+            if got is not None:
                 break
-            den *= mden
-            g = math.gcd(den, *(a for v in vec.values() for a in v))
-            if g > 1:
-                vec = {k: tuple(a // g for a in v) for k, v in vec.items()}
-                den //= g
-        got = vec, den
-        self._vec_cache[key] = got
+            keys.append(key)
+        else:
+            got = cache[keys.pop()] = {(1,) * stroll[n].length: self._one}, 1
+        vec, den = got
+        mul = self.pr.ring.mul
+        for i in range(len(keys) - 1, -1, -1):
+            for rows, mden in self._step_matrices(
+                    stroll[i], word[i], e.decorations[i], word[i + 1:], point):
+                new = {}
+                for src, v in vec.items():
+                    for dst, m in rows.get(src, ()):
+                        w = mul(v, m)
+                        cur = new.get(dst)
+                        new[dst] = w if cur is None else tuple(map(operator.add, cur, w))
+                vec = {k: v for k, v in new.items() if any(v)}
+                if not vec:
+                    break       # zero stays zero, over the same denominator
+                den *= mden
+                g = math.gcd(den, *(a for v in vec.values() for a in v))
+                if g > 1:
+                    vec = {k: tuple(a // g for a in v) for k, v in vec.items()}
+                    den //= g
+            got = cache[keys[i]] = vec, den
         return got
 
     def _euler(self, word, stroll, point):
@@ -756,31 +800,63 @@ class LocalCalculus:
             got = self._top_cache[key] = self._inverse(top)
         return got
 
-    def pairing_value(self, word, e, f, point):
-        """The (constant) pairing of e with f, read off by exact evaluation
-        at an integer point by the localization formula
+    def pairing_matrix(self, word, rows, cols, point):
+        """[[<e, f> for f in cols] for e in rows] at an integer point, for
+        leaves e, f of `word` with one common endpoint x, by the
+        localization formula
 
             <e, f> = E_top(x)^-1 sum_g LL_e[top, g] LL_f[top, g] E(g)
 
-        over the summands g of N_word, E the Euler class (_euler) and x the
-        common endpoint.  Returns (coeffs, den) in lowest terms: integral K
-        coefficients over a positive integer denominator."""
+        over the summands g of N_word, E the Euler class (_euler).  The
+        columns' top rows are indexed by summand bits, each entry times
+        E(g); each row leaf adds its entries to the sums of the columns that
+        share its summands, one sparse outer product per row; and each sum
+        is multiplied by adj(E_top(x)) and reduced by one gcd.  When cols
+        is rows the matrix is symmetric, so only its upper triangle is
+        summed, and mirrored.  Entries are (coeffs, den) in lowest terms:
+        integral K coefficients over a positive integer denominator."""
+        if not rows:
+            return []
         word = tuple(word)
-        row, rden = self._top_vector(word, e, point)
-        col, cden = self._top_vector(word, f, point)
-        adj, norm = self._top_inverse(e.endpoint, point)
+        adj, norm = self._top_inverse(rows[0].endpoint, point)
         euler = self._euler_table(word, point)
         mul = self.pr.ring.mul
-        total = (0,) * len(adj)
-        for bits, v in row.items():
-            w = col.get(bits)
-            if w is not None:
-                total = tuple(map(operator.add, total,
-                                  mul(mul(v, w), euler[bits])))
-        total = mul(total, adj)
-        den = rden * cden * norm
-        g = math.gcd(den, *total)
-        return tuple(a // g for a in total), den // g
+        zero = (0,) * len(adj), 1
+        symmetric = cols is rows
+        col_vecs = [self._top_vector(word, f, point) for f in cols]
+        row_vecs = col_vecs if symmetric else \
+            [self._top_vector(word, e, point) for e in rows]
+        by_bits = {}            # bits g -> [(column j, LL_f[top, g] E(g))]
+
+        def index(j):
+            for g, w in col_vecs[j][0].items():
+                by_bits.setdefault(g, []).append((j, mul(w, euler[g])))
+
+        if not symmetric:
+            for j in range(len(cols)):
+                index(j)
+        out = [None] * len(rows)
+        for i in range(len(rows) - 1, -1, -1):
+            if symmetric:
+                index(i)        # the columns j >= i
+            vec, rden = row_vecs[i]
+            sums = {}
+            for g, v in vec.items():
+                for j, w in by_bits.get(g, ()):
+                    t = mul(v, w)
+                    cur = sums.get(j)
+                    sums[j] = t if cur is None else tuple(map(operator.add, cur, t))
+            row = out[i] = [zero] * len(cols)
+            for j, total in sums.items():
+                total = mul(total, adj)
+                den = rden * col_vecs[j][1] * norm
+                g = math.gcd(den, *total)
+                row[j] = tuple(a // g for a in total), den // g
+        if symmetric:
+            for i, row in enumerate(out):
+                for j in range(i):
+                    row[j] = out[j][i]
+        return out
 
     def _char0_rank(self, form):
         """Rank over Frac(K) of a form of pairing values (coeffs, den): each
@@ -794,46 +870,59 @@ class LocalCalculus:
 
     # -- intersection forms and canonical multiplicities --------------------------
 
-    def _forms(self, word, x, pair):
-        """defect d -> matrix of pair(e, f) over the leaves e of defect d at
-        x (rows) and the leaves f of defect -d (columns)."""
-        by_defect = {}
-        for e in self.leaves_at(word, x):
-            by_defect.setdefault(e.defect, []).append(e)
-        return {d: [[pair(e, f) for f in by_defect.get(-d, [])] for e in rows]
-                for d, rows in sorted(by_defect.items())}
+    def _point(self, k):
+        """The k-th evaluation point multiplicity tries: one
+        random.Random(20231115) sequence per calculus, drawn as far as
+        asked."""
+        points = self._points
+        while len(points) <= k:
+            if self._point_rng is None:
+                self._point_rng = random.Random(20231115)
+            points.append(tuple(self._point_rng.randint(10 ** 6, 10 ** 7)
+                                for _ in range(self.pr.rank)))
+        return points[k]
 
     def multiplicity(self, word, x, char=0):
         """Graded multiplicity m_x(v) via ranks of the intersection forms.
 
         The pairings at defect sum zero are constants of Frac(K), so they are
         read off exactly by evaluating at one integer point (retrying if a
-        denominator happens to vanish there).
+        denominator happens to vanish there).  The pairing is symmetric, so
+        the form at defect -d is the transpose of the form at d: only the
+        forms at d >= 0 are assembled (pairing_matrix), each ranked once,
+        and a rank r at d > 0 adds r (v^d + v^-d).
         """
         word = tuple(word)
         field = PrimeFieldK(self.pr.ring, char) if char else None
-        rng = random.Random(20231115)
+        by_defect = {}
+        for e in self.leaves_at(word, x):
+            by_defect.setdefault(e.defect, []).append(e)
         forms = None
-        for _ in range(10):
-            point = tuple(rng.randint(10 ** 6, 10 ** 7)
-                          for _ in range(self.pr.rank))
+        for k in range(10):
+            point = self._point(k)
             try:
-                forms = self._forms(
-                    word, x, lambda e, f: self.pairing_value(word, e, f, point))
+                forms = {d: self.pairing_matrix(word, rows, by_defect[-d], point)
+                         for d, rows in sorted(by_defect.items())
+                         if d >= 0 and -d in by_defect}
                 break
             except ZeroDivisionError:
                 continue
         if forms is None:
             raise CoxkitError("no evaluation point avoided all denominators")
+        if char:
+            # each distinct value once; a symmetric form repeats most
+            reduced = {c: field.reduce(*c) for c in dict.fromkeys(
+                c for form in forms.values() for row in form for c in row)}
         out = LaurentPoly.zero()
         for d, form in forms.items():
             if char:
-                rank = field.rank([[field.reduce(*c) for c in row]
-                                   for row in form])
+                rank = field.rank([[reduced[c] for c in row] for row in form])
             else:
                 rank = self._char0_rank(form)
             if rank:
                 out = out + LaurentPoly.v(-d, rank)
+                if d:
+                    out = out + LaurentPoly.v(d, rank)
         return out
 
     def pcanonical(self, word, char=0):

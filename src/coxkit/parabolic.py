@@ -62,17 +62,27 @@ def _acc(out, x, p):
     out[x] = p if q is None else q + p
 
 
-def _bs_raw(ball, I, spherical, coeffs, s):
+def _bs_raw(ball, I, spherical, coeffs, s, up=None):
     """(sum_x p_x n_x) b_s by the three-case rule, where coeffs maps x to the
     raw polynomial p_x.  coeffs is only read; the result holds new dicts,
-    which may keep zero coefficients."""
+    which may keep zero coefficients.
+
+    Whether xs lies in ^IW is decided by ball.is_min_rep, or, given `up`,
+    a table's ^IW ascent masks (ParabolicKLTable._descent_masks), by the
+    masks: x is in ^IW, so xs < x is too, and an ascent is in ^IW when its
+    bit is set."""
     hecke = not I               # I = {}: every xs stays in ^IW
+    bit = 1 << s
     out = {}
     for x, p in coeffs.items():
         xs = ball.right(x, s)
         if xs is None:
             raise CapError("module action leaves the group ball")
-        if hecke or ball.is_min_rep(xs, I):
+        if up is None:
+            inside = hecke or ball.is_min_rep(xs, I)
+        else:
+            inside = xs.length < x.length or up[x.idx] & bit
+        if inside:
             shifts = ((xs, 0), (x, 1 if xs.length > x.length else -1))
         elif spherical:
             shifts = ((x, 1), (x, -1))
@@ -119,6 +129,12 @@ class ParaElt:
 
     def _make(self, coeffs):
         return type(self)(self.ball, self.I, coeffs)
+
+    def _nonzero(self, coeffs):
+        """_make for coeffs known to hold no zero, taken without a copy."""
+        out = object.__new__(type(self))
+        out.ball, out.I, out.coeffs = self.ball, self.I, coeffs
+        return out
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -293,7 +309,7 @@ class ParabolicKLTable:
                 skipped[z] = p.coeffs
             else:
                 feed[z] = p.coeffs
-        cand = _bs_raw(ball, I, spherical, feed, s)
+        cand = _bs_raw(ball, I, spherical, feed, s, up)
         lower = sorted((z for z in cand if z is not x), key=_idx, reverse=True)
         for z in lower:
             # tail sum_{e<=0} c_e v^e -> corr = c_0 + sum_{e<0} c_e (v^e + v^-e)
@@ -359,7 +375,8 @@ class ParabolicKLTable:
             q = dict(cand[y])
             ys = els[right[y.idx][s]]
             back = {z: skipped[z] for z in (y, ys) if z in skipped}
-            for e, c in _bs_raw(ball, I, spherical, back, s).get(y, {}).items():
+            raw = _bs_raw(ball, I, spherical, back, s, up)
+            for e, c in raw.get(y, {}).items():
                 q[e] = q.get(e, 0) + c
             if self._intern(y, x, q) is not None:
                 raise CoxkitError("canonical-basis induction left a nonzero "
@@ -367,7 +384,7 @@ class ParabolicKLTable:
                                   "shift is zero" % (y, x))
         if column.get(x) is not ONE:
             raise CoxkitError("canonical-basis induction lost the unit top term")
-        return start._make(column)
+        return start._nonzero(column)
 
     def poly(self, y, x):
         return self.b(x).coeff(y)

@@ -197,7 +197,7 @@ def intersection_forms(calc, word, x):
         c = _constant_value(calc.pairing(word, x, e, f))
         assert c is not None, "non-constant pairing at defect %d" % e.defect
         return c
-    return calc._forms(word, x, constant)
+    return _forms(calc, word, x, constant)
 
 
 def test_intersection_forms(a2, aff):
@@ -300,6 +300,97 @@ def test_stdmatrix_identity_and_compose(a2):
 _POINT = (1000003, 1000033, 1000037)
 
 
+# -- per-pair references ------------------------------------------------------
+# The numeric pairing and forms as LocalCalculus computed them before forms
+# were assembled by transpose pair (pairing_matrix) from shared top rows.
+
+def pairing_value(calc, word, e, f, point):
+    """The (constant) pairing of e with f, read off by exact evaluation
+    at an integer point by the localization formula
+
+        <e, f> = E_top(x)^-1 sum_g LL_e[top, g] LL_f[top, g] E(g)
+
+    over the summands g of N_word, E the Euler class (_euler) and x the
+    common endpoint.  Returns (coeffs, den) in lowest terms: integral K
+    coefficients over a positive integer denominator."""
+    word = tuple(word)
+    row, rden = calc._top_vector(word, e, point)
+    col, cden = calc._top_vector(word, f, point)
+    adj, norm = calc._top_inverse(e.endpoint, point)
+    euler = calc._euler_table(word, point)
+    mul = calc.pr.ring.mul
+    total = (0,) * len(adj)
+    for bits, v in row.items():
+        w = col.get(bits)
+        if w is not None:
+            total = tuple(map(operator.add, total,
+                              mul(mul(v, w), euler[bits])))
+    total = mul(total, adj)
+    den = rden * cden * norm
+    g = math.gcd(den, *total)
+    return tuple(a // g for a in total), den // g
+
+
+def _forms(calc, word, x, pair):
+    """defect d -> matrix of pair(e, f) over the leaves e of defect d at
+    x (rows) and the leaves f of defect -d (columns)."""
+    by_defect = {}
+    for e in calc.leaves_at(word, x):
+        by_defect.setdefault(e.defect, []).append(e)
+    return {d: [[pair(e, f) for f in by_defect.get(-d, [])] for e in rows]
+            for d, rows in sorted(by_defect.items())}
+
+
+def _per_leaf_top_vector(calc, word, e, point):
+    """Top row of LL_e evaluated at an integer point, as (integral
+    coefficients by bits, one integer denominator), propagated through the
+    leaf's whole program."""
+    ring = calc.pr.ring
+    vec = {(1,) * e.endpoint.length: calc._one}
+    den = 1
+    for op in reversed(calc._ll_ops(word, e)):
+        rows, mden = calc._numeric_matrix(op, point)
+        new = {}
+        for src, v in vec.items():
+            for dst, m in rows.get(src, ()):
+                w = ring.mul(v, m)
+                cur = new.get(dst)
+                new[dst] = w if cur is None else tuple(map(operator.add, cur, w))
+        vec = {k: v for k, v in new.items() if any(v)}
+        if not vec:
+            break
+        den *= mden
+        g = math.gcd(den, *(a for v in vec.values() for a in v))
+        if g > 1:
+            vec = {k: tuple(a // g for a in v) for k, v in vec.items()}
+            den //= g
+    return vec, den
+
+
+def _per_pair_gram_invertible(calc, word, x, tries=6, seed=11):
+    """gram_invertible with every entry of the Gram matrix read by
+    pairing_value."""
+    leaves = calc.leaves_at(word, x)
+    if not leaves:
+        return True
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(tries):
+        point = tuple(rng.randint(10 ** 4, 10 ** 6)
+                      for _ in range(calc.pr.rank))
+        try:
+            rows = [[pairing_value(calc, word, e, f, point) for f in leaves]
+                    for e in leaves]
+        except ZeroDivisionError:
+            continue
+        if calc._char0_rank(rows) == len(leaves):
+            return True
+        failures += 1
+        if failures >= 3:
+            return False
+    return False
+
+
 @pytest.mark.parametrize("name, cap, I, length", [
     ("A2", 10, frozenset(), 4),         # K = Z
     ("A2", 10, frozenset({0}), 5),
@@ -327,7 +418,7 @@ def test_pairing_value_matches_symbolic_pairing(name, cap, I, length):
                     continue
                 want = _constant_value(calc.pairing(word, e.endpoint, e, f))
                 assert want is not None
-                got = calc.pairing_value(word, e, f, point)
+                got = pairing_value(calc, word, e, f, point)
                 assert _pair_cycrat(ball.ring, got) == want, (word, e, f)
                 pairs += 1
     assert pairs > 20
@@ -509,9 +600,185 @@ def test_pairing_value_matches_flipped_column_pairing(name, cap, I, length):
         for e in calc.indices(word):
             for f in calc.leaves_at(word, e.endpoint):
                 want = ref.pairing_value(word, e, f, point)
-                assert calc.pairing_value(word, e, f, point) == want, (word, e, f)
+                assert pairing_value(calc, word, e, f, point) == want, (word, e, f)
                 pairs += 1
     assert pairs > 50
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
+def test_pairing_matrix_matches_pairing_value(name, cap, I, length):
+    """Every entry pairing_matrix assembles equals the per-pair pairing:
+    symmetric over all leaves at x (as gram_invertible reads it) and as the
+    defect-d rows against the defect -d columns (as multiplicity reads it),
+    every defect included.  The form at -d is the transpose of the form at
+    d, so its rank is the same over any field."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc, ref = LocalCalculus(ball, I), LocalCalculus(ball, I)
+    point = _POINT[:ball.rank]
+    entries = transposed = 0
+    for word in _words(ball.rank, length):
+        for x in {e.endpoint for e in calc.indices(word)}:
+            leaves = calc.leaves_at(word, x)
+            want = [[pairing_value(ref, word, e, f, point) for f in leaves]
+                    for e in leaves]
+            assert calc.pairing_matrix(word, leaves, leaves, point) == want
+            entries += len(leaves) ** 2
+            forms = _forms(ref, word, x,
+                           lambda e, f: pairing_value(ref, word, e, f, point))
+            by_defect = {}
+            for e in leaves:
+                by_defect.setdefault(e.defect, []).append(e)
+            for d, form in forms.items():
+                got = calc.pairing_matrix(word, by_defect[d],
+                                          by_defect.get(-d, []), point)
+                assert got == form, (word, x, d)
+                if -d in forms:
+                    assert forms[-d] == [list(col) for col in zip(*form)]
+                    transposed += d > 0
+    assert entries > 100 and transposed > 0
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
+def test_multiplicity_matches_the_ranks_of_every_form(name, cap, I, length):
+    """multiplicity ranks only the forms at d >= 0 and counts each d > 0
+    twice; it equals sum_d v^-d rank(form at d) over every defect, at char
+    0 and at char 3 (a residue field of every ring here)."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc, ref = LocalCalculus(ball, I), LocalCalculus(ball, I)
+    field = PrimeFieldK(ball.ring, 3)
+    point = _POINT[:ball.rank]
+    graded = 0
+    for word in _words(ball.rank, length):
+        for x in {e.endpoint for e in calc.indices(word)}:
+            forms = _forms(ref, word, x,
+                           lambda e, f: pairing_value(ref, word, e, f, point))
+            for char in (0, 3):
+                want = LaurentPoly.zero()
+                for d, form in forms.items():
+                    rank = _gauss_jordan_rank(
+                        [[_pair_cycrat(ball.ring, c) for c in row]
+                         for row in form]) if not char else \
+                        field.rank([[field.reduce(*c) for c in row]
+                                    for row in form])
+                    want = want + LaurentPoly.v(-d, rank)
+                got = calc.multiplicity(word, x, char=char)
+                assert got == want, (word, x, char)
+                graded += any(d for d in got.coeffs)
+    assert graded > 0
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
+def test_shared_top_rows_match_per_leaf_propagation(name, cap, I, length):
+    """The top row of every leaf of every word, read through the partial
+    rows that _top_vector shares along suffixes, equals the leaf's whole
+    program propagated from scratch, denominator included, and fewer
+    partial rows are kept than the leaves' steps."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc, fresh = LocalCalculus(ball, I), LocalCalculus(ball, I)
+    point = _POINT[:ball.rank]
+    steps = 0
+    for word in _words(ball.rank, length):
+        for e in calc.indices(word):
+            got = calc._top_vector(word, e, point)
+            assert got == _per_leaf_top_vector(fresh, word, e, point), (word, e)
+            steps += len(word) + 1
+    assert all(isinstance(den, int) and den > 0
+               for _, den in calc._vec_cache.values())
+    assert len(calc._vec_cache) < steps / 2
+
+
+# The certificates workload's cases (CERTIFICATE_CASES of
+# perfbench/workloads.py).
+@pytest.mark.parametrize("name, cap, I, length", [
+    ("A2", 10, frozenset(), 4),
+    ("A2", 10, frozenset({0}), 5),
+    ("affA1", 12, frozenset({0}), 4),
+])
+def test_gram_verdicts_match_the_per_pair_reference(name, cap, I, length):
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc, ref = LocalCalculus(ball, I), LocalCalculus(ball, I)
+    verdicts = 0
+    for word in _words(ball.rank, length):
+        for x in {e.endpoint for e in calc.indices(word)}:
+            for tries in (6, 1):
+                want = _per_pair_gram_invertible(ref, word, x, tries=tries)
+                assert calc.gram_invertible(word, x, tries=tries) == want, \
+                    (word, x, tries)
+                verdicts += 1
+    assert verdicts > 20
+
+
+def test_char_p_refusal_of_a_form_entry_is_raised(a2):
+    """PrimeFieldK.reduce refuses an entry whose denominator p divides, and
+    multiplicity raises that refusal as it is.  The pairings of defect sum
+    zero lie in K, so no supported word has such an entry: here the one
+    entry of the defect-0 form of s1 s2 s1 at s1, -1, is divided by 7."""
+    word, s = (0, 1, 0), a2.product_of_word((0,))
+    calc = LocalCalculus(a2)
+    real = calc.pairing_matrix
+
+    def one_entry_over_7(word, rows, cols, point):
+        form = real(word, rows, cols, point)
+        assert form == [[((-1,), 1)]]
+        return [[((-1,), 7)]]
+
+    calc.pairing_matrix = one_entry_over_7
+    with pytest.raises(UnsupportedCharacteristicError,
+                       match="denominator divisible by 7 in scalar reduction"):
+        calc.multiplicity(word, s, char=7)
+    assert calc.multiplicity(word, s, char=5) == LaurentPoly.const(1)
+    assert calc.multiplicity(word, s) == LaurentPoly.const(1)
+
+
+def test_char_p_reduces_each_distinct_form_value_once(monkeypatch):
+    """At char p multiplicity reduces every distinct entry of its forms
+    once, and the values it reduces are the entries of every form at every
+    defect."""
+    ball = build_ball(CoxeterMatrix.from_type("A3"), 6)
+    word = (0, 1, 0, 2, 1, 0)
+    calc, ref = LocalCalculus(ball), LocalCalculus(ball)
+    point = _POINT[:ball.rank]
+    reduced = []
+    real = PrimeFieldK.reduce
+
+    def recording(field, coeffs, den):
+        reduced.append((tuple(coeffs), den))
+        return real(field, coeffs, den)
+
+    monkeypatch.setattr(PrimeFieldK, "reduce", recording)
+    repeated = 0
+    for x in {e.endpoint for e in calc.indices(word)}:
+        del reduced[:]
+        calc.multiplicity(word, x, char=5)
+        forms = _forms(ref, word, x,
+                       lambda e, f: pairing_value(ref, word, e, f, point))
+        entries = [c for form in forms.values() for row in form for c in row]
+        assert len(reduced) == len(set(reduced)), x
+        assert set(reduced) == set(entries), x
+        repeated += len(entries) > len(reduced)
+    assert repeated > 0
+
+
+def test_evaluation_points_are_drawn_once_per_calculus(a2, monkeypatch):
+    """multiplicity tries the points of one random.Random(20231115)
+    sequence, drawn once per calculus and kept for every (word, x)."""
+    rng = random.Random(20231115)
+    want = [tuple(rng.randint(10 ** 6, 10 ** 7) for _ in range(2))
+            for _ in range(10)]
+    builds = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            builds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(localization, "random",
+                        SimpleNamespace(Random=Counting))
+    calc = LocalCalculus(a2)
+    for word in _words(2, 4):
+        calc.pcanonical(word)
+    assert builds == [20231115]
+    assert [calc._point(k) for k in range(10)] == want
 
 
 def test_vanishing_top_euler_class_is_retried(a2, monkeypatch):
@@ -522,10 +789,10 @@ def test_vanishing_top_euler_class_is_retried(a2, monkeypatch):
     calc = LocalCalculus(a2)
     (e,) = calc.leaves_at(word, s)
     with pytest.raises(ZeroDivisionError):
-        calc.pairing_value(word, e, e, (0, 7))
+        pairing_value(calc, word, e, e, (0, 7))
     assert _FlippedColumnPairing(LocalCalculus(a2)).pairing_value(
         word, e, e, (0, 7)) == ((1,), 1)
-    assert calc.pairing_value(word, e, e, (5, 7)) == ((1,), 1)
+    assert pairing_value(calc, word, e, e, (5, 7)) == ((1,), 1)
 
     # multiplicity retries the point, and gram_invertible skips it
     monkeypatch.setattr(localization, "random",
@@ -655,20 +922,20 @@ class _FirstPointOnHyperplane(random.Random):
 
 
 def _record_pairings(calc):
-    """Wrap calc.pairing_value; return the list of (point, raised) it fills."""
+    """Wrap calc.pairing_matrix; return the list of (point, raised) it fills."""
     seen = []
-    real = calc.pairing_value
+    real = calc.pairing_matrix
 
-    def wrapped(word, e, f, point):
+    def wrapped(word, rows, cols, point):
         try:
-            value = real(word, e, f, point)
+            value = real(word, rows, cols, point)
         except ZeroDivisionError:
             seen.append((point, True))
             raise
         seen.append((point, False))
         return value
 
-    calc.pairing_value = wrapped
+    calc.pairing_matrix = wrapped
     return seen
 
 
@@ -678,7 +945,7 @@ def test_vanishing_root_is_retried_or_skipped(a2, monkeypatch):
     word, s = (0, 1, 0), a2.product_of_word((0,))
     (e,) = [e for e in LocalCalculus(a2).leaves_at(word, s) if e.defect == 0]
     with pytest.raises(ZeroDivisionError):
-        LocalCalculus(a2).pairing_value(word, e, e, (0, 7))
+        pairing_value(LocalCalculus(a2), word, e, e, (0, 7))
 
     want = LocalCalculus(a2).multiplicity(word, s)
     assert want == LaurentPoly.const(1)

@@ -197,8 +197,8 @@ def _check_positivity(ball, I, args):
 def _check_deodhar(ball, I, args):
     kl = ParabolicKLTable(ball, frozenset())
     ntable = ParabolicKLTable(ball, I)
-    reps = sorted(ball.min_reps(I), key=Element_shortlex)
-    return _mismatches(reps, lambda y, x: check_deodhar(kl, ntable, y, x),
+    return _mismatches(ball.min_reps(I),
+                       lambda y, x: check_deodhar(kl, ntable, y, x),
                        "deodhar mismatch")
 
 
@@ -208,7 +208,6 @@ def _check_finitary(ball, I, args):
     w0 = ball.longest_element(I)  # raises if W_I is not finitary
     reps = [x for x in ball.min_reps(I)
             if x.length + w0.length <= ball.length_cap]
-    reps.sort(key=Element_shortlex)
     return _mismatches(reps, lambda y, x: check_finitary(kl, mtable, y, x),
                        "finitary mismatch")
 
@@ -221,8 +220,7 @@ def _check_monotonicity(ball, I, args):
     tables = [ParabolicKLTable(ball, J) for J in chain]
     bad = []
     for small, big in zip(tables, tables[1:]):
-        reps = sorted(ball.min_reps(big.I), key=Element_shortlex)
-        bad += _mismatches(reps,
+        bad += _mismatches(ball.min_reps(big.I),
                            lambda y, x: check_monotonicity(big, small, y, x),
                            "I=%s vs J=%s" % (sorted(big.I), sorted(small.I)))
     return bad

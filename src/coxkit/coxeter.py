@@ -191,6 +191,8 @@ class GroupBall:
         self.cartan = matrix.cartan(self.ring)
         self._build()
         self._inv = None
+        self._desc = None
+        self._asc_memo = {}
         self._bruhat_memo = {}
         zero, one = self.ring.zero(), self.ring.one()
         self._root_memo = {0: tuple(tuple(one if u == s else zero for u in range(self.rank))
@@ -301,16 +303,21 @@ class GroupBall:
         y = self.right(self.inverse(x), s)
         return self.inverse(y) if y is not None else None
 
-    def right_descends_fast(self, x, s):
-        y = self.right(x, s)
-        return y is not None and y.length < x.length
-
     def left_descends_fast(self, x, s):
         y = self.left(x, s)
         return y is not None and y.length < x.length
 
+    def descents(self):
+        """Per ball index, the bitmask of the right descents s (xs < x)."""
+        if self._desc is None:
+            els = self.elements
+            self._desc = [sum(1 << s for s, j in enumerate(row)
+                              if j is not None and els[j].length < x.length)
+                          for x, row in zip(els, self.right_idx)]
+        return self._desc
+
     def right_descents(self, x):
-        return [s for s in range(self.rank) if self.right_descends_fast(x, s)]
+        return [s for s in range(self.rank) if self.descents()[x.idx] >> s & 1]
 
     # -- roots ---------------------------------------------------------------
 
@@ -367,13 +374,30 @@ class GroupBall:
 
     # -- parabolic structure -----------------------------------------------------
 
+    def ascents(self, I):
+        """Per ball index: for x in ^IW (every s in I has sx > x) the bitmask
+        of the s with xs > x in ^IW, else None; built once per I.  Every
+        xs < x of an x in ^IW is in ^IW too (Deodhar, J. Algebra 111, 1987),
+        so a stroll inside ^IW needs only these masks."""
+        I = frozenset(I)
+        got = self._asc_memo.get(I)
+        if got is None:
+            els = self.elements
+            inq = [not any(self.left_descends_fast(x, s) for s in I) for x in els]
+            got = [sum(1 << s for s, j in enumerate(row)
+                       if j is not None and inq[j] and els[j].length > x.length)
+                   if inq[x.idx] else None
+                   for x, row in zip(els, self.right_idx)]
+            self._asc_memo[I] = got
+        return got
+
     def is_min_rep(self, x, I):
         """x in ^IW: every s in I has sx > x."""
-        return all(not self.left_descends_fast(x, s) for s in I)
+        return self.ascents(I)[x.idx] is not None
 
     def min_reps(self, I):
-        I = frozenset(I)
-        return [x for x in self.elements if self.is_min_rep(x, I)]
+        """^IW inside the ball, in index (shortlex) order."""
+        return [x for x, a in zip(self.elements, self.ascents(I)) if a is not None]
 
     def subgroup_elements(self, I):
         """Elements of W_I inside the ball."""

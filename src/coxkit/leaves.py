@@ -67,10 +67,10 @@ def decorate(ball, word, bits):
 
 def is_antispherical(ball, d, I):
     """True iff every step satisfies x_k s_{k+1} in ^IW."""
-    I = frozenset(I)
-    for k, s in enumerate(d.word):
-        xs = ball.right(d.stroll[k], s)
-        if not ball.is_min_rep(xs, I):
+    asc = ball.ascents(I)
+    for x, s in zip(d.stroll, d.word):
+        # the stroll starts at e in ^IW and stays there up to x
+        if ball.right(x, s).length > x.length and not asc[x.idx] >> s & 1:
             return False
     return True
 
@@ -78,15 +78,17 @@ def is_antispherical(ball, d, I):
 def enumerate_subexprs(ball, word, I=None, endpoint=None):
     """All subexpressions of word in lexicographic bit order with 1 < 0.
 
-    With I given, restricts to I-antispherical ones (pruning whole subtrees
-    as soon as some x_k s_{k+1} leaves ^IW).  With endpoint given, filters
-    on the final stroll element.
+    Restricts to I-antispherical ones (pruning whole subtrees as soon as
+    some x_k s_{k+1} leaves ^IW); I = None means I = {}, where every
+    subexpression is antispherical.  With endpoint given, filters on the
+    final stroll element.
     """
-    I = frozenset(I) if I is not None else None
+    asc = ball.ascents(I or ())
     out = []
 
     # the stroll and decorations of a prefix are carried down, so each leaf
-    # is built as decorate(ball, word, bits) would build it, without a walk
+    # is built as decorate(ball, word, bits) would build it, without a walk;
+    # x is in ^IW, and so is xs < x, and xs > x when its ascent bit is set
     def rec(k, x, bits, stroll, decorations):
         if k == len(word):
             if endpoint is None or x == endpoint:
@@ -96,9 +98,10 @@ def enumerate_subexprs(ball, word, I=None, endpoint=None):
         xs = ball.right(x, s)
         if xs is None:
             raise CapError("Bruhat stroll leaves the group ball")
-        if I is not None and not ball.is_min_rep(xs, I):
+        up = xs.length > x.length
+        if up and not asc[x.idx] >> s & 1:
             return
-        one, zero = ("U1", "U0") if xs.length > x.length else ("D1", "D0")
+        one, zero = ("U1", "U0") if up else ("D1", "D0")
         rec(k + 1, xs, bits + (1,), stroll + (xs,), decorations + (one,))
         rec(k + 1, x, bits + (0,), stroll + (x,), decorations + (zero,))
 

@@ -14,7 +14,8 @@ b_x = sum_y h_{y,x} h_y.  One self-dual induction computes d_x and c_x for
 every I.
 
 The rule above is written once, in `_bs_raw`, on raw polynomials: plain
-{exponent: int} dicts.  `ParaElt.mul_bs` wraps its result as LaurentPoly
+{exponent: int} dicts; it reads xs in ^IW off the ball's ascent masks
+(`GroupBall.ascents`).  `ParaElt.mul_bs` wraps its result as LaurentPoly
 values; the induction (`ParabolicKLTable._induce`) keeps the candidate
 column raw while it strips the v^{<=0} tails in place, and wraps only the
 entries it reads.  Each table interns its polynomials, so every entry equal
@@ -62,27 +63,25 @@ def _acc(out, x, p):
     out[x] = p if q is None else q + p
 
 
-def _bs_raw(ball, I, spherical, coeffs, s, up=None):
+def _bs_raw(ball, I, spherical, coeffs, s):
     """(sum_x p_x n_x) b_s by the three-case rule, where coeffs maps x to the
     raw polynomial p_x.  coeffs is only read; the result holds new dicts,
     which may keep zero coefficients.
 
-    Whether xs lies in ^IW is decided by ball.is_min_rep, or, given `up`,
-    a table's ^IW ascent masks (ParabolicKLTable._descent_masks), by the
-    masks: x is in ^IW, so xs < x is too, and an ascent is in ^IW when its
-    bit is set."""
-    hecke = not I               # I = {}: every xs stays in ^IW
+    Whether xs lies in ^IW is read from the ball's ascent masks: x is in
+    ^IW, so xs < x is too, and an ascent is in ^IW when its bit is set.  An
+    x outside ^IW is no basis element, and raises UsageError."""
+    asc = ball.ascents(I)
     bit = 1 << s
     out = {}
     for x, p in coeffs.items():
         xs = ball.right(x, s)
         if xs is None:
             raise CapError("module action leaves the group ball")
-        if up is None:
-            inside = hecke or ball.is_min_rep(xs, I)
-        else:
-            inside = xs.length < x.length or up[x.idx] & bit
-        if inside:
+        a = asc[x.idx]
+        if a is None:
+            raise UsageError("%r is not in ^IW" % x)
+        if xs.length < x.length or a & bit:
             shifts = ((xs, 0), (x, 1 if xs.length > x.length else -1))
         elif spherical:
             shifts = ((x, 1), (x, -1))
@@ -214,36 +213,14 @@ class ParabolicKLTable:
         self._polys = {((0, 1),): ONE}
         # id of an interned polynomial p -> the interned v p
         self._vshift = {}
-        self._down = self._up = None
 
     def b(self, x):
         got = self._b.get(x)
         if got is None:
+            if self.ball.ascents(self.I)[x.idx] is None:
+                raise UsageError("%r is not in ^IW" % x)
             got = self._b[x] = self._induce(x)
         return got
-
-    def _descent_masks(self):
-        """Bitmasks over S per ball index, read from the ball's right_idx
-        table: `_down` holds each element's right descents, and for y in
-        ^IW `_up` holds the s with ys > y in ^IW."""
-        ball = self.ball
-        els = ball.elements
-        inq = None
-        if self.I:
-            inq = bytearray(len(els))
-            for y in ball.min_reps(self.I):
-                inq[y.idx] = 1
-        self._down, self._up = down, up = [], []
-        for y, row in zip(els, ball.right_idx):
-            d = u = 0
-            for s, j in enumerate(row):
-                if j is not None:
-                    if els[j].length < y.length:
-                        d |= 1 << s
-                    elif inq is None or inq[j]:
-                        u |= 1 << s
-            down.append(d)
-            up.append(u)
 
     def _intern(self, y, x, q):
         """The table's one LaurentPoly equal to the raw entry q at y of d_x,
@@ -263,8 +240,8 @@ class ParabolicKLTable:
 
     def _induce(self, x):
         """d_x = sum_y p_y n_y from b_{xs} b_s, s the largest-index descent
-        of x, by the descent rule of the module docstring.  Let D be the
-        right descents of x.  Each y falls in one of three kinds:
+        of x, by the descent rule of the module docstring, on the ball's
+        masks.  Let D be the right descents of x.  There are three kinds of y:
 
         - shifted: some t in D has yt > y in ^IW, so p_y = v p_{yt}.  The
           lowest such t names the source yt.  A shifted entry is v times
@@ -293,10 +270,8 @@ class ParabolicKLTable:
         must be 1, and an entry that must vanish must be 0; CoxkitError
         otherwise.
         """
-        if self._down is None:
-            self._descent_masks()
-        down, up = self._down, self._up
         ball, I, spherical = self.ball, self.I, self.spherical
+        down, up = ball.descents(), ball.ascents(I)
         els, right = ball.elements, ball.right_idx
         desc = down[x.idx]
         s = desc.bit_length() - 1
@@ -309,7 +284,7 @@ class ParabolicKLTable:
                 skipped[z] = p.coeffs
             else:
                 feed[z] = p.coeffs
-        cand = _bs_raw(ball, I, spherical, feed, s, up)
+        cand = _bs_raw(ball, I, spherical, feed, s)
         lower = sorted((z for z in cand if z is not x), key=_idx, reverse=True)
         for z in lower:
             # tail sum_{e<=0} c_e v^e -> corr = c_0 + sum_{e<0} c_e (v^e + v^-e)
@@ -375,7 +350,7 @@ class ParabolicKLTable:
             q = dict(cand[y])
             ys = els[right[y.idx][s]]
             back = {z: skipped[z] for z in (y, ys) if z in skipped}
-            raw = _bs_raw(ball, I, spherical, back, s, up)
+            raw = _bs_raw(ball, I, spherical, back, s)
             for e, c in raw.get(y, {}).items():
                 q[e] = q.get(e, 0) + c
             if self._intern(y, x, q) is not None:
@@ -392,7 +367,7 @@ class ParabolicKLTable:
     def table_rows(self):
         """(y, x, poly) rows for x in ^IW, nonzero polynomials only."""
         rows = []
-        for x in sorted(self.ball.min_reps(self.I), key=_idx):
+        for x in self.ball.min_reps(self.I):
             rows.extend((y, x, p) for y, p in
                         sorted(self.b(x).coeffs.items(), key=_item_idx))
         return rows

@@ -297,6 +297,45 @@ def test_parabolic_property_agreement(name, cap):
                     assert (verdict == "exits_via") == (via is not None)
 
 
+@pytest.mark.parametrize("name,cap", [
+    ("A3", 6), ("B3", 9), ("D4", 8), ("H3", 8), ("affA1", 12), ("affA2", 8),
+    ("M_4_5_7", 6)])
+def test_ascent_masks_match_left_descents(name, cap):
+    # the ball's masks against their definitions, read through ball.left
+    # and lengths: x is in ^IW when no s in I has sx < x, and bit s of its
+    # ascent mask is set when xs > x lies in ^IW
+    ball = ball_of(name, cap)
+    S = range(ball.rank)
+
+    def longer(y, x):
+        return y is not None and y.length > x.length
+
+    desc = ball.descents()
+    for x in ball.elements:
+        want = sum(1 << s for s in S
+                   if ball.right(x, s) is not None and not longer(ball.right(x, s), x))
+        assert desc[x.idx] == want, x
+    for r in range(ball.rank + 1):
+        for I in itertools.combinations(S, r):
+            def inside(x):
+                return all(ball.left(x, s) is None or longer(ball.left(x, s), x)
+                           for s in I)
+
+            asc = ball.ascents(I)
+            for x in ball.elements:
+                if not inside(x):
+                    assert asc[x.idx] is None, (I, x)
+                    assert not ball.is_min_rep(x, I)
+                    continue
+                want = sum(1 << s for s in S
+                           if longer(ball.right(x, s), x) and inside(ball.right(x, s)))
+                assert asc[x.idx] == want, (I, x)
+                assert ball.is_min_rep(x, I)
+            reps = ball.min_reps(I)
+            assert reps == [x for x in ball.elements if inside(x)]
+            assert [x.idx for x in reps] == sorted(x.idx for x in reps)
+
+
 def test_min_rep_counts_a2():
     ball = ball_of("A2", 10)
     assert len(ball.min_reps(frozenset({0}))) == 3

@@ -108,6 +108,16 @@ def test_enumerate_builds_what_decorate_builds(name, cap, I, length):
     assert leaves > 1000
 
 
+def test_enumerate_I_none_is_the_empty_I(aff):
+    word = (1, 0, 1, 0, 0, 1)
+    want = enumerate_subexprs(aff, word, I=frozenset())
+    got = enumerate_subexprs(aff, word)
+    assert len(got) == len(want) == 2 ** len(word)
+    for d, e in zip(got, want):
+        assert (d.bits, d.decorations, d.defect) == (e.bits, e.decorations, e.defect)
+        assert all(a is b for a, b in zip(d.stroll, e.stroll))
+
+
 def test_path_dominance(a2):
     word = (0, 1)
     top = decorate(a2, word, (1, 1))

@@ -10,7 +10,7 @@ import pytest
 
 import coxkit
 from coxkit.coxeter import CoxeterMatrix, build_ball
-from coxkit.errors import CoxkitError
+from coxkit.errors import CoxkitError, UsageError
 from coxkit.hecke import KLTable, n_bar
 from coxkit.laurent import LaurentPoly, ONE, V, VINV
 from coxkit.parabolic import (MElt, NElt, ParabolicKLTable, _bs_raw,
@@ -53,6 +53,19 @@ def test_m_action_quotient_exit(a2):
     I = frozenset({0})
     got = MElt.unit(a2, I).mul_bs(0)
     assert got == MElt.unit(a2, I).scale(V + VINV)
+
+
+def test_action_refuses_an_element_outside_the_quotient(a2):
+    # s1 is not in ^IW for I = {s1}, so n_s1 and m_s1 are no basis elements
+    # and have no canonical basis element either
+    I = frozenset({0})
+    s1 = a2.product_of_word((0,))
+    for cls in (NElt, MElt):
+        for s in (0, 1):
+            with pytest.raises(UsageError, match="not in"):
+                cls.std(a2, I, s1).mul_bs(s)
+        with pytest.raises(UsageError, match="not in"):
+            ParabolicKLTable(a2, I, spherical=cls.spherical).b(s1)
 
 
 def test_project_pi_examples(a2):

@@ -313,9 +313,7 @@ def cmd_pcan(args):
                   file=sys.stderr)
             return EXIT_FAIL
 
-    rows = [[_elt_name(x), str(mult)]
-            for x, mult in sorted(decomposition.items(),
-                                  key=lambda kv: (-kv[0].length, kv[0].word))]
+    rows = [[_elt_name(x), str(mult)] for x, mult in decomposition.items()]
     _render(rows, ("x", "multiplicity"), args.format)
     return EXIT_PASS
 

@@ -75,13 +75,12 @@ def is_antispherical(ball, d, I):
     return True
 
 
-def enumerate_subexprs(ball, word, I=None, endpoint=None):
+def enumerate_subexprs(ball, word, I=None):
     """All subexpressions of word in lexicographic bit order with 1 < 0.
 
     Restricts to I-antispherical ones (pruning whole subtrees as soon as
     some x_k s_{k+1} leaves ^IW); I = None means I = {}, where every
-    subexpression is antispherical.  With endpoint given, filters on the
-    final stroll element.
+    subexpression is antispherical.
     """
     asc = ball.ascents(I or ())
     out = []
@@ -91,8 +90,7 @@ def enumerate_subexprs(ball, word, I=None, endpoint=None):
     # x is in ^IW, and so is xs < x, and xs > x when its ascent bit is set
     def rec(k, x, bits, stroll, decorations):
         if k == len(word):
-            if endpoint is None or x == endpoint:
-                out.append(DecoratedSubexpr(word, bits, list(stroll), decorations))
+            out.append(DecoratedSubexpr(word, bits, list(stroll), decorations))
             return
         s = word[k]
         xs = ball.right(x, s)
@@ -118,10 +116,7 @@ def path_dom_leq(ball, e, f):
 
 def graded_rank(ball, word, x, I):
     """Sum of v^defect over I-antispherical subexpressions with endpoint x."""
-    poly = LaurentPoly.zero()
-    for d in enumerate_subexprs(ball, word, I=I, endpoint=x):
-        poly = poly + LaurentPoly.v(d.defect)
-    return poly
+    return char_of_word(ball, word, I).coeff(x)
 
 
 def char_of_word(ball, word, I):

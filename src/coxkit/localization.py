@@ -77,14 +77,15 @@ The certificates of a word (`coxkit check localization`) stay
 symbolic.  The double leaf flipped(LL_f) o LL_e of a pair is built once:
 double_leaf keeps its most recent result, and endpoint matching and
 triangularity read it one after the other.  Its entries are the PolyRing's
-shared Q_I values, and compose multiplies and sums them through the ring's
-memos, so across a sweep each distinct product or sum is computed once; a
-composed matrix takes its position maps from its factors.  The diagonal
-check computes only entry (e, e), row e of the flipped leaf dotted with
-column e of the leaf, and keeps its verdict per (shared value, set of
-candidate roots).  It divides by the candidate roots exactly over K, each
-candidate's leading coefficient inverted once by _inverse; a quotient with
-a coefficient outside K ends its branch.
+shared Q_I values, and compose multiplies them through the ring's product
+memo, so across a sweep each distinct product is computed once; a composed
+matrix takes its position maps from its factors.  The diagonal check reads
+entry (e, e) of double_leaf(word, e, e), and keeps its verdict per (shared
+value, set of candidate roots).  It divides by the candidate roots exactly
+over K, each candidate's leading coefficient inverted once by _inverse; a
+quotient with a coefficient outside K ends its branch.  The Gram check
+evaluates at the points multiplicity draws (_point), so both share every
+point-keyed cache.
 Triangularity tests each nonzero entry by membership in the
 path-dominance down-sets of e and f, each computed once per word and
 dropped when the word changes.
@@ -96,7 +97,8 @@ import math
 import operator
 import random
 
-from .errors import CoxkitError, UnsupportedBraidError
+from .errors import (CoxkitError, UnsupportedBraidError,
+                     UnsupportedCharacteristicError)
 from .laurent import LaurentPoly
 from .leaves import decorate, enumerate_subexprs, path_dom_leq
 from .polyring import Poly, PolyRing, QCoeff
@@ -129,7 +131,8 @@ _BRAIDS = {
 }
 
 class StdMatrix:
-    """Morphism between standard-summand decompositions, sparse over Q_I."""
+    """Morphism between standard-summand decompositions, sparse over Q_I;
+    unhashable, as equality is semantic (entrywise in Q_I)."""
 
     __slots__ = ("domain", "codomain", "dpos", "cpos", "entries")
 
@@ -171,19 +174,6 @@ class StdMatrix:
                 out[(ri, cj)] = prod if got is None else got + prod
         return StdMatrix(other.domain, self.codomain, out, other.dpos, self.cpos)
 
-    def compose_entry(self, other, f, e):
-        """Entry (f, e) of self o other (None if zero), summed in the order
-        compose sums it, so the value equals compose(...).entry(f, e)."""
-        r, col = self.cpos[f.bits], other.dpos[e.bits]
-        row = {ki: val for (ri, ki), val in self.entries.items() if ri == r}
-        out = None
-        for (ki, cj), val in other.entries.items():
-            left = row.get(ki)
-            if cj == col and left is not None:
-                prod = left * val
-                out = prod if out is None else out + prod
-        return None if out is None or out.is_zero() else out
-
     def __add__(self, other):
         if self.dpos != other.dpos or self.cpos != other.cpos:
             raise CoxkitError("sum shape mismatch")
@@ -205,9 +195,6 @@ class StdMatrix:
         return self.dpos == other.dpos and self.cpos == other.cpos \
             and self.entries.keys() == other.entries.keys() \
             and all(v == other.entries[k] for k, v in self.entries.items())
-
-    def __hash__(self):
-        raise TypeError("StdMatrix is unhashable")
 
     def endpoint_matched(self):
         """True iff all entries between summands with distinct endpoints vanish."""
@@ -233,7 +220,8 @@ class LocalCalculus:
         self._vec_cache = {}
         self._step_cache = {}
         self._euler_cache = {}
-        # multiplicity's evaluation points, drawn once per calculus
+        # the evaluation points of multiplicity and gram_invertible, drawn
+        # once per calculus
         self._points = []
         self._point_rng = None
         self._top_cache = {}
@@ -562,19 +550,13 @@ class LocalCalculus:
                 self.ball.root_image(e.stroll[k], s), self.I))
         return roots
 
-    def _diagonal_entry(self, word, e):
-        """Entry (e, e) of double_leaf(word, e, e), computed alone: row e of
-        the flipped leaf dotted with column e of the leaf (None if zero)."""
-        return self.eval_lightleaf(word, e, flipped=True).compose_entry(
-            self.eval_lightleaf(word, e), e, e)
-
     def check_diagonal(self, word, e):
-        """The diagonal double-leaf entry is a unit multiple of a product of
-        roots (trial division by the stroll root images).  The backtracking
-        division tries every candidate root, so its verdict depends only on
-        the value and the set of candidates: it is kept per (shared value,
-        frozenset of candidate roots)."""
-        val = self._diagonal_entry(word, e)
+        """Entry (e, e) of double_leaf(word, e, e) is a unit multiple of a
+        product of roots (trial division by the stroll root images).  The
+        backtracking division tries every candidate root, so its verdict
+        depends only on the value and the set of candidates: it is kept per
+        (shared value, frozenset of candidate roots)."""
+        val = self.double_leaf(word, e, e).entry(e, e)
         if val is None:
             return False
         candidates = dict.fromkeys(
@@ -598,18 +580,17 @@ class LocalCalculus:
             got = self._divisor_cache[root] = form, lm, self._inverse(lc)
         return got
 
-    def gram_invertible(self, word, x, tries=6, seed=11):
-        """Nondegeneracy over Q_I, certified by exact evaluation at points."""
+    def gram_invertible(self, word, x, tries=6):
+        """Nondegeneracy over Q_I, certified by exact evaluation at _point(k)
+        for k < tries; a point where a denominator vanishes is skipped, and
+        three singular evaluations refuse."""
         leaves = self.leaves_at(word, x)
         if not leaves:
             return True
-        rng = random.Random(seed)
         failures = 0
-        for _ in range(tries):
-            point = tuple(rng.randint(10 ** 4, 10 ** 6)
-                          for _ in range(self.pr.rank))
+        for k in range(tries):
             try:
-                rows = self.pairing_matrix(word, leaves, leaves, point)
+                rows = self.pairing_matrix(word, leaves, leaves, self._point(k))
             except ZeroDivisionError:
                 continue
             if self._char0_rank(rows) == len(leaves):
@@ -871,8 +852,8 @@ class LocalCalculus:
     # -- intersection forms and canonical multiplicities --------------------------
 
     def _point(self, k):
-        """The k-th evaluation point multiplicity tries: one
-        random.Random(20231115) sequence per calculus, drawn as far as
+        """The k-th evaluation point multiplicity and gram_invertible try: one
+        random sequence, seeded 20231115, per calculus, drawn as far as
         asked."""
         points = self._points
         while len(points) <= k:
@@ -891,9 +872,21 @@ class LocalCalculus:
         the form at defect -d is the transpose of the form at d: only the
         forms at d >= 0 are assembled (pairing_matrix), each ranked once,
         and a rank r at d > 0 adds r (v^d + v^-d).
+
+        At char p the realization must be Demazure surjective (Elias-
+        Williamson's standing hypothesis): each alpha_s^vee is nonzero on
+        some simple root in the residue field, or p is refused.
         """
         word = tuple(word)
-        field = PrimeFieldK(self.pr.ring, char) if char else None
+        field = None
+        if char:
+            field = PrimeFieldK(self.pr.ring, char)
+            for s, col in enumerate(zip(*self.ball.cartan)):
+                if not any(a % char for c in col for a in c):
+                    raise UnsupportedCharacteristicError(
+                        "the realization is not Demazure surjective at "
+                        "characteristic %d: alpha_s%d^vee vanishes on every "
+                        "simple root" % (char, s + 1))
         by_defect = {}
         for e in self.leaves_at(word, x):
             by_defect.setdefault(e.defect, []).append(e)
@@ -926,7 +919,8 @@ class LocalCalculus:
         return out
 
     def pcanonical(self, word, char=0):
-        """Indecomposable multiplicities in the object of `word` over N."""
+        """Indecomposable multiplicities in the object of `word` over N:
+        {x: m_x(v)} for each x with m_x nonzero, in (-length, word) order."""
         word = tuple(word)
         endpoints = sorted({e.endpoint for e in self.indices(word)},
                            key=lambda z: (-z.length, z.word))

@@ -9,10 +9,11 @@ tested by cross-multiplication.
 
 Q_I is hash-consed per PolyRing: the ring holds exactly one shared QCoeff
 per distinct structure (numerator terms and sorted denominator roots), each
-with a small integer index, and memoizes products and sums by the ordered
-index pair of their operands.  A certificate sweep repeats a few hundred
-distinct products tens of thousands of times, so Poly arithmetic runs only
-on a memo miss.
+with a small integer index, and memoizes products by the ordered index pair
+of their operands.  A certificate sweep repeats a few hundred distinct
+products tens of thousands of times, so Poly multiplication runs only on a
+memo miss.  Sums are rare and not memoized; each comes back as the ring's
+shared value all the same.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ class PolyRing:
         self._zero_mono = (0,) * self.rank
         self._action_memo = {}
         # Q_I, hash-consed: structure -> the shared QCoeff, and the ordered
-        # index pair of two operands -> their shared product or sum
+        # index pair of two factors -> their shared product
         self._qi_table = {}
         self._qi_mul = {}
-        self._qi_add = {}
         # the first shared value, the unit of Q_I: identities and unit rule
         # terms share it, and a product with it is the other factor
         self.unit = QCoeff(self, self.one())
@@ -230,10 +230,11 @@ class QCoeff:
     Values are never mutated, and each PolyRing shares them: every QCoeff
     it makes, by the constructor or by arithmetic, is its one object for
     that structure, numbered `idx` in order of creation (PolyRing.unit is
-    0, and a product with it is the other factor).  Products and sums are
-    memoized on the ring by the ordered index pair.  Values equal in Q_I
-    but written differently stay distinct objects, and equality
-    cross-multiplies.
+    0, and a product with it is the other factor).  Products are memoized
+    on the ring by the ordered index pair.  Values equal in Q_I but written
+    differently stay distinct objects, and equality cross-multiplies: it is
+    semantic, so the class defines __eq__ without __hash__ and is
+    unhashable.
     """
 
     __slots__ = ("pr", "num", "den", "idx")
@@ -257,23 +258,12 @@ class QCoeff:
         return q
 
     def den_poly(self):
-        out = self.pr.one()
-        for root in self.den:
-            out = out * self.pr.linear(root)
-        return out
+        return _root_product(self.pr, self.den)
 
     def is_zero(self):
         return self.num.is_zero()
 
     def __add__(self, other):
-        memo = self.pr._qi_add
-        key = (self.idx, other.idx)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = self._sum(other)
-        return got
-
-    def _sum(self, other):
         if self.is_zero():
             return other
         if other.is_zero():
@@ -321,9 +311,6 @@ class QCoeff:
         common, rest1, rest2 = _multiset_split(self.den, other.den)
         return self.num * _root_product(self.pr, rest2) \
             == other.num * _root_product(self.pr, rest1)
-
-    def __hash__(self):
-        raise TypeError("QCoeff is unhashable (equality is semantic)")
 
     def __repr__(self):
         if not self.den:

@@ -155,6 +155,18 @@ def test_bad_characteristic_exit_2(capsys):
     assert "prime" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--type", "A1", "s1", "s1"],
+    ["--type", "affA1", "--I", "s1", "s2", "s1", "s2"],
+])
+def test_char_2_without_demazure_surjectivity_exit_2(capsys, argv):
+    rc, out, err = run(capsys, ["pcan", "--char", "2"] + argv)
+    assert rc == 2 and out == ""
+    got = json.loads(err)
+    assert got["error"] == "UnsupportedCharacteristicError"
+    assert "not Demazure surjective" in got["message"]
+
+
 def test_pcan_char0_crosscheck_runs(capsys):
     # t s t = s t s leaves the quotient for I = {s1}; the character collapses
     # to d_{s2} and the cross-check against the module action still passes

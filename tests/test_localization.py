@@ -3,6 +3,7 @@ intersection forms, and canonical multiplicities."""
 
 import gc
 import itertools
+import json
 import math
 import operator
 import random
@@ -282,6 +283,48 @@ def test_char_p_answers_on_h3_and_b3(name, word, char):
     calc = LocalCalculus(ball)
     got = calc.pcanonical(word, char=char)
     assert got and got == calc.pcanonical(word)
+
+
+# Every m = infinity entry is -2 in the Cartan matrix, so each alpha_s^vee
+# vanishes on every simple root mod 2 but not mod 3.
+_ALL_INF = CoxeterMatrix.from_json(json.dumps(
+    {"rank": 3, "entries": [[1, "inf", "inf"], ["inf", 1, "inf"],
+                            ["inf", "inf", 1]]}))
+
+
+@pytest.mark.parametrize("matrix, I, word", [
+    (CoxeterMatrix.from_type("A1"), frozenset(), (0, 0)),
+    (CoxeterMatrix.from_type("affA1"), frozenset({0}), (1, 0, 1)),
+    (_ALL_INF, frozenset(), (0, 1, 0)),
+])
+def test_char_2_is_refused_where_the_realization_is_not_demazure_surjective(
+        matrix, I, word):
+    """alpha_s^vee(alpha_t) is even for every t, so alpha_s^vee is 0 on
+    the span of the simple roots mod 2: Elias-Williamson's standing
+    hypothesis fails, and char 2 is refused naming it and s."""
+    calc = LocalCalculus(build_ball(matrix, len(word)), I)
+    with pytest.raises(UnsupportedCharacteristicError,
+                       match="not Demazure surjective at characteristic 2: "
+                             "alpha_s1\\^vee"):
+        calc.pcanonical(word, char=2)
+    assert calc.pcanonical(word, char=3) == calc.pcanonical(word)
+
+
+@pytest.mark.parametrize("name, I, word, char", [
+    ("affA1", frozenset({0}), (1, 0, 1, 0, 1), 3),
+    ("A2", frozenset(), (0, 1, 0), 2),
+    ("A3", frozenset(), (0, 1, 0, 2, 1, 0), 2),
+    ("A4", frozenset(), (0, 1, 2, 3, 2, 1), 2),
+    ("D4", frozenset(), (0, 1, 2, 1, 3), 2),
+    ("H3", frozenset(), (0, 1, 0, 2, 1, 0), 2),
+])
+def test_demazure_surjective_realizations_still_answer(name, I, word, char):
+    """Each alpha_s^vee is nonzero on some simple root mod p (on a
+    neighbour with m_st = 3 or 5 at p = 2; alpha_s^vee(alpha_s) = 2 at
+    p = 3), so the word still decomposes, its reduced element once."""
+    ball = build_ball(CoxeterMatrix.from_type(name), len(word))
+    got = LocalCalculus(ball, I).pcanonical(word, char=char)
+    assert got[ball.product_of_word(word)] == LaurentPoly.const(1)
 
 
 def test_stdmatrix_identity_and_compose(a2):
@@ -760,8 +803,9 @@ def test_char_p_reduces_each_distinct_form_value_once(monkeypatch):
 
 
 def test_evaluation_points_are_drawn_once_per_calculus(a2, monkeypatch):
-    """multiplicity tries the points of one random.Random(20231115)
-    sequence, drawn once per calculus and kept for every (word, x)."""
+    """multiplicity and gram_invertible try the points of one
+    random.Random(20231115) sequence, drawn once per calculus and kept for
+    every (word, x)."""
     rng = random.Random(20231115)
     want = [tuple(rng.randint(10 ** 6, 10 ** 7) for _ in range(2))
             for _ in range(10)]
@@ -775,6 +819,10 @@ def test_evaluation_points_are_drawn_once_per_calculus(a2, monkeypatch):
     monkeypatch.setattr(localization, "random",
                         SimpleNamespace(Random=Counting))
     calc = LocalCalculus(a2)
+    seen = _record_pairings(calc)
+    # the Gram check evaluates at the same sequence, from its first point
+    assert calc.gram_invertible((0, 1, 0), a2.product_of_word((0,)))
+    assert seen == [(want[0], False)]
     for word in _words(2, 4):
         calc.pcanonical(word)
     assert builds == [20231115]
@@ -837,16 +885,39 @@ def _same_qcoeff(a, b):
 
 @pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
 def test_diagonal_is_the_entry_of_the_full_double_leaf(name, cap, I, length):
-    """The value check_diagonal divides is entry (e, e) of the whole double
-    leaf built on a fresh calculus, written the same way."""
+    """check_diagonal reads entry (e, e) of double_leaf(word, e, e): its
+    verdict and that entry equal those of a fresh calculus, the entry
+    written the same way."""
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
     calc, fresh = LocalCalculus(ball, I), LocalCalculus(ball, I)
     for word in _words(ball.rank, length):
         for e in calc.indices(word):
-            got = calc._diagonal_entry(word, e)
+            verdict = calc.check_diagonal(word, e)
+            got = calc.double_leaf(word, e, e).entry(e, e)
             want = fresh.double_leaf(word, e, e).entry(e, e)
             assert got is not None and _same_qcoeff(got, want), (word, e)
+            assert verdict and verdict == fresh.check_diagonal(word, e)
+
+
+def test_qi_sums_stay_shared_without_a_memo(a2):
+    """A sum of two values of a certificate sweep comes back as the ring's
+    one object for its structure, each time it is asked; Q_I values and
+    matrices over them stay unhashable, as their equality is semantic."""
+    calc = LocalCalculus(a2)
+    for word in _words(2, 3):
+        for e in calc.indices(word):
             assert calc.check_diagonal(word, e)
+    table = calc.pr._qi_table
+    values = list(table.values())[:40]
+    assert len(values) == 40
+    for a, b in itertools.product(values, repeat=2):
+        total = a + b
+        assert (a + b) is total, (a, b)
+        assert table[(frozenset(total.num.coeffs.items()), total.den)] is total
+    e = calc.indices((0,))[0]
+    for unhashable in (values[0], calc.double_leaf((0,), e, e)):
+        with pytest.raises(TypeError):
+            hash(unhashable)
 
 
 def test_double_leaf_memo_is_keyed_by_word(a2):

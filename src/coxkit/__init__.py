@@ -9,8 +9,7 @@ from .errors import (CapError, CoxkitError, NotFinitaryError, ResourceError,
 from .hecke import KLTable, n_bar
 from .laurent import LaurentPoly
 from .leaves import (DecoratedSubexpr, char_of_word, decorate,
-                     enumerate_subexprs, graded_rank, is_antispherical,
-                     path_dom_leq)
+                     enumerate_subexprs, is_antispherical, path_dom_leq)
 from .localization import LocalCalculus, StdMatrix, relation_oracle
 from .parabolic import (MElt, NElt, ParabolicKLTable, check_deodhar,
                         check_finitary, check_monotonicity, project_pi)
@@ -24,7 +23,7 @@ __all__ = [
     "MElt", "NElt", "ParabolicKLTable", "check_deodhar", "check_finitary",
     "check_monotonicity", "n_bar", "project_pi",
     "DecoratedSubexpr", "char_of_word", "decorate", "enumerate_subexprs",
-    "graded_rank", "is_antispherical", "path_dom_leq",
+    "is_antispherical", "path_dom_leq",
     "Poly", "PolyRing", "QCoeff",
     "LocalCalculus", "StdMatrix", "relation_oracle",
     "CapError", "CoxkitError", "NotFinitaryError", "ResourceError",

@@ -251,16 +251,17 @@ def _check_localization(ball, I, args):
             for x in endpoints:
                 lv = calc.leaves_at(word, x)
                 for e in lv:
-                    if not calc.check_diagonal(word, e):
-                        bad.append([_word_name(word), _elt_name(x),
-                                    "diagonal not unit*roots"])
+                    # the diagonal is read at f is e, from the double leaf
+                    # composed for that pair, and reported first
+                    notes = []
                     for f in lv:
+                        if f is e and not calc.check_diagonal(word, e):
+                            notes.insert(0, "diagonal not unit*roots")
                         if not calc.check_triangularity(word, e, f):
-                            bad.append([_word_name(word), _elt_name(x),
-                                        "triangularity failure"])
+                            notes.append("triangularity failure")
                         if not calc.double_leaf(word, e, f).endpoint_matched():
-                            bad.append([_word_name(word), _elt_name(x),
-                                        "endpoint mismatch"])
+                            notes.append("endpoint mismatch")
+                    bad += [[_word_name(word), _elt_name(x), note] for note in notes]
                 if not calc.gram_invertible(word, x):
                     bad.append([_word_name(word), _elt_name(x),
                                 "pairing matrix not invertible"])

@@ -18,8 +18,7 @@ import json
 import math
 from functools import lru_cache
 
-from .errors import (CapError, CoxkitError, NotFinitaryError, ResourceError,
-                     UsageError)
+from .errors import CapError, NotFinitaryError, ResourceError, UsageError
 from .scalars import ScalarRing
 
 INF = math.inf
@@ -173,9 +172,6 @@ class Element:
     def __repr__(self):
         return "<%s>" % ("".join("s%d" % (g + 1) for g in self.word) or "e")
 
-    def inverse(self):
-        return self.ball.inverse(self)
-
 
 class GroupBall:
     """All elements of (W, S) of length <= length_cap, breadth first.
@@ -252,16 +248,7 @@ class GroupBall:
                     right[x][s] = j
                     right[j][s] = x
             frontier = nxt
-        # Boundary elements can still have in-ball products (their descents);
-        # fill those in so length comparisons at the cap stay correct.
-        for x in frontier:
-            key = keys[x]
-            for s in range(rank):
-                if right[x][s] is None:
-                    j = index.get(mul_key(key, s))
-                    if j is not None:
-                        right[x][s] = j
-                        right[j][s] = x
+        # The last round recorded each top element's descents; its ascents leave the ball.
         self.right_idx = right
         self.elements = [Element(self, i, w) for i, w in enumerate(words)]
         self.identity = self.elements[0]
@@ -276,17 +263,14 @@ class GroupBall:
         j = self.right_idx[x.idx][s]
         return self.elements[j] if j is not None else None
 
-    def right_checked(self, x, s):
-        y = self.right(x, s)
-        if y is None:
-            raise CapError("product of length %d exceeds cap %d"
-                           % (x.length + 1, self.length_cap))
-        return y
-
     def product_of_word(self, word, start=None):
         x = start or self.identity
         for s in word:
-            x = self.right_checked(x, s)
+            y = self.right(x, s)
+            if y is None:
+                raise CapError("product of length %d exceeds cap %d"
+                               % (x.length + 1, self.length_cap))
+            x = y
         return x
 
     def inverse(self, x):
@@ -315,9 +299,6 @@ class GroupBall:
                               if j is not None and els[j].length < x.length)
                           for x, row in zip(els, self.right_idx)]
         return self._desc
-
-    def right_descents(self, x):
-        return [s for s in range(self.rank) if self.descents()[x.idx] >> s & 1]
 
     # -- roots ---------------------------------------------------------------
 
@@ -391,10 +372,6 @@ class GroupBall:
             self._asc_memo[I] = got
         return got
 
-    def is_min_rep(self, x, I):
-        """x in ^IW: every s in I has sx > x."""
-        return self.ascents(I)[x.idx] is not None
-
     def min_reps(self, I):
         """^IW inside the ball, in index (shortlex) order."""
         return [x for x, a in zip(self.elements, self.ascents(I)) if a is not None]
@@ -423,32 +400,6 @@ class GroupBall:
         u = self.product_of_word(tuple(letters))
         return u, x
 
-    def parabolic_test(self, x, s, I):
-        """Root-theoretic Parabolic Property verdict for x in ^IW and s in S.
-
-        Returns ('exits_via', r) when x(alpha_s) = alpha_r with r in I (then
-        xs = rx is not in ^IW), else ('in_quotient', None).  When xs lies in
-        the ball, raises CoxkitError unless the combinatorial test agrees.
-        """
-        if not self.is_min_rep(x, I):
-            raise UsageError("parabolic_test requires x in ^IW")
-        root = self.root_image(x, s)
-        zero, one = self.ring.zero(), self.ring.one()
-        exit_r = None
-        for r in I:
-            if all(root[u] == (one if u == r else zero) for u in range(self.rank)):
-                exit_r = r
-                break
-        xs = self.right(x, s)
-        if xs is not None:
-            if self.is_min_rep(xs, I) != (exit_r is None):
-                raise CoxkitError("root and length tests disagree on x*s in ^IW")
-            if exit_r is not None and self.left(xs, exit_r) != x:
-                raise CoxkitError("x*s exits ^IW but is not r*x")
-        if exit_r is not None:
-            return ("exits_via", exit_r)
-        return ("in_quotient", None)
-
     def longest_element(self, I):
         x = self.identity
         while True:
@@ -464,11 +415,11 @@ class GroupBall:
 
 
 @lru_cache(maxsize=32)
-def _cached_ball(canon, cap):
-    return GroupBall(CoxeterMatrix.from_json(canon), cap)
+def _cached_ball(matrix, cap):
+    return GroupBall(matrix, cap)
 
 
 def build_ball(matrix, length_cap):
     if length_cap < 0:
         raise UsageError("length cap must be >= 0")
-    return _cached_ball(matrix.to_json(), length_cap)
+    return _cached_ball(matrix, length_cap)

@@ -114,13 +114,9 @@ def path_dom_leq(ball, e, f):
     return all(ball.bruhat_leq(a, b) for a, b in zip(e.stroll, f.stroll))
 
 
-def graded_rank(ball, word, x, I):
-    """Sum of v^defect over I-antispherical subexpressions with endpoint x."""
-    return char_of_word(ball, word, I).coeff(x)
-
-
 def char_of_word(ball, word, I):
-    """The diagrammatic character: sum of graded_rank(word, x) n_x over x.
+    """The diagrammatic character: sum of v^defect(d) n_endpoint(d) over
+    the I-antispherical subexpressions d of the word.
 
     Equals n_e b_{s_1} ... b_{s_m} computed through the module action.
     """

@@ -498,16 +498,6 @@ class LocalCalculus:
     def leaves_at(self, word, x):
         return [e for e in self.indices(word) if e.endpoint == x]
 
-    def pairing(self, word, x, e, f):
-        """Top-summand coefficient of LL_e o flipped(LL_f) on N_rex(x)."""
-        if e.endpoint != f.endpoint or e.endpoint != x:
-            return self.pr.qi_const(self.pr.zero())
-        comp = self.eval_lightleaf(word, e).compose(
-            self.eval_lightleaf(word, f, flipped=True))
-        top = next(i for i in comp.domain if i.bits == (1,) * len(i.bits))
-        got = comp.entry(top, top)
-        return got if got is not None else self.pr.qi_const(self.pr.zero())
-
     def double_leaf(self, word, e, f):
         """flipped(LL_f) o LL_e : N_word -> N_word.  The most recent result
         is kept, since endpoint matching and triangularity read the same

@@ -1,5 +1,6 @@
 """Command-line interface: tables, check suites, exit codes, result cache."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import sys
 import pytest
 
 import coxkit
-from coxkit import cli
+from coxkit import cli, coxeter
 from coxkit.cli import build_parser, main
+from coxkit.localization import LocalCalculus, StdMatrix
 
 
 def run(capsys, argv):
@@ -83,6 +85,91 @@ def test_check_localization_small(capsys):
                               "--cap", "6", "--I", "s1", "--word-cap", "2"])
     assert rc == 0
     assert out.startswith("PASS localization")
+
+
+@pytest.mark.parametrize("argv", [
+    ["monotonicity", "--type", "A3", "--I", "s1", "s2"],
+    ["gradedrank", "--type", "A3", "--count", "20"],
+    ["finitary", "--type", "A3", "--I", "s1", "s2"],
+])
+def test_check_suites_pass(capsys, argv):
+    rc, out, err = run(capsys, ["check"] + argv)
+    assert (rc, out, err) == (0, "PASS %s\n" % argv[0], "")
+
+
+def test_check_localization_composes_each_double_leaf_once(capsys, monkeypatch):
+    """The diagonal of (e, e) is read from the double leaf the f loop
+    composes for that pair: one compose per (word, e, f) at one endpoint."""
+    composed = {}
+    real = StdMatrix.compose
+
+    def counting(self, other):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "double_leaf":
+            loc = caller.f_locals
+            key = (loc["word"], loc["e"].bits, loc["f"].bits)
+            composed[key] = composed.get(key, 0) + 1
+        return real(self, other)
+
+    monkeypatch.setattr(StdMatrix, "compose", counting)
+    rc, out, _ = run(capsys, ["check", "localization", "--type", "A3",
+                              "--cap", "5", "--word-cap", "2"])
+    assert (rc, out) == (0, "PASS localization\n")
+    calc = LocalCalculus(coxeter.build_ball(coxeter.CoxeterMatrix.from_type("A3"), 5))
+    want = {(word, e.bits, f.bits)
+            for n in range(3) for word in itertools.product(range(3), repeat=n)
+            for e in calc.indices(word) for f in calc.leaves_at(word, e.endpoint)}
+    assert set(composed) == want
+    assert set(composed.values()) == {1}
+
+
+def test_check_localization_fail_report_row_order(capsys, monkeypatch):
+    """Each leaf e reports its diagonal first, then its triangularity rows
+    in f order, though the diagonal is read at f is e."""
+    monkeypatch.setattr(LocalCalculus, "check_diagonal", lambda self, word, e: False)
+    monkeypatch.setattr(LocalCalculus, "check_triangularity",
+                        lambda self, word, e, f: f is e)
+    rc, out, _ = run(capsys, ["check", "localization", "--type", "A1",
+                              "--cap", "2", "--word-cap", "2"])
+    diag, tri = "diagonal not unit*roots", "triangularity failure"
+    rows = ["e e " + diag, "s1 e " + diag, "s1 s1 " + diag]
+    for x in ("e", "s1"):
+        rows += ["s1*s1 %s %s" % (x, note) for note in (diag, tri, diag, tri)]
+    assert rc == 1
+    assert out.splitlines() == ["FAIL localization (11 counterexamples)"] + \
+        ["  " + row for row in rows]
+
+
+def test_check_failure_report_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(cli.CHECKS, "gradedrank", lambda ball, I, args:
+                        [["s1*s2", "", "character mismatch"]])
+    rc, out, err = run(capsys, ["check", "gradedrank", "--type", "A2"])
+    assert (rc, err) == (1, "")
+    assert out == "FAIL gradedrank (1 counterexamples)\n  s1*s2 character mismatch\n"
+
+
+def test_pcan_crosscheck_failure_exits_1(capsys, monkeypatch):
+    # dropping the longest summand of b_{s1} b_{s2} b_{s1} = b_{s1s2s1} +
+    # b_{s1} leaves a sum that the character of the word does not match
+    real = LocalCalculus.pcanonical
+
+    def wrong(self, word, char=0):
+        return dict(list(real(self, word, char).items())[1:])
+
+    monkeypatch.setattr(LocalCalculus, "pcanonical", wrong)
+    rc, out, err = run(capsys, ["pcan", "--type", "A2", "s1", "s2", "s1"])
+    assert (rc, out) == (1, "")
+    assert err == "FAIL pcan cross-check against canonical-basis expansion\n"
+
+
+def test_resource_error_exits_3(capsys, monkeypatch):
+    # I2_9 at cap 7 (15 elements) is built by no other test, so the ball
+    # cache cannot answer before the budget is read
+    monkeypatch.setattr(coxeter, "_MAX_ELEMENTS", 4)
+    rc, out, err = run(capsys, ["klpoly", "--type", "I2_9", "--cap", "7"])
+    assert (rc, out) == (3, "")
+    assert json.loads(err) == {"error": "ResourceError",
+                               "message": "group ball exceeds element budget"}
 
 
 def test_usage_errors_exit_2(capsys):

@@ -9,7 +9,7 @@ import pytest
 from coxkit.coxeter import CoxeterMatrix, build_ball
 from coxkit.laurent import LaurentPoly, V
 from coxkit.leaves import (char_of_word, decorate, enumerate_subexprs,
-                           graded_rank, is_antispherical, path_dom_leq)
+                           is_antispherical, path_dom_leq)
 from coxkit.parabolic import NElt
 
 
@@ -139,13 +139,13 @@ def test_path_dominance(a2):
 
 def test_graded_rank_examples(a2):
     word = (0, 1, 0)
-    assert graded_rank(a2, word, a2.product_of_word(word), frozenset()) == \
+    assert char_of_word(a2, word, frozenset()).coeff(a2.product_of_word(word)) == \
         LaurentPoly.const(1)
     # two subexpressions reach s: (1,0,0) with U1,U0,D0 (defect 0) and
     # (0,0,1) with U0,U0,U1 (defect 2)
-    assert graded_rank(a2, word, a2.product_of_word((0,)), frozenset()) == \
+    assert char_of_word(a2, word, frozenset()).coeff(a2.product_of_word((0,))) == \
         LaurentPoly.const(1) + LaurentPoly.v(2)
-    assert graded_rank(a2, word, a2.identity, frozenset({0})) == \
+    assert char_of_word(a2, word, frozenset({0})).coeff(a2.identity) == \
         LaurentPoly.zero()
 
 
@@ -179,8 +179,9 @@ def test_defect_counts_match_hecke_product(a2):
     # b_{s_1} ... b_{s_m}
     word = (0, 1, 0, 1)
     h = NElt.unit(a2, frozenset()).mul_b_word(word)
+    char = char_of_word(a2, word, frozenset())
     for x in a2.elements:
-        assert graded_rank(a2, word, x, frozenset()) == h.coeff(x)
+        assert char.coeff(x) == h.coeff(x)
 
 
 def test_json_export(a2):

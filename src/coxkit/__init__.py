@@ -6,13 +6,13 @@ from .coxeter import CoxeterMatrix, Element, GroupBall, build_ball, INF
 from .errors import (CapError, CoxkitError, NotFinitaryError, ResourceError,
                      RingParameterError, UnsupportedBraidError,
                      UnsupportedCharacteristicError, UsageError)
-from .hecke import KLTable, n_bar
+from .hecke import KLTable
 from .laurent import LaurentPoly
 from .leaves import (DecoratedSubexpr, char_of_word, decorate,
-                     enumerate_subexprs, is_antispherical, path_dom_leq)
+                     enumerate_subexprs, path_dom_leq)
 from .localization import LocalCalculus, StdMatrix, relation_oracle
 from .parabolic import (MElt, NElt, ParabolicKLTable, check_deodhar,
-                        check_finitary, check_monotonicity, project_pi)
+                        check_finitary, check_monotonicity)
 from .polyring import Poly, PolyRing, QCoeff
 from .scalars import PrimeFieldK, ScalarRing
 
@@ -21,9 +21,9 @@ __all__ = [
     "LaurentPoly", "PrimeFieldK", "ScalarRing",
     "KLTable",
     "MElt", "NElt", "ParabolicKLTable", "check_deodhar", "check_finitary",
-    "check_monotonicity", "n_bar", "project_pi",
+    "check_monotonicity",
     "DecoratedSubexpr", "char_of_word", "decorate", "enumerate_subexprs",
-    "is_antispherical", "path_dom_leq",
+    "path_dom_leq",
     "Poly", "PolyRing", "QCoeff",
     "LocalCalculus", "StdMatrix", "relation_oracle",
     "CapError", "CoxkitError", "NotFinitaryError", "ResourceError",

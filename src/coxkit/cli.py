@@ -23,8 +23,8 @@ from .errors import (CapError, NotFinitaryError, ResourceError,
                      UsageError)
 from .leaves import char_of_word
 from .localization import LocalCalculus, relation_oracle
-from .parabolic import (Element_shortlex, NElt, ParabolicKLTable,
-                        check_deodhar, check_finitary, check_monotonicity)
+from .parabolic import (NElt, ParabolicKLTable, check_deodhar,
+                        check_finitary, check_monotonicity)
 
 ALGORITHM_VERSION = "coxkit-tables-1"
 
@@ -63,7 +63,13 @@ def _parse_gen(token, rank):
 
 
 def _parse_I(tokens, rank):
-    return frozenset(_parse_gen(t, rank) for t in tokens)
+    """--I takes every token up to the next flag, so a generator given twice
+    is most likely a word placed after --I: refused, not swallowed."""
+    I = [_parse_gen(t, rank) for t in tokens]
+    if len(set(I)) < len(I):
+        raise UsageError("--I names a generator twice; put --I after the "
+                         "word or before another flag")
+    return frozenset(I)
 
 
 def _parse_word(tokens, rank):
@@ -246,8 +252,9 @@ def _check_localization(ball, I, args):
     for length in range(min(args.cap, args.word_cap) + 1):
         for word in itertools.product(range(ball.rank), repeat=length):
             leaves = calc.indices(word)
+            # ball index order is shortlex order
             endpoints = sorted({e.endpoint for e in leaves},
-                               key=Element_shortlex)
+                               key=lambda x: x.idx)
             for x in endpoints:
                 lv = calc.leaves_at(word, x)
                 for e in lv:

@@ -248,6 +248,8 @@ class GroupBall:
                     right[x][s] = j
                     right[j][s] = x
             frontier = nxt
+            if not frontier:
+                break
         # The last round recorded each top element's descents; its ascents leave the ball.
         self.right_idx = right
         self.elements = [Element(self, i, w) for i, w in enumerate(words)]
@@ -281,15 +283,6 @@ class GroupBall:
             got = self.product_of_word(tuple(reversed(x.word)))
             self._inv[x.idx] = got
         return got
-
-    def left(self, x, s):
-        """s*x, or None if it falls outside the ball."""
-        y = self.right(self.inverse(x), s)
-        return self.inverse(y) if y is not None else None
-
-    def left_descends_fast(self, x, s):
-        y = self.left(x, s)
-        return y is not None and y.length < x.length
 
     def descents(self):
         """Per ball index, the bitmask of the right descents s (xs < x)."""
@@ -335,6 +328,10 @@ class GroupBall:
     # -- Bruhat order ----------------------------------------------------------
 
     def bruhat_leq(self, y, x):
+        """y <= x, by recursion on s = the last letter of x's word, a right
+        descent: if ys < y, then y <= x iff ys <= xs, else y <= x iff
+        y <= xs (the lifting property; Bjorner-Brenti, Combinatorics of
+        Coxeter Groups, Prop. 2.2.7, applied to inverses)."""
         if y.idx == x.idx:
             return True
         key = (y.idx, x.idx)
@@ -343,13 +340,14 @@ class GroupBall:
             if y.length >= x.length:
                 got = False
             else:
-                s = x.word[0]  # sx < x for the first letter of a reduced word
-                sx = self.left(x, s)
-                sy = self.left(y, s)
-                if sy is not None and sy.length < y.length:
-                    got = self.bruhat_leq(sy, sx)
+                s = x.word[-1]
+                els, right = self.elements, self.right_idx
+                xs = els[right[x.idx][s]]
+                j = right[y.idx][s]
+                if j is not None and els[j].length < y.length:
+                    got = self.bruhat_leq(els[j], xs)
                 else:
-                    got = self.bruhat_leq(y, sx)
+                    got = self.bruhat_leq(y, xs)
             self._bruhat_memo[key] = got
         return got
 
@@ -359,12 +357,14 @@ class GroupBall:
         """Per ball index: for x in ^IW (every s in I has sx > x) the bitmask
         of the s with xs > x in ^IW, else None; built once per I.  Every
         xs < x of an x in ^IW is in ^IW too (Deodhar, J. Algebra 111, 1987),
-        so a stroll inside ^IW needs only these masks."""
+        so a stroll inside ^IW needs only these masks.  The left descents
+        of x are the right descents of x^-1."""
         I = frozenset(I)
         got = self._asc_memo.get(I)
         if got is None:
-            els = self.elements
-            inq = [not any(self.left_descends_fast(x, s) for s in I) for x in els]
+            els, desc = self.elements, self.descents()
+            mask = sum(1 << s for s in I)
+            inq = [not mask or not desc[self.inverse(x).idx] & mask for x in els]
             got = [sum(1 << s for s, j in enumerate(row)
                        if j is not None and inq[j] and els[j].length > x.length)
                    if inq[x.idx] else None
@@ -384,21 +384,6 @@ class GroupBall:
             got = [x for x in self.elements if all(g in I for g in x.word)]
             self._wi_memo[I] = got
         return got
-
-    def coset_decompose(self, w, I):
-        """w = u x with u in W_I, x in ^IW and lengths additive."""
-        letters = []
-        x = w
-        while True:
-            for s in I:
-                if self.left_descends_fast(x, s):
-                    letters.append(s)
-                    x = self.left(x, s)
-                    break
-            else:
-                break
-        u = self.product_of_word(tuple(letters))
-        return u, x
 
     def longest_element(self, I):
         x = self.identity

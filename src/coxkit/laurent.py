@@ -1,4 +1,4 @@
-"""Sparse integer Laurent polynomials in v, with the bar involution v -> 1/v.
+"""Sparse integer Laurent polynomials in v.
 
 Values are immutable; the coefficient dict never stores zeros.  Rendering is
 canonical ("v^-1 + 2 + v^3") so tables can be compared bit for bit.
@@ -97,10 +97,6 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     # -- queries -----------------------------------------------------------
-
-    def bar(self):
-        """The involution v -> v^-1."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
 
     def coeff(self, k):
         return self.coeffs.get(k, 0)

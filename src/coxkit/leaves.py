@@ -37,15 +37,6 @@ class DecoratedSubexpr:
         return "DecoratedSubexpr(word=%r, bits=%r, defect=%d)" % (
             self.word, self.bits, self.defect)
 
-    def to_record(self):
-        return {
-            "bits": list(self.bits),
-            "stroll": [list(x.word) for x in self.stroll],
-            "decorations": list(self.decorations),
-            "defect": self.defect,
-            "endpoint": list(self.endpoint.word),
-        }
-
 
 def decorate(ball, word, bits):
     if len(word) != len(bits):
@@ -63,16 +54,6 @@ def decorate(ball, word, bits):
             x = xs
         stroll.append(x)
     return DecoratedSubexpr(word, bits, stroll, decorations)
-
-
-def is_antispherical(ball, d, I):
-    """True iff every step satisfies x_k s_{k+1} in ^IW."""
-    asc = ball.ascents(I)
-    for x, s in zip(d.stroll, d.word):
-        # the stroll starts at e in ^IW and stays there up to x
-        if ball.right(x, s).length > x.length and not asc[x.idx] >> s & 1:
-            return False
-    return True
 
 
 def enumerate_subexprs(ball, word, I=None):

@@ -42,11 +42,7 @@ from __future__ import annotations
 import operator
 
 from .errors import CapError, CoxkitError, UsageError
-from .laurent import LaurentPoly, ONE, V, VINV, ZERO
-
-
-def Element_shortlex(x):
-    return (x.length, x.word)
+from .laurent import LaurentPoly, ONE, V, ZERO
 
 
 # build_ball numbers the elements breadth first, extending the words of one
@@ -56,11 +52,6 @@ _idx = operator.attrgetter("idx")
 
 def _item_idx(item):
     return item[0].idx
-
-
-def _acc(out, x, p):
-    q = out.get(x)
-    out[x] = p if q is None else q + p
 
 
 def _bs_raw(ball, I, spherical, coeffs, s):
@@ -153,10 +144,6 @@ class ParaElt:
     def is_zero(self):
         return not self.coeffs
 
-    def support(self):
-        """The support in shortlex order, which is ball index order."""
-        return sorted(self.coeffs, key=_idx)
-
     def mul_bs(self, s):
         out = _bs_raw(self.ball, self.I, self.spherical,
                       {x: p.coeffs for x, p in self.coeffs.items()}, s)
@@ -173,7 +160,7 @@ class ParaElt:
             return "0"
         basis = "m" if self.spherical else "n"
         return " + ".join("(%s)%s[%r]" % (p, basis, x) for x, p in
-                          sorted(self.coeffs.items(), key=lambda kv: Element_shortlex(kv[0])))
+                          sorted(self.coeffs.items(), key=_item_idx))
 
 
 class NElt(ParaElt):
@@ -182,21 +169,6 @@ class NElt(ParaElt):
 
 class MElt(ParaElt):
     spherical = True
-
-
-def project_pi(h, I, spherical=False):
-    """Quotient map H -> N (or M): h_{ux} -> (-v)^{l(u)} n_x for u in W_I,
-    x in ^IW (v^{-l(u)} m_x in the spherical case; these are the two
-    eigenvalues of h_s from the quadratic relation)."""
-    I = frozenset(I)
-    ball = h.ball
-    sign = VINV if spherical else -V
-    out = {}
-    for w, p in h.coeffs.items():
-        u, x = ball.coset_decompose(w, I)
-        _acc(out, x, p * sign ** u.length)
-    cls = MElt if spherical else NElt
-    return cls(ball, I, out)
 
 
 class ParabolicKLTable:

@@ -18,8 +18,6 @@ shared value all the same.
 
 from __future__ import annotations
 
-import math
-
 from .errors import CoxkitError, NotInvertibleError, RingParameterError
 
 
@@ -183,24 +181,10 @@ class Poly:
     def constant(self):
         return self.coeffs.get(self.pr._zero_mono, self.pr.ring.zero())
 
-    def degree(self):
-        """Degree with deg(alpha_s) = 2; None for the zero polynomial."""
-        if not self.coeffs:
-            return None
-        return max(2 * sum(m) for m in self.coeffs)
-
     def lead(self):
         """(monomial, coefficient) at the lexicographically largest monomial."""
         m = max(self.coeffs)
         return m, self.coeffs[m]
-
-    def evaluate(self, point):
-        """Evaluate at integer coordinates alpha_s = point[s], in K."""
-        total = self.pr.ring.zero()
-        for m, c in self.coeffs.items():
-            k = math.prod(p ** e for p, e in zip(point, m))
-            total = tuple(a + k * b for a, b in zip(total, c))
-        return total
 
     def __repr__(self):
         if not self.coeffs:

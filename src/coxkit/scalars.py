@@ -411,6 +411,36 @@ def _prime_factors(n):
     return out
 
 
+# Miller-Rabin to the first 13 prime bases decides primality below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin, exact for n < _MR_BOUND."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeFieldK:
     """The residue field F_p[y]/(p_N), for primes where p_N stays irreducible.
 
@@ -419,7 +449,11 @@ class PrimeFieldK:
     """
 
     def __init__(self, ring, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= _MR_BOUND:
+            raise UnsupportedCharacteristicError(
+                "characteristic must be below %d, the bound up to which the "
+                "primality test is proven" % _MR_BOUND)
+        if not _is_prime(p):
             raise UnsupportedCharacteristicError("characteristic must be prime")
         self.ring = ring
         self.p = p

@@ -1,7 +1,9 @@
 """Reference views of a group ball for the tests, outside the library.
 
 `is_min_rep` and `right_descents` read the ball's own masks
-(`GroupBall.ascents`, `GroupBall.descents`) one element at a time.
+(`GroupBall.ascents`, `GroupBall.descents`) one element at a time.  `left`
+multiplies on the left through inverses, which the ball itself never does,
+and `coset_decompose` splits w = u x along W_I x ^IW with it.
 `parabolic_test` is the root-theoretic oracle for ^IW: it decides from
 x(alpha_s) alone whether xs leaves ^IW, and checks that verdict against
 the masks wherever xs lies in the ball.
@@ -18,6 +20,33 @@ def is_min_rep(ball, x, I):
 def right_descents(ball, x):
     """The s with xs < x, in increasing order."""
     return [s for s in range(ball.rank) if ball.descents()[x.idx] >> s & 1]
+
+
+def left(ball, x, s):
+    """s*x, or None if it falls outside the ball."""
+    y = ball.right(ball.inverse(x), s)
+    return ball.inverse(y) if y is not None else None
+
+
+def left_descends_fast(ball, x, s):
+    y = left(ball, x, s)
+    return y is not None and y.length < x.length
+
+
+def coset_decompose(ball, w, I):
+    """w = u x with u in W_I, x in ^IW and lengths additive."""
+    letters = []
+    x = w
+    while True:
+        for s in I:
+            if left_descends_fast(ball, x, s):
+                letters.append(s)
+                x = left(ball, x, s)
+                break
+        else:
+            break
+    u = ball.product_of_word(tuple(letters))
+    return u, x
 
 
 def parabolic_test(ball, x, s, I):
@@ -40,7 +69,7 @@ def parabolic_test(ball, x, s, I):
     if xs is not None:
         if is_min_rep(ball, xs, I) != (exit_r is None):
             raise CoxkitError("root and length tests disagree on x*s in ^IW")
-        if exit_r is not None and ball.left(xs, exit_r) != x:
+        if exit_r is not None and left(ball, xs, exit_r) != x:
             raise CoxkitError("x*s exits ^IW but is not r*x")
     if exit_r is not None:
         return ("exits_via", exit_r)

@@ -5,7 +5,8 @@ every value the library carries as an integral K tuple over a positive
 integer.  `sign` and `root_sign` are the root-sign oracle: the exact sign
 of an element of K as a real number.  `prime_field_ops` gives the element
 operations of a `PrimeFieldK` (zero, one, is_zero, sub, mul, inv) for the
-tests' Gauss-Jordan ranks.
+tests' Gauss-Jordan ranks.  `evaluate` is a polynomial of R at an integer
+point.
 """
 
 import math
@@ -159,6 +160,15 @@ def root_sign(ring, root):
     if {1, -1} <= signs:
         raise CoxkitError("root with mixed coordinate signs")
     return -1 if -1 in signs else 1
+
+
+def evaluate(f, point):
+    """The Poly f at integer coordinates alpha_s = point[s], in K."""
+    total = f.pr.ring.zero()
+    for m, c in f.coeffs.items():
+        k = math.prod(p ** e for p, e in zip(point, m))
+        total = tuple(a + k * b for a, b in zip(total, c))
+    return total
 
 
 def prime_field_ops(field):

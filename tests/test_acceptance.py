@@ -14,13 +14,13 @@ import pytest
 
 from ball_refs import parabolic_test
 from coxkit.coxeter import CoxeterMatrix, build_ball
-from coxkit.hecke import bar
 from coxkit.laurent import ONE
 from coxkit.leaves import char_of_word, enumerate_subexprs
 from coxkit.localization import LocalCalculus, relation_oracle
 from coxkit.parabolic import (NElt, ParabolicKLTable, check_deodhar,
                               check_finitary, check_monotonicity)
 from field_refs import root_sign
+from hecke_refs import bar
 
 
 def criterion(n):

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import coxkit
-from coxkit import cli, coxeter
+from coxkit import cli, coxeter, scalars
 from coxkit.cli import build_parser, main
 from coxkit.localization import LocalCalculus, StdMatrix
 
@@ -244,7 +245,7 @@ def test_bad_characteristic_exit_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--type", "A1", "s1", "s1"],
-    ["--type", "affA1", "--I", "s1", "s2", "s1", "s2"],
+    ["--type", "affA1", "s2", "s1", "s2", "--I", "s1"],
 ])
 def test_char_2_without_demazure_surjectivity_exit_2(capsys, argv):
     rc, out, err = run(capsys, ["pcan", "--char", "2"] + argv)
@@ -252,6 +253,40 @@ def test_char_2_without_demazure_surjectivity_exit_2(capsys, argv):
     got = json.loads(err)
     assert got["error"] == "UnsupportedCharacteristicError"
     assert "not Demazure surjective" in got["message"]
+
+
+def test_char_beyond_the_proven_primality_bound_exit_2(capsys):
+    rc, out, err = run(capsys, ["pcan", "--type", "A2", "--char",
+                                str(10 ** 400 + 1), "s1"])
+    assert rc == 2 and out == ""
+    got = json.loads(err)
+    assert got["error"] == "UnsupportedCharacteristicError"
+    assert str(scalars._MR_BOUND) in got["message"]
+
+
+def test_char_a_large_prime_answers_at_once(capsys):
+    start = time.monotonic()
+    rc, out, _ = run(capsys, ["pcan", "--type", "A2", "--char",
+                              str(2 ** 61 - 1), "s1"])
+    assert time.monotonic() - start < 1
+    assert rc == 0
+    assert out.strip().splitlines()[2].split() == ["s1", "1"]
+
+
+def test_I_naming_a_generator_twice_exit_2(capsys):
+    # --I takes every token up to the next flag, so a word after it would
+    # be read as part of I
+    rc, out, err = run(capsys, ["pcan", "--type", "affA1", "--I", "s1",
+                                "s2", "s1", "s2"])
+    assert rc == 2 and out == ""
+    got = json.loads(err)
+    assert got["error"] == "UsageError"
+    assert "after the word" in got["message"]
+    rc, out, _ = run(capsys, ["pcan", "--type", "affA1", "s2", "s1", "s2",
+                              "--I", "s1"])
+    assert rc == 0
+    assert [line.split() for line in out.strip().splitlines()[2:]] == \
+        [["s2*s1*s2", "1"], ["s2", "1"]]
 
 
 def test_pcan_char0_crosscheck_runs(capsys):
@@ -366,7 +401,7 @@ def test_documented_command_lines_parse(argv):
 # Commands whose options differ from one call to the next, so that an option
 # value left over from an earlier call would change a later output.
 _SEQUENCE = [
-    ["pcan", "--type", "A2", "--I", "s1", "s2", "s1"],
+    ["pcan", "--type", "A2", "s2", "s1", "--I", "s1"],
     ["pcan", "--type", "A2", "s2", "s1"],
     ["pcan", "--type", "A3", "--char", "5", "--format", "csv", "s1", "s2", "s1"],
     ["pcan", "--type", "A3", "s1", "s2", "s1"],

@@ -9,7 +9,7 @@ import pytest
 from coxkit.coxeter import CoxeterMatrix, build_ball
 from coxkit.laurent import LaurentPoly, V
 from coxkit.leaves import (char_of_word, decorate, enumerate_subexprs,
-                           is_antispherical, path_dom_leq)
+                           path_dom_leq)
 from coxkit.parabolic import NElt
 
 
@@ -19,8 +19,28 @@ def double_path_dom_leq(ball, pair1, pair2):
     return path_dom_leq(ball, e1, e2) and path_dom_leq(ball, f1, f2)
 
 
+def is_antispherical(ball, d, I):
+    """True iff every step satisfies x_k s_{k+1} in ^IW."""
+    asc = ball.ascents(I)
+    for x, s in zip(d.stroll, d.word):
+        # the stroll starts at e in ^IW and stays there up to x
+        if ball.right(x, s).length > x.length and not asc[x.idx] >> s & 1:
+            return False
+    return True
+
+
+def to_record(d):
+    return {
+        "bits": list(d.bits),
+        "stroll": [list(x.word) for x in d.stroll],
+        "decorations": list(d.decorations),
+        "defect": d.defect,
+        "endpoint": list(d.endpoint.word),
+    }
+
+
 def subexprs_to_json(subexprs):
-    return json.dumps([d.to_record() for d in subexprs], indent=2)
+    return json.dumps([to_record(d) for d in subexprs], indent=2)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from coxkit.laurent import LaurentPoly
 from coxkit.leaves import decorate, path_dom_leq
 from coxkit.localization import LocalCalculus, StdMatrix, relation_oracle
 from coxkit.scalars import PrimeFieldK, ScalarRing
-from field_refs import CycRat, prime_field_ops
+from field_refs import CycRat, evaluate, prime_field_ops
 
 
 @pytest.fixture(scope="module")
@@ -481,12 +481,12 @@ def test_pairing_value_matches_symbolic_pairing(name, cap, I, length):
 
 def _evaluated_entries(calc, mat, point, flipped):
     """The nonzero entries of a symbolic generator matrix at a point through
-    Poly.evaluate, keyed (bits a top vector enters by, bits it leaves by)."""
+    evaluate, keyed (bits a top vector enters by, bits it leaves by)."""
     out = {}
     for (ri, ci), q in mat.entries.items():
-        val = CycRat(calc.pr.ring, q.num.evaluate(point))
+        val = CycRat(calc.pr.ring, evaluate(q.num, point))
         for root in q.den:
-            val = val / CycRat(calc.pr.ring, calc.pr.linear(root).evaluate(point))
+            val = val / CycRat(calc.pr.ring, evaluate(calc.pr.linear(root), point))
         if not val.is_zero():
             src, dst = mat.codomain[ri].bits, mat.domain[ci].bits
             out[(dst, src) if flipped else (src, dst)] = val

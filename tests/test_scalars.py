@@ -11,8 +11,8 @@ from coxkit.errors import (CoxkitError, NotInvertibleError, RingParameterError,
                            UnsupportedCharacteristicError)
 from coxkit.localization import LocalCalculus
 from coxkit.polyring import PolyRing
-from coxkit.scalars import PrimeFieldK, ScalarRing, bareiss
-from field_refs import CycRat, prime_field_ops, sign
+from coxkit.scalars import PrimeFieldK, ScalarRing, _is_prime, bareiss
+from field_refs import CycRat, evaluate, prime_field_ops, sign
 
 
 @pytest.fixture
@@ -161,6 +161,29 @@ def test_prime_field_rejects_composite():
     for bad in (0, 1, 4, 6, 9):
         with pytest.raises(UnsupportedCharacteristicError):
             PrimeFieldK(R, bad)
+
+
+def test_primality_test_matches_trial_division_below_10_4():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    for n in range(10 ** 4):
+        assert _is_prime(n) == trial(n), n
+
+
+# the least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 8, 11 and 12
+# prime bases, each as its factors
+@pytest.mark.parametrize("factors", [
+    (23, 89), (829, 1657), (2251, 11251), (151, 751, 28351),
+    (6763, 10627, 29947), (1303, 16927, 157543), (10670053, 32010157),
+    (149491, 747451, 34233211), (399165290221, 798330580441)])
+def test_primality_test_rejects_strong_pseudoprimes(factors):
+    assert not _is_prime(math.prod(factors))
+
+
+def test_primality_test_accepts_large_primes():
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 9, 2 ** 64 - 59):
+        assert _is_prime(p)
+    assert not _is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
 
 
 def test_prime_field_rejects_split_prime():
@@ -448,7 +471,7 @@ def test_k_values_are_tuples_of_deg_ints(name, deg):
         polys = [pr.linear(root) for root in roots]
         polys += [pr.w_action(x, f), pr.demazure(0, pr.w_action(x, f))]
         assert all(_is_element(ring, c) for g in polys for c in g.coeffs.values())
-        assert all(_is_element(ring, g.evaluate(point)) for g in polys)
+        assert all(_is_element(ring, evaluate(g, point)) for g in polys)
         assert all(_is_element(ring, v) for v in calc._stroll_values(x, point))
 
 

@@ -10,7 +10,7 @@ b_{s_1} ... b_{s_m}.
 
 from __future__ import annotations
 
-from .errors import CapError
+from .errors import CapError, UsageError
 from .laurent import LaurentPoly, ZERO
 from .parabolic import NElt
 
@@ -40,7 +40,7 @@ class DecoratedSubexpr:
 
 def decorate(ball, word, bits):
     if len(word) != len(bits):
-        raise ValueError("bit sequence length must match the word")
+        raise UsageError("bit sequence length must match the word")
     x = ball.identity
     stroll = [x]
     decorations = []
@@ -91,7 +91,7 @@ def enumerate_subexprs(ball, word, I=None):
 def path_dom_leq(ball, e, f):
     """Path dominance: every stroll element of e is Bruhat-below that of f."""
     if e.word != f.word:
-        raise ValueError("path dominance compares subexpressions of one word")
+        raise UsageError("path dominance compares subexpressions of one word")
     return all(ball.bruhat_leq(a, b) for a, b in zip(e.stroll, f.stroll))
 
 

@@ -55,10 +55,10 @@ of x's canonical reduced word.  A form is assembled at once
 (pairing_matrix), in lowest terms: the column leaves' top rows indexed by
 summand, each entry times E(g), the row leaves' entries added as sparse
 outer products, and each sum multiplied by adj(E_top(x)) and reduced by
-one gcd; a point where E_top(x) vanishes raises ZeroDivisionError.  The
-pairing is symmetric, so the form at defect -d is the transpose of the
-form at d: multiplicity assembles and ranks only the forms at d >= 0, and
-the d = 0 form and gram_invertible's Gram matrix sum their upper triangle.
+one gcd.  The pairing is symmetric, so the form at defect -d is the
+transpose of the form at d: multiplicity assembles and ranks only the
+forms at d >= 0, and the d = 0 form and gram_invertible's Gram matrix sum
+their upper triangle.
 A k-leaf form costs at most k propagations, fewer when leaves share
 suffixes: the row left after undoing the steps i+1..n of a light leaf
 depends only on (x_i, word[i:], bits[i:]), and is kept under that key, so
@@ -83,12 +83,28 @@ matrix takes its position maps from its factors.  The diagonal check reads
 entry (e, e) of double_leaf(word, e, e), and keeps its verdict per (shared
 value, set of candidate roots).  It divides by the candidate roots exactly
 over K, each candidate's leading coefficient inverted once by _inverse; a
-quotient with a coefficient outside K ends its branch.  The Gram check
-evaluates at the points multiplicity draws (_point), so both share every
-point-keyed cache.
+quotient with a coefficient outside K ends its branch.
 Triangularity tests each nonzero entry by membership in the
 path-dominance down-sets of e and f, each computed once per word and
 dropped when the word changes.
+
+No denominator vanishes at an evaluation point.  A calculus draws three
+points (_points), every coordinate from 10^6..10^7, and _stroll_values
+zeroes the coordinates in I.  Every root x(alpha_t) has root_image
+coordinates that are all >= 0 or all <= 0 under the real embedding of K
+(Humphreys, "Reflection Groups and Coxeter Groups", 5.4; this holds for
+the geometric representation of every Coxeter matrix, m = infinity
+included).  So the value of x(alpha_t) at a point is 0 exactly when its
+coordinates outside I are all 0, which is exactly when
+pr.reduce_root_mod_I raises NotInvertibleError.  On an I-antispherical
+stroll, x and xs are distinct elements of ^IW at every site, as
+enumerate_subexprs prunes both branches of a step that leaves ^IW; so
+x s x^-1 is not in W_I, and x(alpha_s) is not in the span of I.  Hence no
+"inv" or "ratio" denominator of a light-leaf rule vanishes at a point,
+and neither does E_top(x), a product of the positive roots
+x_k(alpha_{s_{k+1}}) along x's reduced word, each prefix x_k in ^IW.
+Multiplicities read the first point and the Gram check tries all three,
+so both share every point-keyed cache.
 """
 
 from __future__ import annotations
@@ -220,10 +236,11 @@ class LocalCalculus:
         self._vec_cache = {}
         self._step_cache = {}
         self._euler_cache = {}
-        # the evaluation points of multiplicity and gram_invertible, drawn
-        # once per calculus
-        self._points = []
-        self._point_rng = None
+        # the evaluation points of multiplicity (the first) and
+        # gram_invertible (all three), drawn once per calculus
+        rng = random.Random(20231115)
+        self._points = [tuple(rng.randint(10 ** 6, 10 ** 7)
+                              for _ in range(self.pr.rank)) for _ in range(3)]
         self._top_cache = {}
         # check_diagonal: the verdict per (diagonal value, candidate roots),
         # and the divisor of each candidate root, inverted once
@@ -289,7 +306,7 @@ class LocalCalculus:
             if cod is None:
                 raise CoxkitError("braid window does not alternate")
             return cod
-        raise ValueError("unknown generator kind %r" % kind)
+        raise CoxkitError("unknown generator kind %r" % kind)
 
     def _rule(self, kind, word, site, color=None, poly=None):
         """The one rule of an elementary morphism on the domain `word`, read
@@ -570,25 +587,14 @@ class LocalCalculus:
             got = self._divisor_cache[root] = form, lm, self._inverse(lc)
         return got
 
-    def gram_invertible(self, word, x, tries=6):
-        """Nondegeneracy over Q_I, certified by exact evaluation at _point(k)
-        for k < tries; a point where a denominator vanishes is skipped, and
-        three singular evaluations refuse."""
+    def gram_invertible(self, word, x):
+        """Nondegeneracy over Q_I: full rank of the Gram matrix, evaluated
+        exactly, at one of the three points certifies; three singular
+        evaluations refuse."""
         leaves = self.leaves_at(word, x)
-        if not leaves:
-            return True
-        failures = 0
-        for k in range(tries):
-            try:
-                rows = self.pairing_matrix(word, leaves, leaves, self._point(k))
-            except ZeroDivisionError:
-                continue
-            if self._char0_rank(rows) == len(leaves):
-                return True
-            failures += 1
-            if failures >= 3:
-                return False
-        return False
+        return not leaves or any(
+            self._char0_rank(self.pairing_matrix(word, leaves, leaves, point))
+            == len(leaves) for point in self._points)
 
     # -- numeric fast path ---------------------------------------------------
 
@@ -633,11 +639,13 @@ class LocalCalculus:
         if tag == "root":
             return r, 1
         if not any(r):
-            # NotInvertibleError if the root is 0 in Q_I; otherwise only the
-            # point is bad, which multiplicity retries and gram_invertible
-            # skips
+            # NotInvertibleError if the root is 0 in Q_I; at a point with
+            # positive coordinates no other root vanishes (the lemma of the
+            # module docstring)
             self.pr.reduce_root_mod_I(self.ball.root_image(x, term[2]), self.I)
-            raise ZeroDivisionError("a root vanishes at the evaluation point")
+            raise CoxkitError("a root outside the span of I vanishes at the "
+                              "point %r, against the positivity lemma"
+                              % (point,))
         adj, norm = self._inverse(r)
         if tag == "inv":
             return tuple(term[3] * a for a in adj), norm
@@ -759,16 +767,13 @@ class LocalCalculus:
     def _top_inverse(self, x, point):
         """(adj, norm) of the Euler class of the top summand of N_rex(x) at
         the point: the product of the roots along the all-ones stroll of x's
-        canonical reduced word.  ZeroDivisionError if it vanishes there."""
+        canonical reduced word."""
         key = (x.idx, point)
         got = self._top_cache.get(key)
         if got is None:
             stroll = decorate(self.ball, x.word, (1,) * x.length).stroll
-            top = self._euler(x.word, stroll, point)
-            if not any(top):
-                raise ZeroDivisionError(
-                    "the top Euler class vanishes at the evaluation point")
-            got = self._top_cache[key] = self._inverse(top)
+            got = self._top_cache[key] = self._inverse(
+                self._euler(x.word, stroll, point))
         return got
 
     def pairing_matrix(self, word, rows, cols, point):
@@ -786,8 +791,6 @@ class LocalCalculus:
         is rows the matrix is symmetric, so only its upper triangle is
         summed, and mirrored.  Entries are (coeffs, den) in lowest terms:
         integral K coefficients over a positive integer denominator."""
-        if not rows:
-            return []
         word = tuple(word)
         adj, norm = self._top_inverse(rows[0].endpoint, point)
         euler = self._euler_table(word, point)
@@ -841,27 +844,15 @@ class LocalCalculus:
 
     # -- intersection forms and canonical multiplicities --------------------------
 
-    def _point(self, k):
-        """The k-th evaluation point multiplicity and gram_invertible try: one
-        random sequence, seeded 20231115, per calculus, drawn as far as
-        asked."""
-        points = self._points
-        while len(points) <= k:
-            if self._point_rng is None:
-                self._point_rng = random.Random(20231115)
-            points.append(tuple(self._point_rng.randint(10 ** 6, 10 ** 7)
-                                for _ in range(self.pr.rank)))
-        return points[k]
-
     def multiplicity(self, word, x, char=0):
         """Graded multiplicity m_x(v) via ranks of the intersection forms.
 
         The pairings at defect sum zero are constants of Frac(K), so they are
-        read off exactly by evaluating at one integer point (retrying if a
-        denominator happens to vanish there).  The pairing is symmetric, so
-        the form at defect -d is the transpose of the form at d: only the
-        forms at d >= 0 are assembled (pairing_matrix), each ranked once,
-        and a rank r at d > 0 adds r (v^d + v^-d).
+        read off exactly by evaluating at the first of the calculus' points.
+        The pairing is symmetric, so the form at defect -d is the transpose
+        of the form at d: only the forms at d >= 0 are assembled
+        (pairing_matrix), each ranked once, and a rank r at d > 0 adds
+        r (v^d + v^-d).
 
         At char p the realization must be Demazure surjective (Elias-
         Williamson's standing hypothesis): each alpha_s^vee is nonzero on
@@ -880,18 +871,10 @@ class LocalCalculus:
         by_defect = {}
         for e in self.leaves_at(word, x):
             by_defect.setdefault(e.defect, []).append(e)
-        forms = None
-        for k in range(10):
-            point = self._point(k)
-            try:
-                forms = {d: self.pairing_matrix(word, rows, by_defect[-d], point)
-                         for d, rows in sorted(by_defect.items())
-                         if d >= 0 and -d in by_defect}
-                break
-            except ZeroDivisionError:
-                continue
-        if forms is None:
-            raise CoxkitError("no evaluation point avoided all denominators")
+        point = self._points[0]
+        forms = {d: self.pairing_matrix(word, rows, by_defect[-d], point)
+                 for d, rows in sorted(by_defect.items())
+                 if d >= 0 and -d in by_defect}
         if char:
             # each distinct value once; a symmetric form repeats most
             reduced = {c: field.reduce(*c) for c in dict.fromkeys(

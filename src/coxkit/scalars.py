@@ -36,7 +36,7 @@ def _poly_divmod(num, den):
     for k in range(len(q) - 1, -1, -1):
         c = num[k + len(den) - 1]
         if c % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
+            raise CoxkitError("non-exact polynomial division")
         c //= den[-1]
         q[k] = c
         for j, d in enumerate(den):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from coxkit.coxeter import CoxeterMatrix, build_ball
+from coxkit.errors import UsageError
 from coxkit.laurent import LaurentPoly, V
 from coxkit.leaves import (char_of_word, decorate, enumerate_subexprs,
                            path_dom_leq)
@@ -71,7 +72,7 @@ def test_stroll_is_recorded(a2):
 
 
 def test_bit_length_must_match(a2):
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         decorate(a2, (0, 1), (1,))
 
 
@@ -153,7 +154,7 @@ def test_path_dominance(a2):
     assert not path_dom_leq(a2, a, b)
     assert not path_dom_leq(a2, b, a)
     assert double_path_dom_leq(a2, (bot, bot), (top, top))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         path_dom_leq(a2, a, decorate(a2, (1, 0), (1, 0)))
 
 

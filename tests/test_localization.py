@@ -15,7 +15,8 @@ import pytest
 
 from coxkit import localization
 from coxkit.coxeter import CoxeterMatrix, build_ball
-from coxkit.errors import (NotInvertibleError, UnsupportedBraidError,
+from coxkit.errors import (CoxkitError, NotInvertibleError,
+                           UnsupportedBraidError,
                            UnsupportedCharacteristicError)
 from coxkit.laurent import LaurentPoly
 from coxkit.leaves import decorate, path_dom_leq
@@ -755,12 +756,73 @@ def test_gram_verdicts_match_the_per_pair_reference(name, cap, I, length):
     verdicts = 0
     for word in _words(ball.rank, length):
         for x in {e.endpoint for e in calc.indices(word)}:
-            for tries in (6, 1):
-                want = _per_pair_gram_invertible(ref, word, x, tries=tries)
-                assert calc.gram_invertible(word, x, tries=tries) == want, \
-                    (word, x, tries)
-                verdicts += 1
+            want = _per_pair_gram_invertible(ref, word, x)
+            assert calc.gram_invertible(word, x) == want, (word, x)
+            verdicts += 1
     assert verdicts > 20
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
+def test_no_root_outside_the_span_of_I_vanishes_at_the_points(name, cap, I,
+                                                               length):
+    """The positivity lemma of the localization module docstring: at each
+    of a calculus' three points, x(alpha_t) mod I evaluates to 0 exactly
+    when it is 0 in Q_I (reduce_root_mod_I refuses it), for every element
+    x of the ball and every t."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc = LocalCalculus(ball, I)
+    assert len(calc._points) == 3
+    checks = 0
+    for x in ball.elements:
+        for point in calc._points:
+            values = calc._stroll_values(x, point)
+            for t in range(ball.rank):
+                try:
+                    calc.pr.reduce_root_mod_I(ball.root_image(x, t), I)
+                    refused = False
+                except NotInvertibleError:
+                    refused = True
+                assert (not any(values[t])) == refused, (x, t, point)
+                checks += 1
+    assert checks >= 3 * len(ball) * ball.rank
+
+
+def _multiplicity_forms(calc, word, x, point):
+    """The forms multiplicity ranks, assembled at `point`."""
+    by_defect = {}
+    for e in calc.leaves_at(word, x):
+        by_defect.setdefault(e.defect, []).append(e)
+    return {d: calc.pairing_matrix(word, rows, by_defect[-d], point)
+            for d, rows in sorted(by_defect.items())
+            if d >= 0 and -d in by_defect}
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
+def test_forms_are_integral_and_point_independent(name, cap, I, length):
+    """The pairings at defect sum zero lie in K, so the forms multiplicity
+    ranks have denominator 1 and read the same at any point with positive
+    coordinates: at the calculus' first two points and at (1, ..., 1), for
+    every word and endpoint.  So multiplicity at char 0 and char 5 is the
+    same when the calculus evaluates at three all-ones points (char 3 on
+    H3, whose ring does not reduce to a field mod 5)."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc, ones = LocalCalculus(ball, I), LocalCalculus(ball, I)
+    ones._points = [(1,) * ball.rank] * 3
+    chars = (0, 3) if name == "H3" else (0, 5)
+    pairs = 0
+    for word in _words(ball.rank, length):
+        for x in {e.endpoint for e in calc.indices(word)}:
+            forms = _multiplicity_forms(calc, word, x, calc._points[0])
+            assert all(den == 1 for form in forms.values()
+                       for row in form for _, den in row), (word, x)
+            for point in (calc._points[1], ones._points[0]):
+                assert _multiplicity_forms(calc, word, x, point) == forms, \
+                    (word, x, point)
+            for char in chars:
+                assert ones.multiplicity(word, x, char=char) == \
+                    calc.multiplicity(word, x, char=char), (word, x, char)
+            pairs += 1
+    assert pairs > 20
 
 
 def test_char_p_refusal_of_a_form_entry_is_raised(a2):
@@ -831,41 +893,21 @@ def test_evaluation_points_are_drawn_once_per_calculus(a2, monkeypatch):
     monkeypatch.setattr(localization, "random",
                         SimpleNamespace(Random=Counting))
     calc = LocalCalculus(a2)
-    seen = _record_pairings(calc)
+    seen = []
+    real = calc.pairing_matrix
+
+    def recording(word, rows, cols, point):
+        seen.append(point)
+        return real(word, rows, cols, point)
+
+    calc.pairing_matrix = recording
     # the Gram check evaluates at the same sequence, from its first point
     assert calc.gram_invertible((0, 1, 0), a2.product_of_word((0,)))
-    assert seen == [(want[0], False)]
+    assert seen == [want[0]]
     for word in _words(2, 4):
         calc.pcanonical(word)
     assert builds == [20231115]
-    assert [calc._point(k) for k in range(10)] == want
-
-
-def test_vanishing_top_euler_class_is_retried(a2, monkeypatch):
-    # the top summand of N_s at x = s1 has Euler class alpha_1, which
-    # vanishes at (0, 7); the flipped-column pairing reads 1 there, but
-    # the localization formula is 0 / 0 and must refuse the point
-    word, s = (0,), a2.product_of_word((0,))
-    calc = LocalCalculus(a2)
-    (e,) = calc.leaves_at(word, s)
-    with pytest.raises(ZeroDivisionError):
-        pairing_value(calc, word, e, e, (0, 7))
-    assert _FlippedColumnPairing(LocalCalculus(a2)).pairing_value(
-        word, e, e, (0, 7)) == ((1,), 1)
-    assert pairing_value(calc, word, e, e, (5, 7)) == ((1,), 1)
-
-    # multiplicity retries the point, and gram_invertible skips it
-    monkeypatch.setattr(localization, "random",
-                        SimpleNamespace(Random=_FirstPointOnHyperplane))
-    calc = LocalCalculus(a2)
-    seen = _record_pairings(calc)
-    assert calc.multiplicity(word, s) == LaurentPoly.const(1)
-    assert [raised for _, raised in seen] == [True, False]
-    calc = LocalCalculus(a2)
-    seen = _record_pairings(calc)
-    assert not calc.gram_invertible(word, s, tries=1)
-    assert seen == [(seen[0][0], True)] and seen[0][0][0] == 0
-    assert LocalCalculus(a2).gram_invertible(word, s, tries=2)
+    assert calc._points == want[:3]
 
 
 def test_pcanonical_builds_no_symbolic_matrix(monkeypatch):
@@ -977,77 +1019,17 @@ def test_triangularity_by_down_sets_matches_per_entry(name, cap, I, length):
 
 def test_root_zero_mod_I_is_not_invertible(a2):
     # 1 / alpha_1 at the prefix e: alpha_1 is 0 in Q_I for I = {s1}, so both
-    # readers of the rule refuse it, whatever the point; for I = {} it is
-    # only the point that is bad
+    # readers of the rule refuse it, whatever the point; for I = {} it
+    # vanishes only at a point off the positive orthant, which breaks the
+    # invariant the numeric path rests on
     term = ("inv", a2.identity, 0, 1)
     calc = LocalCalculus(a2, frozenset({0}))
     with pytest.raises(NotInvertibleError):
         calc._term_qcoeff(term)
     with pytest.raises(NotInvertibleError):
         calc._term_value(term, _POINT[:2])
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(CoxkitError, match="positivity lemma"):
         LocalCalculus(a2)._term_value(term, (0, 7))
-
-
-class _FirstPointOnHyperplane(random.Random):
-    """random.Random whose first draw is 0, so that the first evaluation
-    point lies on the hyperplane alpha_1 = 0."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self._first = True
-
-    def randint(self, a, b):
-        if self._first:
-            self._first = False
-            return 0
-        return super().randint(a, b)
-
-
-def _record_pairings(calc):
-    """Wrap calc.pairing_matrix; return the list of (point, raised) it fills."""
-    seen = []
-    real = calc.pairing_matrix
-
-    def wrapped(word, rows, cols, point):
-        try:
-            value = real(word, rows, cols, point)
-        except ZeroDivisionError:
-            seen.append((point, True))
-            raise
-        seen.append((point, False))
-        return value
-
-    calc.pairing_matrix = wrapped
-    return seen
-
-
-def test_vanishing_root_is_retried_or_skipped(a2, monkeypatch):
-    # the leaf (1, 0, 0) merges at the stroll element s1, whose root
-    # s1(alpha_1) = -alpha_1 vanishes wherever alpha_1 does
-    word, s = (0, 1, 0), a2.product_of_word((0,))
-    (e,) = [e for e in LocalCalculus(a2).leaves_at(word, s) if e.defect == 0]
-    with pytest.raises(ZeroDivisionError):
-        pairing_value(LocalCalculus(a2), word, e, e, (0, 7))
-
-    want = LocalCalculus(a2).multiplicity(word, s)
-    assert want == LaurentPoly.const(1)
-    monkeypatch.setattr(localization, "random",
-                        SimpleNamespace(Random=_FirstPointOnHyperplane))
-    calc = LocalCalculus(a2)
-    seen = _record_pairings(calc)
-    assert calc.multiplicity(word, s) == want
-    (first, first_raised), (second, second_raised) = seen
-    assert first[0] == 0 and first_raised
-    assert second[0] != 0 and not second_raised
-
-    # gram_invertible skips the point: it certifies nothing with one try
-    # and succeeds with two
-    calc = LocalCalculus(a2)
-    seen = _record_pairings(calc)
-    assert not calc.gram_invertible(word, s, tries=1)
-    assert seen[-1] == (seen[-1][0], True) and seen[-1][0][0] == 0
-    assert LocalCalculus(a2).gram_invertible(word, s, tries=2)
 
 
 def test_char_p_accepts_p_in_a_running_denominator_that_cancels(a2):

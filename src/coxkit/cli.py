@@ -62,13 +62,17 @@ def _parse_gen(token, rank):
     return k - 1
 
 
+# --I takes every token up to the next flag, so a word placed after it is
+# read as part of I; where that shows, the refusal says how to avoid it.
+_I_HINT = "put --I after the word or before another flag"
+
+
 def _parse_I(tokens, rank):
-    """--I takes every token up to the next flag, so a generator given twice
-    is most likely a word placed after --I: refused, not swallowed."""
+    """A generator given twice is most likely a word placed after --I:
+    refused, not swallowed."""
     I = [_parse_gen(t, rank) for t in tokens]
     if len(set(I)) < len(I):
-        raise UsageError("--I names a generator twice; put --I after the "
-                         "word or before another flag")
+        raise UsageError("--I names a generator twice; " + _I_HINT)
     return frozenset(I)
 
 
@@ -305,6 +309,10 @@ def cmd_pcan(args):
     matrix = _matrix_from_args(args)
     I = _parse_I(args.I, matrix.rank)
     word = _parse_word(args.word, matrix.rank)
+    if not word and len(I) > 1:
+        # most likely the word's letters were read as part of I
+        raise UsageError("pcan got no word and --I names %d generators; "
+                         % len(I) + _I_HINT)
     cap = max(args.cap, len(word))
     ball = build_ball(matrix, cap)
     calc = LocalCalculus(ball, I)

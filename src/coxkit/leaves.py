@@ -56,22 +56,18 @@ def decorate(ball, word, bits):
     return DecoratedSubexpr(word, bits, stroll, decorations)
 
 
-def enumerate_subexprs(ball, word, I=None):
-    """All subexpressions of word in lexicographic bit order with 1 < 0.
-
-    Restricts to I-antispherical ones (pruning whole subtrees as soon as
-    some x_k s_{k+1} leaves ^IW); I = None means I = {}, where every
-    subexpression is antispherical.
-    """
-    asc = ball.ascents(I or ())
+def _strolls(ball, asc, word, x):
+    """(bits, stroll, decorations) of every stroll of `word` from x in ^IW
+    that stays in ^IW, asc = ball.ascents(I), in lexicographic bit order
+    with 1 < 0.  The one ^IW prune of a stroll: enumerate_subexprs reads
+    it from the identity, the numeric light-leaf path on a window."""
     out = []
 
-    # the stroll and decorations of a prefix are carried down, so each leaf
-    # is built as decorate(ball, word, bits) would build it, without a walk;
-    # x is in ^IW, and so is xs < x, and xs > x when its ascent bit is set
+    # x is in ^IW, and so is xs < x, and xs > x when its ascent bit is set;
+    # otherwise both bits of the step are pruned
     def rec(k, x, bits, stroll, decorations):
         if k == len(word):
-            out.append(DecoratedSubexpr(word, bits, list(stroll), decorations))
+            out.append((bits, stroll, decorations))
             return
         s = word[k]
         xs = ball.right(x, s)
@@ -84,8 +80,22 @@ def enumerate_subexprs(ball, word, I=None):
         rec(k + 1, xs, bits + (1,), stroll + (xs,), decorations + (one,))
         rec(k + 1, x, bits + (0,), stroll + (x,), decorations + (zero,))
 
-    rec(0, ball.identity, (), (ball.identity,), ())
+    rec(0, x, (), (x,), ())
     return out
+
+
+def enumerate_subexprs(ball, word, I=None):
+    """All subexpressions of word in lexicographic bit order with 1 < 0.
+
+    Restricts to I-antispherical ones (pruning whole subtrees as soon as
+    some x_k s_{k+1} leaves ^IW, _strolls); I = None means I = {}, where
+    every subexpression is antispherical.  The stroll and decorations of a
+    prefix are carried down, so each leaf is built as decorate(ball, word,
+    bits) would build it, without a walk.
+    """
+    return [DecoratedSubexpr(word, bits, list(stroll), decorations)
+            for bits, stroll, decorations in
+            _strolls(ball, ball.ascents(I or ()), word, ball.identity)]
 
 
 def path_dom_leq(ball, e, f):

@@ -15,11 +15,14 @@ entries, alpha = x(alpha_s)):
              [[1/alpha, 0, 0, -1/alpha], [0, -1/alpha, 1/alpha, 0]]
     split    rows (00,10,01,11) x cols (0,1): [[1,0],[0,1],[0,1],[1,0]]
 
-Each generator has one rule (LocalCalculus._rule): the codomain summands
-a domain summand maps to, each with its scalar term (1, the stroll root
+Each generator has one rule (LocalCalculus._rule), local to its window,
+the letters it rewrites at its site: given the window bits of a domain
+summand and the stroll element x at the window, the codomain window bits
+the summand maps to, each with its scalar term (1, the stroll root
 x(alpha_s), its inverse, a ratio of two stroll roots over x(alpha_s), or a
-polynomial with x applied).  gen_matrix turns the terms into Q_I
-fractions; the numeric path turns them into integers at a point.  The
+polynomial with x applied); the bits outside the window are kept.
+gen_matrix reads the rule forward over the domain into Q_I fractions; the
+numeric path reads it backwards into integers at a point.  The
 braid moves have closed forms (_BRAIDS): for m = 2 the two bits swap with
 unit entry; for m = 3 each of the 11 entries is 1, x(s_s alpha_t) /
 x(alpha_s) or -x(alpha_t) / x(alpha_s) for the window (s, t, s).
@@ -34,12 +37,20 @@ K coefficient tuple over a positive integer.  The value of x(alpha_t) mod I
 at the point is the ball's root image x(alpha_t) dotted with the point,
 once per (x, point); a root value r is inverted once, by
 ScalarRing.adjugate, as r * adj = norm with adj integral and norm a positive
-integer (_inverse, the one place an element of K is inverted).  A
-generator then becomes integral coefficient tuples over one
-integer denominator, straight from its rule, and the top row of a light
-leaf propagates as integral tuples over one running denominator, its gcd
-content divided out after each step.  Only the leaves themselves are
-propagated, never their flips: every generator G: N_w -> N_w' satisfies
+integer (_inverse, the one place an element of K is inverted).  The top
+row of a light leaf propagates as integral tuples over one running
+denominator, its gcd content divided out after each generator, which is
+never built as a matrix: its row at each summand c the top row reaches is
+read on demand.  A generator changes only its window bits, and each entry
+keeps the element the window's stroll from x ends at, so c and a domain
+summand d mapping to it share their strolls before and after the window.
+^IW membership is decided step by step (leaves._strolls), so d is a
+summand exactly when its window's stroll from x stays in ^IW, and the
+entry depends on x and the window bits alone: the row of c is the rule
+read backwards per (kind, window, x, point), with c's other bits put
+back.  So only the word's own subexpressions are enumerated.  Only the
+leaves themselves are propagated, never their flips: every generator
+G: N_w -> N_w' satisfies
 
     flip(G)[d, c] = G[c, d] E_w(d) / E_w'(c),
 
@@ -98,9 +109,10 @@ included).  So the value of x(alpha_t) at a point is 0 exactly when its
 coordinates outside I are all 0, which is exactly when
 pr.reduce_root_mod_I raises NotInvertibleError.  On an I-antispherical
 stroll, x and xs are distinct elements of ^IW at every site, as
-enumerate_subexprs prunes both branches of a step that leaves ^IW; so
-x s x^-1 is not in W_I, and x(alpha_s) is not in the span of I.  Hence no
-"inv" or "ratio" denominator of a light-leaf rule vanishes at a point,
+enumerate_subexprs and the numeric path's windows prune both branches of
+a step that leaves ^IW (leaves._strolls); so x s x^-1 is not in W_I, and
+x(alpha_s) is not in the span of I.  Hence no "inv" or "ratio"
+denominator of a light-leaf rule vanishes at a point,
 and neither does E_top(x), a product of the positive roots
 x_k(alpha_{s_{k+1}}) along x's reduced word, each prefix x_k in ^IW.
 Multiplicities read the first point and the Gram check tries all three,
@@ -116,12 +128,16 @@ import random
 from .errors import (CoxkitError, UnsupportedBraidError,
                      UnsupportedCharacteristicError)
 from .laurent import LaurentPoly
-from .leaves import decorate, enumerate_subexprs, path_dom_leq
+from .leaves import _strolls, decorate, enumerate_subexprs, path_dom_leq
 from .polyring import Poly, PolyRing, QCoeff
 from .scalars import PrimeFieldK
 
 # The unit term of a generator rule (LocalCalculus._rule).
 _UNIT = ("unit",)
+
+# The domain window length of each generator kind; poly and startdot have
+# none, and a braid's is m (LocalCalculus._window).
+_WINDOW = {"enddot": 1, "split": 1, "merge": 2}
 
 # The braid move BS(s, t, s, ...) -> BS(t, s, t, ...) in local coordinates,
 # per m = m_st: domain window bits -> ((codomain window bits, c), ...), the
@@ -232,6 +248,7 @@ class LocalCalculus:
         self._gen_cache = {}
         self._value_cache = {}
         self._inv_cache = {}
+        self._window_cache = {}
         self._num_cache = {}
         self._vec_cache = {}
         self._step_cache = {}
@@ -308,13 +325,24 @@ class LocalCalculus:
             return cod
         raise CoxkitError("unknown generator kind %r" % kind)
 
-    def _rule(self, kind, word, site, color=None, poly=None):
-        """The one rule of an elementary morphism on the domain `word`, read
-        by its symbolic matrix (gen_matrix) and by its value at a point
-        (_numeric_matrix).  Returns (dom, cod, terms): terms lists, for the
-        domain summand dom[ci], each codomain bits it maps to with the
-        scalar term of that entry, as (ci, fbits, term).  With x the prefix
-        element e.stroll[site], a term is
+    def _window(self, kind, word, site):
+        """The letters of the domain `word` that the elementary morphism at
+        `site` rewrites: its window."""
+        if kind != "braid":
+            return word[site:site + _WINDOW.get(kind, 0)]
+        m = self._mst(word[site], word[site + 1])
+        if m not in _BRAIDS:
+            raise UnsupportedBraidError(
+                "braid moves with m >= 4 or infinite are not supported")
+        return word[site:site + m]
+
+    def _rule(self, kind, window, x, dwin, color=None, poly=None):
+        """The one rule of an elementary morphism, on its window: the terms
+        of a domain summand with window bits dwin and stroll element x at
+        the window, as ((codomain window bits, term), ...).  The summand
+        maps to its own bits outside the window around each codomain window
+        bits; gen_matrix reads the rule forward, the numeric path backwards
+        (_row).  A term is
 
             _UNIT                      1
             ("root", x, t)             x(alpha_t) mod I
@@ -323,54 +351,41 @@ class LocalCalculus:
                                        / x(alpha_s), mod I (a braid entry)
             ("poly", x, f)             the polynomial f with x applied, mod I
 
-        The bits of one summand are distinct; bits that name no codomain
-        summand are dropped by the reader.
+        The codomain window bits of one summand are distinct; bits that
+        name no codomain summand are dropped by the reader.
         """
-        word = tuple(word)
+        if kind == "enddot":
+            return (((), _UNIT),) if dwin == (0,) else ()
+        if kind == "merge":
+            b1, b2 = dwin
+            return (((b1 ^ b2,), ("inv", x, window[0], -1 if b1 else 1)),)
         if kind == "braid":
-            s, t = word[site], word[site + 1]
-            m = self._mst(s, t)
-            table = _BRAIDS.get(m)
-            if table is None:
-                raise UnsupportedBraidError(
-                    "braid moves with m >= 4 or infinite are not supported")
-        cod_word = self._codomain(kind, word, site, color)
-        dom = self.indices(word)
-        terms = []
-        for ci, e in enumerate(dom):
-            b, x = e.bits, e.stroll[site]
-            if kind == "poly":
-                terms.append((ci, b, ("poly", x, poly)))
-            elif kind == "enddot":
-                if b[site] == 0:
-                    terms.append((ci, b[:site] + b[site + 1:], _UNIT))
-            elif kind == "startdot":
-                terms.append((ci, b[:site] + (0,) + b[site:], ("root", x, color)))
-            elif kind == "merge":
-                b1, b2 = b[site], b[site + 1]
-                terms.append((ci, b[:site] + (b1 ^ b2,) + b[site + 2:],
-                              ("inv", x, word[site], -1 if b1 else 1)))
-            elif kind == "split":
-                for b1 in (0, 1):
-                    terms.append((ci, b[:site] + (b1, b1 ^ b[site]) + b[site + 1:],
-                                  _UNIT))
-            else:  # braid
-                for fwin, c in table[b[site:site + m]]:
-                    terms.append((ci, b[:site] + fwin + b[site + m:],
-                                  c if c is _UNIT else ("ratio", x, s, t) + c))
-        return dom, self.indices(cod_word), terms
+            s, t = window[0], window[1]
+            return tuple((fwin, c if c is _UNIT else ("ratio", x, s, t) + c)
+                         for fwin, c in _BRAIDS[len(window)][dwin])
+        if kind == "startdot":
+            return (((0,), ("root", x, color)),)
+        if kind == "split":
+            return (((0, dwin[0]), _UNIT), ((1, 1 - dwin[0]), _UNIT))
+        return (((), ("poly", x, poly)),)
 
     def gen_matrix(self, kind, word, site, color=None, poly=None):
         """Matrix of an elementary morphism over Q_I; `word` is the domain
         word."""
-        dom, cod, terms = self._rule(kind, word, site, color, poly)
+        word = tuple(word)
+        window = self._window(kind, word, site)
+        cod = self.indices(self._codomain(kind, word, site, color))
+        dom = self.indices(word)
         cpos = {c.bits: i for i, c in enumerate(cod)}
+        end = site + len(window)
         out = {}
-        for ci, fbits, term in terms:
-            val = self._term_qcoeff(term)
-            ri = cpos.get(fbits)
-            if ri is not None:
-                out[(ri, ci)] = val
+        for ci, e in enumerate(dom):
+            b = e.bits
+            for fwin, term in self._rule(kind, window, e.stroll[site],
+                                         b[site:end], color, poly):
+                ri = cpos.get(b[:site] + fwin + b[end:])
+                if ri is not None:
+                    out[(ri, ci)] = self._term_qcoeff(term)
         return StdMatrix(dom, cod, out)
 
     def _term_qcoeff(self, term):
@@ -653,49 +668,57 @@ class LocalCalculus:
         num = tuple(cs * a + ct * b for a, b in zip(r, values[term[3]]))
         return self.pr.ring.mul(num, adj), norm
 
-    def _numeric_matrix(self, op, point):
-        """A generator matrix evaluated at an integer point straight from its
-        rule, as (rows, den): rows maps each codomain bits to [(domain bits,
-        integral coefficients)], and den > 0 is the one integer denominator
-        of every entry."""
-        key = (op, point)
-        got = self._num_cache.get(key)
-        if got is None:
-            kind, w, site, color = op
-            dom, cod, terms = self._rule(kind, w, site, color)
-            cbits = {c.bits for c in cod}
-            entries = []
-            for ci, fbits, term in terms:
-                if fbits not in cbits:
-                    continue
-                num, den = self._term_value(term, point)
-                if not any(num):
-                    continue
-                g = math.gcd(den, *num)
-                if g > 1:
-                    num, den = tuple(a // g for a in num), den // g
-                entries.append((fbits, dom[ci].bits, num, den))
-            den = math.lcm(*(d for _, _, _, d in entries))
-            rows = {}
-            for src, dst, num, d in entries:
-                k = den // d
-                if k > 1:
-                    num = tuple(a * k for a in num)
-                rows.setdefault(src, []).append((dst, num))
-            got = rows, den
-            self._num_cache[key] = got
+    def _row(self, op, rows, fbits, point):
+        """The row of a light-leaf op at the codomain summand fbits, at an
+        integer point, as ([(domain bits, integral coefficients)], den > 0),
+        kept in `rows`: the rule read backwards at the stroll element x of
+        fbits at the op's site, over the domain window bits whose stroll
+        from x stays in ^IW, with fbits' other bits put back.  The rows of
+        all codomain window bits are read at once, per (kind, window,
+        color, x, point)."""
+        kind, w, site, color = op
+        window = self._window(kind, w, site)
+        x, right = self.ball.identity, self.ball.right
+        for s, b in zip(w[:site], fbits):
+            if b:
+                x = right(x, s)
+        key = (kind, window, color, x.idx, point)
+        table = self._window_cache.get(key)
+        if table is None:
+            entries = {}
+            for dwin, _, _ in _strolls(self.ball, self.ball.ascents(self.I),
+                                       window, x):
+                for fwin, term in self._rule(kind, window, x, dwin, color):
+                    num, den = self._term_value(term, point)
+                    if any(num):
+                        entries.setdefault(fwin, []).append((dwin, num, den))
+            table = self._window_cache[key] = {}
+            for fwin, row in entries.items():
+                den = math.lcm(*(d for _, _, d in row))
+                table[fwin] = [(dwin, tuple(a * (den // d) for a in num))
+                               for dwin, num, d in row], den
+        end = site + len(window) + len(fbits) - len(w)     # codomain window
+        row, den = table.get(fbits[site:end], ((), 1))
+        head, tail = fbits[:site], fbits[end:]
+        rows[fbits] = got = [(head + dwin + tail, num)
+                             for dwin, num in row], den
         return got
 
-    def _step_matrices(self, x, s, dec, suffix, point):
-        """The ops of one light-leaf step (_step_ops) at an integer point
-        (_numeric_matrix), in the order a top row meets them, last op
-        first; cached per (x, s, dec, suffix, point)."""
+    def _step_rows(self, x, s, dec, suffix, point):
+        """The ops of one light-leaf step (_step_ops) in the order a top row
+        meets them, last op first, each with its rows at the point read so
+        far (fbits -> _row(op, rows, fbits, point), kept in _num_cache per
+        (op, point)); the list is cached per (x, s, dec, suffix, point)."""
         key = (x.idx, s, dec, suffix, point)
         got = self._step_cache.get(key)
         if got is None:
-            got = self._step_cache[key] = [
-                self._numeric_matrix(op, point)
-                for op in reversed(self._step_ops(x, s, dec, suffix))]
+            got = []
+            for op in reversed(self._step_ops(x, s, dec, suffix)):
+                rows = self._num_cache.get((op, point))
+                if rows is None:
+                    rows = self._num_cache[op, point] = {}
+                got.append((op, rows))
+            self._step_cache[key] = got
         return got
 
     def _top_vector(self, word, e, point):
@@ -708,7 +731,9 @@ class LocalCalculus:
         word[i:], bits[i:]), since those fix every step op (_step_ops) and
         the endpoint.  So each partial row is kept under (x_i.idx,
         word[i:], bits[i:], point), and leaves, of one word or of several,
-        that share a suffix propagate it once."""
+        that share a suffix propagate it once.  Each op's rows are read on
+        demand (_row), each over its own denominator, and the lcm of those
+        read multiplies the running denominator."""
         cache = self._vec_cache
         stroll, bits = e.stroll, e.bits
         n = len(word)
@@ -724,11 +749,16 @@ class LocalCalculus:
         vec, den = got
         mul = self.pr.ring.mul
         for i in range(len(keys) - 1, -1, -1):
-            for rows, mden in self._step_matrices(
+            for op, rows in self._step_rows(
                     stroll[i], word[i], e.decorations[i], word[i + 1:], point):
+                reached = [(v, rows.get(c) or self._row(op, rows, c, point))
+                           for c, v in vec.items()]
+                mden = math.lcm(*(rden for _, (_, rden) in reached))
                 new = {}
-                for src, v in vec.items():
-                    for dst, m in rows.get(src, ()):
+                for v, (row, rden) in reached:
+                    if rden != mden:
+                        v = tuple(a * (mden // rden) for a in v)
+                    for dst, m in row:
                         w = mul(v, m)
                         cur = new.get(dst)
                         new[dst] = w if cur is None else tuple(map(operator.add, cur, w))

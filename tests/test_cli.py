@@ -289,6 +289,26 @@ def test_I_naming_a_generator_twice_exit_2(capsys):
         [["s2*s1*s2", "1"], ["s2", "1"]]
 
 
+def test_pcan_with_no_word_after_a_multi_generator_I_exit_2(capsys):
+    # the word s2 after --I s1 would be read as I = {s1, s2} and an empty
+    # word; with no repeat to catch, an empty word is the tell
+    rc, out, err = run(capsys, ["pcan", "--type", "affA1", "--I", "s1", "s2"])
+    assert rc == 2 and out == ""
+    got = json.loads(err)
+    assert got["error"] == "UsageError"
+    assert cli._I_HINT in got["message"]
+    for argv in (["--I", "s1", "--", "s2"], ["s2", "--I", "s1"]):
+        rc, out, _ = run(capsys, ["pcan", "--type", "affA1"] + argv)
+        assert rc == 0, argv
+        assert [line.split() for line in out.strip().splitlines()[2:]] == \
+            [["s2", "1"]], argv
+    # one generator in I leaves the empty word its one summand
+    rc, out, _ = run(capsys, ["pcan", "--type", "affA1", "--I", "s1"])
+    assert rc == 0
+    assert [line.split() for line in out.strip().splitlines()[2:]] == \
+        [["e", "1"]]
+
+
 def test_pcan_char0_crosscheck_runs(capsys):
     # t s t = s t s leaves the quotient for I = {s1}; the character collapses
     # to d_{s2} and the cross-check against the module action still passes

@@ -250,7 +250,8 @@ def _check_gradedrank(ball, I, args):
 
 
 def _check_localization(ball, I, args):
-    calc = LocalCalculus(ball, I)
+    # relation_oracle's two-color words stroll through elements of length 3
+    calc = LocalCalculus(build_ball(ball.matrix, max(args.cap, 3)), I)
     bad = [[name, "", "relation failure"]
            for name, ok in relation_oracle(calc) if not ok]
     for length in range(min(args.cap, args.word_cap) + 1):

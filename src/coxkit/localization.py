@@ -31,11 +31,11 @@ relations, at a nonempty I also on the I = {} table that the I-rule
 reduces; m >= 4 raises UnsupportedBraidError.
 
 Pairings at defect sum zero are constants of Frac(K), so multiplicities and
-the Gram check read them off by exact evaluation at an integer point,
-without building a symbolic matrix: every value on the way is an integral
-K coefficient tuple over a positive integer.  The value of x(alpha_t) mod I
-at the point is the ball's root image x(alpha_t) dotted with the point,
-once per (x, point); a root value r is inverted once, by
+the Gram check read them off by exact evaluation at one integer point
+(_point), without building a symbolic matrix: every value on the way is an
+integral K coefficient tuple over a positive integer.  The value of
+x(alpha_t) mod I at the point is the ball's root image x(alpha_t) dotted
+with the point, once per x; a root value r is inverted once, by
 ScalarRing.adjugate, as r * adj = norm with adj integral and norm a positive
 integer (_inverse, the one place an element of K is inverted).  The top
 row of a light leaf propagates as integral tuples over one running
@@ -47,7 +47,7 @@ summand d mapping to it share their strolls before and after the window.
 ^IW membership is decided step by step (leaves._strolls), so d is a
 summand exactly when its window's stroll from x stays in ^IW, and the
 entry depends on x and the window bits alone: the row of c is the rule
-read backwards per (kind, window, x, point), with c's other bits put
+read backwards per (kind, window, x), with c's other bits put
 back.  So only the word's own subexpressions are enumerated.  Only the
 leaves themselves are propagated, never their flips: every generator
 G: N_w -> N_w' satisfies
@@ -74,15 +74,14 @@ A k-leaf form costs at most k propagations, fewer when leaves share
 suffixes: the row left after undoing the steps i+1..n of a light leaf
 depends only on (x_i, word[i:], bits[i:]), and is kept under that key, so
 across the leaves of a word, and across the words of a sweep, each partial
-row is propagated once.  Every rank is one integer elimination of the form's
-regular representation (ScalarRing.regular: each entry becomes the
-deg K x deg K integer block of multiplication by it; at deg K = 1 the block
-is the entry itself).  At char 0 each row is scaled by the lcm of its
-denominators to integral K tuples, and the forms of multiplicity and
-gram_invertible are ranked by fraction-free scalars.bareiss, divided by
-deg K.  At char p each distinct pairing value is reduced into PrimeFieldK
-once and the blocks are ranked by forward elimination over ints mod p,
-divided by the residue degree.
+row is propagated once.  Every rank takes one route (_rank): each row of
+the form is scaled by the lcm of its denominators to integral K tuples,
+and their regular representation (ScalarRing.regular: each entry becomes
+the deg K x deg K integer block of multiplication by it; at deg K = 1 the
+block is the entry itself) is ranked by fraction-free scalars.bareiss at
+char 0, by forward elimination mod p at char p, divided by deg K or the
+residue degree.  The values are in lowest terms, so p divides a row's lcm
+exactly when an entry has no image mod p, which is refused.
 
 The certificates of a word (`coxkit check localization`) stay
 symbolic.  The double leaf flipped(LL_f) o LL_e of a pair is built once:
@@ -99,8 +98,8 @@ Triangularity tests each nonzero entry by membership in the
 path-dominance down-sets of e and f, each computed once per word and
 dropped when the word changes.
 
-No denominator vanishes at an evaluation point.  A calculus draws three
-points (_points), every coordinate from 10^6..10^7, and _stroll_values
+No denominator vanishes at the evaluation point.  A calculus draws one
+point (_point), every coordinate from 10^6..10^7, and _stroll_values
 zeroes the coordinates in I.  Every root x(alpha_t) has root_image
 coordinates that are all >= 0 or all <= 0 under the real embedding of K
 (Humphreys, "Reflection Groups and Coxeter Groups", 5.4; this holds for
@@ -115,8 +114,18 @@ x(alpha_s) is not in the span of I.  Hence no "inv" or "ratio"
 denominator of a light-leaf rule vanishes at a point,
 and neither does E_top(x), a product of the positive roots
 x_k(alpha_{s_{k+1}}) along x's reduced word, each prefix x_k in ^IW.
-Multiplicities read the first point and the Gram check tries all three,
-so both share every point-keyed cache.
+
+Nor does a Gram determinant (the triangularity lemma).  Let L hold the top
+rows LL_e[top, g] at the point of the k leaves e of `word` at x; by the
+localization formula the Gram matrix is G = E_top(x)^-1 L diag(E) L^T.  L
+is square, as a top row vanishes on every summand whose endpoint is not x,
+and the summands at x are the leaves at x.  L is triangular in path
+dominance: LL_e[top, g] = 0 unless g <= e (the triangularity that makes
+light leaves a basis, Libedinsky-Williamson, arXiv:1702.00459).  Each
+diagonal entry LL_e[top, e] is a unit of K times a ratio of roots outside
+the span of I.  So det G = E_top(x)^-k det(L)^2 prod_g E(g) is a unit times
+such a ratio, nonzero at every positive point by the positivity lemma, and
+gram_invertible ranks G once, at the point multiplicities read too.
 """
 
 from __future__ import annotations
@@ -253,11 +262,10 @@ class LocalCalculus:
         self._vec_cache = {}
         self._step_cache = {}
         self._euler_cache = {}
-        # the evaluation points of multiplicity (the first) and
-        # gram_invertible (all three), drawn once per calculus
+        # the one evaluation point of multiplicity and gram_invertible
         rng = random.Random(20231115)
-        self._points = [tuple(rng.randint(10 ** 6, 10 ** 7)
-                              for _ in range(self.pr.rank)) for _ in range(3)]
+        self._point = tuple(rng.randint(10 ** 6, 10 ** 7)
+                            for _ in range(self.pr.rank))
         self._top_cache = {}
         # check_diagonal: the verdict per (diagonal value, candidate roots),
         # and the divisor of each candidate root, inverted once
@@ -604,28 +612,28 @@ class LocalCalculus:
 
     def gram_invertible(self, word, x):
         """Nondegeneracy over Q_I: full rank of the Gram matrix, evaluated
-        exactly, at one of the three points certifies; three singular
-        evaluations refuse."""
+        exactly at the calculus' point.  Its determinant is a unit times a
+        ratio of roots outside the span of I (the triangularity lemma of the
+        module docstring), so it vanishes at no point and one rank decides."""
         leaves = self.leaves_at(word, x)
-        return not leaves or any(
-            self._char0_rank(self.pairing_matrix(word, leaves, leaves, point))
-            == len(leaves) for point in self._points)
+        return not leaves or \
+            self._rank(self.pairing_matrix(word, leaves, leaves)) == len(leaves)
 
     # -- numeric fast path ---------------------------------------------------
 
-    def _stroll_values(self, x, point):
-        """x(alpha_t) mod I at an integer point, for each t, as K
-        coefficient tuples: the root_image coordinates dotted with the
-        point, I-coordinates dropped.  Cached per (x, point)."""
-        key = (x.idx, point)
-        got = self._value_cache.get(key)
+    def _stroll_values(self, x):
+        """x(alpha_t) mod I at the point, for each t, as K coefficient
+        tuples: the root_image coordinates dotted with the point,
+        I-coordinates dropped.  Cached per x."""
+        got = self._value_cache.get(x.idx)
         if got is None:
-            pt = tuple(0 if u in self.I else c for u, c in enumerate(point))
+            pt = tuple(0 if u in self.I else c
+                       for u, c in enumerate(self._point))
             got = tuple(
                 tuple(sum(map(operator.mul, pt, col)) for col in
                       zip(*self.ball.root_image(x, t)))
                 for t in range(self.pr.rank))
-            self._value_cache[key] = got
+            self._value_cache[x.idx] = got
         return got
 
     def _inverse(self, value):
@@ -643,13 +651,13 @@ class LocalCalculus:
             self._inv_cache[value] = got
         return got
 
-    def _term_value(self, term, point):
-        """A rule term at an integer point, as (integral K coefficients,
-        positive integer denominator)."""
+    def _term_value(self, term):
+        """A rule term at the point, as (integral K coefficients, positive
+        integer denominator)."""
         if term is _UNIT:
             return self._one, 1
         tag, x = term[0], term[1]
-        values = self._stroll_values(x, point)
+        values = self._stroll_values(x)
         r = values[term[2]]
         if tag == "root":
             return r, 1
@@ -660,7 +668,7 @@ class LocalCalculus:
             self.pr.reduce_root_mod_I(self.ball.root_image(x, term[2]), self.I)
             raise CoxkitError("a root outside the span of I vanishes at the "
                               "point %r, against the positivity lemma"
-                              % (point,))
+                              % (self._point,))
         adj, norm = self._inverse(r)
         if tag == "inv":
             return tuple(term[3] * a for a in adj), norm
@@ -668,28 +676,27 @@ class LocalCalculus:
         num = tuple(cs * a + ct * b for a, b in zip(r, values[term[3]]))
         return self.pr.ring.mul(num, adj), norm
 
-    def _row(self, op, rows, fbits, point):
-        """The row of a light-leaf op at the codomain summand fbits, at an
-        integer point, as ([(domain bits, integral coefficients)], den > 0),
-        kept in `rows`: the rule read backwards at the stroll element x of
-        fbits at the op's site, over the domain window bits whose stroll
-        from x stays in ^IW, with fbits' other bits put back.  The rows of
-        all codomain window bits are read at once, per (kind, window,
-        color, x, point)."""
+    def _row(self, op, rows, fbits):
+        """The row of a light-leaf op at the codomain summand fbits, at the
+        point, as ([(domain bits, integral coefficients)], den > 0), kept in
+        `rows`: the rule read backwards at the stroll element x of fbits at
+        the op's site, over the domain window bits whose stroll from x stays
+        in ^IW, with fbits' other bits put back.  The rows of all codomain
+        window bits are read at once, per (kind, window, color, x)."""
         kind, w, site, color = op
         window = self._window(kind, w, site)
         x, right = self.ball.identity, self.ball.right
         for s, b in zip(w[:site], fbits):
             if b:
                 x = right(x, s)
-        key = (kind, window, color, x.idx, point)
+        key = (kind, window, color, x.idx)
         table = self._window_cache.get(key)
         if table is None:
             entries = {}
             for dwin, _, _ in _strolls(self.ball, self.ball.ascents(self.I),
                                        window, x):
                 for fwin, term in self._rule(kind, window, x, dwin, color):
-                    num, den = self._term_value(term, point)
+                    num, den = self._term_value(term)
                     if any(num):
                         entries.setdefault(fwin, []).append((dwin, num, den))
             table = self._window_cache[key] = {}
@@ -704,25 +711,25 @@ class LocalCalculus:
                              for dwin, num in row], den
         return got
 
-    def _step_rows(self, x, s, dec, suffix, point):
+    def _step_rows(self, x, s, dec, suffix):
         """The ops of one light-leaf step (_step_ops) in the order a top row
         meets them, last op first, each with its rows at the point read so
-        far (fbits -> _row(op, rows, fbits, point), kept in _num_cache per
-        (op, point)); the list is cached per (x, s, dec, suffix, point)."""
-        key = (x.idx, s, dec, suffix, point)
+        far (fbits -> _row(op, rows, fbits), kept in _num_cache per op); the
+        list is cached per (x, s, dec, suffix)."""
+        key = (x.idx, s, dec, suffix)
         got = self._step_cache.get(key)
         if got is None:
             got = []
             for op in reversed(self._step_ops(x, s, dec, suffix)):
-                rows = self._num_cache.get((op, point))
+                rows = self._num_cache.get(op)
                 if rows is None:
-                    rows = self._num_cache[op, point] = {}
+                    rows = self._num_cache[op] = {}
                 got.append((op, rows))
             self._step_cache[key] = got
         return got
 
-    def _top_vector(self, word, e, point):
-        """Top row of LL_e evaluated at an integer point, as (integral
+    def _top_vector(self, word, e):
+        """Top row of LL_e evaluated at the point, as (integral
         coefficients by bits, one integer denominator).
 
         The row is propagated from the top summand of N_rex(x) back through
@@ -730,8 +737,8 @@ class LocalCalculus:
         leaves a row on N_{x_i.word + word[i:]} that depends only on (x_i,
         word[i:], bits[i:]), since those fix every step op (_step_ops) and
         the endpoint.  So each partial row is kept under (x_i.idx,
-        word[i:], bits[i:], point), and leaves, of one word or of several,
-        that share a suffix propagate it once.  Each op's rows are read on
+        word[i:], bits[i:]), and leaves, of one word or of several, that
+        share a suffix propagate it once.  Each op's rows are read on
         demand (_row), each over its own denominator, and the lcm of those
         read multiplies the running denominator."""
         cache = self._vec_cache
@@ -739,7 +746,7 @@ class LocalCalculus:
         n = len(word)
         keys = []
         for i in range(n + 1):
-            key = (stroll[i].idx, word[i:], bits[i:], point)
+            key = (stroll[i].idx, word[i:], bits[i:])
             got = cache.get(key)
             if got is not None:
                 break
@@ -750,8 +757,8 @@ class LocalCalculus:
         mul = self.pr.ring.mul
         for i in range(len(keys) - 1, -1, -1):
             for op, rows in self._step_rows(
-                    stroll[i], word[i], e.decorations[i], word[i + 1:], point):
-                reached = [(v, rows.get(c) or self._row(op, rows, c, point))
+                    stroll[i], word[i], e.decorations[i], word[i + 1:]):
+                reached = [(v, rows.get(c) or self._row(op, rows, c))
                            for c, v in vec.items()]
                 mden = math.lcm(*(rden for _, (_, rden) in reached))
                 new = {}
@@ -773,41 +780,38 @@ class LocalCalculus:
             got = cache[keys[i]] = vec, den
         return got
 
-    def _euler(self, word, stroll, point):
-        """prod_k x_k(alpha_{s_{k+1}}) mod I at an integer point, over the
-        stroll x_0, x_1, ... of a summand of `word`: its Euler class, as
-        integral K coefficients."""
+    def _euler(self, word, stroll):
+        """prod_k x_k(alpha_{s_{k+1}}) mod I at the point, over the stroll
+        x_0, x_1, ... of a summand of `word`: its Euler class, as integral K
+        coefficients."""
         ring = self.pr.ring
         out = self._one
         for s, x in zip(word, stroll):
-            out = ring.mul(out, self._stroll_values(x, point)[s])
+            out = ring.mul(out, self._stroll_values(x)[s])
         return out
 
-    def _euler_table(self, word, point):
+    def _euler_table(self, word):
         """bits -> Euler class at the point, for every summand of `word`;
-        cached per (word, point)."""
-        key = (word, point)
-        got = self._euler_cache.get(key)
+        cached per word."""
+        got = self._euler_cache.get(word)
         if got is None:
-            got = self._euler_cache[key] = {
-                g.bits: self._euler(word, g.stroll, point)
-                for g in self.indices(word)}
+            got = self._euler_cache[word] = {
+                g.bits: self._euler(word, g.stroll) for g in self.indices(word)}
         return got
 
-    def _top_inverse(self, x, point):
+    def _top_inverse(self, x):
         """(adj, norm) of the Euler class of the top summand of N_rex(x) at
         the point: the product of the roots along the all-ones stroll of x's
         canonical reduced word."""
-        key = (x.idx, point)
-        got = self._top_cache.get(key)
+        got = self._top_cache.get(x.idx)
         if got is None:
             stroll = decorate(self.ball, x.word, (1,) * x.length).stroll
-            got = self._top_cache[key] = self._inverse(
-                self._euler(x.word, stroll, point))
+            got = self._top_cache[x.idx] = self._inverse(
+                self._euler(x.word, stroll))
         return got
 
-    def pairing_matrix(self, word, rows, cols, point):
-        """[[<e, f> for f in cols] for e in rows] at an integer point, for
+    def pairing_matrix(self, word, rows, cols):
+        """[[<e, f> for f in cols] for e in rows] at the point, for
         leaves e, f of `word` with one common endpoint x, by the
         localization formula
 
@@ -822,14 +826,14 @@ class LocalCalculus:
         summed, and mirrored.  Entries are (coeffs, den) in lowest terms:
         integral K coefficients over a positive integer denominator."""
         word = tuple(word)
-        adj, norm = self._top_inverse(rows[0].endpoint, point)
-        euler = self._euler_table(word, point)
+        adj, norm = self._top_inverse(rows[0].endpoint)
+        euler = self._euler_table(word)
         mul = self.pr.ring.mul
         zero = (0,) * len(adj), 1
         symmetric = cols is rows
-        col_vecs = [self._top_vector(word, f, point) for f in cols]
+        col_vecs = [self._top_vector(word, f) for f in cols]
         row_vecs = col_vecs if symmetric else \
-            [self._top_vector(word, e, point) for e in rows]
+            [self._top_vector(word, e) for e in rows]
         by_bits = {}            # bits g -> [(column j, LL_f[top, g] E(g))]
 
         def index(j):
@@ -862,15 +866,22 @@ class LocalCalculus:
                     row[j] = out[j][i]
         return out
 
-    def _char0_rank(self, form):
-        """Rank over Frac(K) of a form of pairing values (coeffs, den): each
-        row scaled by the lcm of its denominators to integral K tuples, then
-        ranked by ScalarRing.rank (Bareiss on the regular representation)."""
+    def _rank(self, form, field=None):
+        """Rank of a form of pairing values (coeffs, den) over Frac(K), or
+        over the residue field `field`: each row scaled by the lcm of its
+        denominators to integral K tuples, then ranked by ScalarRing.rank
+        (bareiss) or field.rank (mod p).  The values are in lowest terms, so
+        p divides a row's lcm exactly when an entry has no image in the
+        field, and is refused; otherwise the lcm is a unit mod p, and
+        scaling a row by it keeps the rank."""
         rows = []
         for row in form:
             den = math.lcm(*(d for _, d in row))
+            if field is not None and den % field.p == 0:
+                raise UnsupportedCharacteristicError(
+                    "denominator divisible by %d in scalar reduction" % field.p)
             rows.append([tuple(a * (den // d) for a in c) for c, d in row])
-        return self.pr.ring.rank(rows)
+        return (self.pr.ring if field is None else field).rank(rows)
 
     # -- intersection forms and canonical multiplicities --------------------------
 
@@ -878,11 +889,11 @@ class LocalCalculus:
         """Graded multiplicity m_x(v) via ranks of the intersection forms.
 
         The pairings at defect sum zero are constants of Frac(K), so they are
-        read off exactly by evaluating at the first of the calculus' points.
-        The pairing is symmetric, so the form at defect -d is the transpose
-        of the form at d: only the forms at d >= 0 are assembled
-        (pairing_matrix), each ranked once, and a rank r at d > 0 adds
-        r (v^d + v^-d).
+        read off exactly by evaluating at the calculus' point.  The pairing
+        is symmetric, so the form at defect -d is the transpose of the form
+        at d: only the forms at d >= 0 are assembled (pairing_matrix), each
+        ranked once by _rank, at char 0 or mod p, and a rank r at d > 0
+        adds r (v^d + v^-d).
 
         At char p the realization must be Demazure surjective (Elias-
         Williamson's standing hypothesis): each alpha_s^vee is nonzero on
@@ -901,20 +912,12 @@ class LocalCalculus:
         by_defect = {}
         for e in self.leaves_at(word, x):
             by_defect.setdefault(e.defect, []).append(e)
-        point = self._points[0]
-        forms = {d: self.pairing_matrix(word, rows, by_defect[-d], point)
-                 for d, rows in sorted(by_defect.items())
-                 if d >= 0 and -d in by_defect}
-        if char:
-            # each distinct value once; a symmetric form repeats most
-            reduced = {c: field.reduce(*c) for c in dict.fromkeys(
-                c for form in forms.values() for row in form for c in row)}
         out = LaurentPoly.zero()
-        for d, form in forms.items():
-            if char:
-                rank = field.rank([[reduced[c] for c in row] for row in form])
-            else:
-                rank = self._char0_rank(form)
+        for d, rows in sorted(by_defect.items()):
+            if d < 0 or -d not in by_defect:
+                continue
+            rank = self._rank(
+                self.pairing_matrix(word, rows, by_defect[-d]), field)
             if rank:
                 out = out + LaurentPoly.v(-d, rank)
                 if d:

@@ -16,8 +16,8 @@ positive integer, and r in K is inverted as r * adj = N(r)
 (ScalarRing.adjugate), so no fraction field is built.  Every rank, norm and
 inverse is one integer elimination: a matrix over K becomes an integer
 matrix in the regular representation (ScalarRing.regular), ranked over Q by
-fraction-free bareiss and over F_p by rank_mod_p; PrimeFieldK only reduces
-into F_p and ranks there.
+fraction-free bareiss and over F_p by rank_mod_p; PrimeFieldK only ranks
+integral matrices over F_p[y]/(p_N), reducing their entries mod p.
 """
 
 from __future__ import annotations
@@ -444,8 +444,8 @@ def _is_prime(n):
 class PrimeFieldK:
     """The residue field F_p[y]/(p_N), for primes where p_N stays irreducible.
 
-    Elements are coefficient tuples (length deg) of ints in [0, p); the
-    field reduces elements of Frac(K) into it and ranks matrices over it.
+    It ranks matrices of integral K coefficient tuples over it, their
+    entries reduced mod p; callers scale away denominators first.
     """
 
     def __init__(self, ring, p):
@@ -463,19 +463,8 @@ class PrimeFieldK:
                 "not reduce to a field" % p)
         self.deg = ring.deg
 
-    def reduce(self, coeffs, den):
-        """The image of the element coeffs / den of Frac(K), den > 0;
-        refused when p divides den in lowest terms."""
-        g = math.gcd(den, *coeffs)
-        den //= g
-        if den % self.p == 0:
-            raise UnsupportedCharacteristicError(
-                "denominator divisible by %d in scalar reduction" % self.p)
-        inv = pow(den, -1, self.p)
-        return tuple(a // g * inv % self.p for a in coeffs)
-
     def rank(self, rows):
-        """Rank of a matrix of field elements: rank_mod_p of its
-        regular-representation blocks (ScalarRing.regular), divided by the
-        residue degree."""
+        """Rank over the field of a matrix of integral K coefficient
+        tuples: rank_mod_p of its regular-representation blocks
+        (ScalarRing.regular), divided by the residue degree."""
         return rank_mod_p(self.ring.regular(rows), self.p) // self.deg

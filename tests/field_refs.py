@@ -5,7 +5,8 @@ every value the library carries as an integral K tuple over a positive
 integer.  `sign` and `root_sign` are the root-sign oracle: the exact sign
 of an element of K as a real number.  `prime_field_ops` gives the element
 operations of a `PrimeFieldK` (zero, one, is_zero, sub, mul, inv) for the
-tests' Gauss-Jordan ranks.  `evaluate` is a polynomial of R at an integer
+tests' Gauss-Jordan ranks, and `reduce` the image of an element of Frac(K)
+in it, the reference for the refusal of `LocalCalculus._rank`.  `evaluate` is a polynomial of R at an integer
 point.
 """
 
@@ -14,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
-from coxkit.errors import CoxkitError, NotInvertibleError
+from coxkit.errors import (CoxkitError, NotInvertibleError,
+                           UnsupportedCharacteristicError)
 from coxkit.scalars import _pmod_mulmod, _pmod_powmod
 
 
@@ -192,3 +194,15 @@ def prime_field_ops(field):
         sub=lambda a, b: tuple((x - y) % p for x, y in zip(a, b)),
         mul=lambda a, b: pad(_pmod_mulmod(list(a), list(b), poly, p)),
         inv=inv)
+
+
+def reduce(field, coeffs, den):
+    """The image in the PrimeFieldK `field` of the element coeffs / den of
+    Frac(K), den > 0; refused when p divides den in lowest terms."""
+    g = math.gcd(den, *coeffs)
+    den //= g
+    if den % field.p == 0:
+        raise UnsupportedCharacteristicError(
+            "denominator divisible by %d in scalar reduction" % field.p)
+    inv = pow(den, -1, field.p)
+    return tuple(a // g * inv % field.p for a in coeffs)

@@ -89,6 +89,18 @@ def test_check_localization_small(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--type", "A2", "--cap", "2", "--word-cap", "1"],
+    ["--type", "A1", "--cap", "0"],
+])
+def test_check_localization_below_cap_3(capsys, argv):
+    """The relation oracle's words stroll through elements of length 3, so
+    the check builds its ball to at least that length, whatever --cap says;
+    the words it checks stay within --cap."""
+    rc, out, err = run(capsys, ["check", "localization"] + argv)
+    assert (rc, out, err) == (0, "PASS localization\n", "")
+
+
+@pytest.mark.parametrize("argv", [
     ["monotonicity", "--type", "A3", "--I", "s1", "s2"],
     ["gradedrank", "--type", "A3", "--count", "20"],
     ["finitary", "--type", "A3", "--I", "s1", "s2"],

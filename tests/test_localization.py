@@ -22,7 +22,7 @@ from coxkit.laurent import LaurentPoly
 from coxkit.leaves import decorate, path_dom_leq
 from coxkit.localization import LocalCalculus, StdMatrix, relation_oracle
 from coxkit.scalars import PrimeFieldK, ScalarRing
-from field_refs import CycRat, evaluate, prime_field_ops
+from field_refs import CycRat, evaluate, prime_field_ops, reduce
 
 
 @pytest.fixture(scope="module")
@@ -356,13 +356,28 @@ def test_stdmatrix_identity_and_compose(a2):
 _POINT = (1000003, 1000033, 1000037)
 
 
+def _calc_at(ball, I, point):
+    """A fresh calculus that evaluates at `point` instead of its own: set
+    before its first call, so every cached value is read there."""
+    calc = LocalCalculus(ball, I)
+    calc._point = point
+    return calc
+
+
+def _draws(rank, k):
+    """The first k points of the sequence a calculus draws its point from."""
+    rng = random.Random(20231115)
+    return [tuple(rng.randint(10 ** 6, 10 ** 7) for _ in range(rank))
+            for _ in range(k)]
+
+
 # -- per-pair references ------------------------------------------------------
 # The numeric pairing and forms as LocalCalculus computed them before forms
 # were assembled by transpose pair (pairing_matrix) from shared top rows.
 
-def pairing_value(calc, word, e, f, point):
+def pairing_value(calc, word, e, f):
     """The (constant) pairing of e with f, read off by exact evaluation
-    at an integer point by the localization formula
+    at the calculus' point by the localization formula
 
         <e, f> = E_top(x)^-1 sum_g LL_e[top, g] LL_f[top, g] E(g)
 
@@ -370,10 +385,10 @@ def pairing_value(calc, word, e, f, point):
     common endpoint.  Returns (coeffs, den) in lowest terms: integral K
     coefficients over a positive integer denominator."""
     word = tuple(word)
-    row, rden = calc._top_vector(word, e, point)
-    col, cden = calc._top_vector(word, f, point)
-    adj, norm = calc._top_inverse(e.endpoint, point)
-    euler = calc._euler_table(word, point)
+    row, rden = calc._top_vector(word, e)
+    col, cden = calc._top_vector(word, f)
+    adj, norm = calc._top_inverse(e.endpoint)
+    euler = calc._euler_table(word)
     mul = calc.pr.ring.mul
     total = (0,) * len(adj)
     for bits, v in row.items():
@@ -397,8 +412,8 @@ def _forms(calc, word, x, pair):
             for d, rows in sorted(by_defect.items())}
 
 
-def _numeric_matrix(calc, op, point, flipped=False):
-    """A generator matrix evaluated at an integer point as a whole, the rule
+def _numeric_matrix(calc, op, flipped=False):
+    """A generator matrix evaluated at the point as a whole, the rule
     read forward over every summand of its domain word, as (rows, den):
     rows maps each bits a top vector enters by to [(bits it leaves by,
     integral coefficients)], and den > 0 is the one integer denominator of
@@ -419,7 +434,7 @@ def _numeric_matrix(calc, op, point, flipped=False):
             fbits = b[:site] + fwin + b[end:]
             if fbits not in cbits:
                 continue
-            num, den = calc._term_value(term, point)
+            num, den = calc._term_value(term)
             if not any(num):
                 continue
             g = math.gcd(den, *num)
@@ -437,8 +452,8 @@ def _numeric_matrix(calc, op, point, flipped=False):
     return rows, den
 
 
-def _per_leaf_top_vector(calc, word, e, point, matrices, flipped=False):
-    """Top row of LL_e evaluated at an integer point, as (integral
+def _per_leaf_top_vector(calc, word, e, matrices, flipped=False):
+    """Top row of LL_e evaluated at the point, as (integral
     coefficients by bits, one integer denominator), propagated through the
     leaf's whole program, each generator a whole matrix (_numeric_matrix,
     kept in the dict `matrices`); flipped, the top column of the flipped
@@ -447,10 +462,10 @@ def _per_leaf_top_vector(calc, word, e, point, matrices, flipped=False):
     vec = {(1,) * e.endpoint.length: calc._one}
     den = 1
     for op in reversed(calc._ll_ops(word, e)):
-        key = (op, point, flipped)
+        key = (op, flipped)
         got = matrices.get(key)
         if got is None:
-            got = matrices[key] = _numeric_matrix(calc, op, point, flipped)
+            got = matrices[key] = _numeric_matrix(calc, op, flipped)
         rows, mden = got
         new = {}
         for src, v in vec.items():
@@ -469,22 +484,22 @@ def _per_leaf_top_vector(calc, word, e, point, matrices, flipped=False):
     return vec, den
 
 
-def _per_pair_gram_invertible(calc, word, x, seed=11):
+def _per_pair_gram_invertible(calcs, word, x):
     """gram_invertible with every entry of the Gram matrix read by
-    pairing_value, at three points of its own: full rank at one of them
-    certifies."""
-    leaves = calc.leaves_at(word, x)
-    if not leaves:
-        return True
+    pairing_value, at the points of its own calculi (_per_pair_calcs): full
+    rank at one of them certifies."""
+    leaves = calcs[0].leaves_at(word, x)
+    return not leaves or any(
+        calc._rank([[pairing_value(calc, word, e, f) for f in leaves]
+                    for e in leaves]) == len(leaves) for calc in calcs)
+
+
+def _per_pair_calcs(ball, I, seed=11):
+    """Three calculi at three points of their own, one per point."""
     rng = random.Random(seed)
-    for _ in range(3):
-        point = tuple(rng.randint(10 ** 4, 10 ** 6)
-                      for _ in range(calc.pr.rank))
-        rows = [[pairing_value(calc, word, e, f, point) for f in leaves]
-                for e in leaves]
-        if calc._char0_rank(rows) == len(leaves):
-            return True
-    return False
+    return [_calc_at(ball, I, tuple(rng.randint(10 ** 4, 10 ** 6)
+                                    for _ in range(ball.rank)))
+            for _ in range(3)]
 
 
 @pytest.mark.parametrize("name, cap, I, length", [
@@ -502,8 +517,7 @@ def test_pairing_value_matches_symbolic_pairing(name, cap, I, length):
     StdMatrix pairing for every defect-sum-zero leaf pair of every word up
     to `length`."""
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
-    calc = LocalCalculus(ball, I)
-    point = _POINT[:ball.rank]
+    calc = _calc_at(ball, I, _POINT[:ball.rank])
     pairs = 0
     for word in itertools.chain.from_iterable(
             itertools.product(range(ball.rank), repeat=n)
@@ -514,7 +528,7 @@ def test_pairing_value_matches_symbolic_pairing(name, cap, I, length):
                     continue
                 want = _constant_value(pairing(calc, word, e.endpoint, e, f))
                 assert want is not None
-                got = pairing_value(calc, word, e, f, point)
+                got = pairing_value(calc, word, e, f)
                 assert _pair_cycrat(ball.ring, got) == want, (word, e, f)
                 pairs += 1
     assert pairs > 20
@@ -560,8 +574,8 @@ def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
     weighted by the Euler classes: flip(G)[d, c] = G[c, d] E_w(d) / E_w'(c),
     the identity behind the localization formula of pairing_value."""
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
-    calc = LocalCalculus(ball, I)
     point = _POINT[:ball.rank]
+    calc = _calc_at(ball, I, point)
     ops = {op for word in _words(ball.rank, length)
            for e in calc.indices(word) for op in calc._ll_ops(word, e)}
     kinds = {op[0] for op in ops}
@@ -574,7 +588,7 @@ def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
         summands = {d.bits for d in calc.indices(w)}
         got = {}
         for c in calc.indices(calc._codomain(kind, w, site, color)):
-            row, den = calc._row(op, {}, c.bits, point)
+            row, den = calc._row(op, {}, c.bits)
             assert isinstance(den, int) and den > 0
             assert all(isinstance(a, int) for _, num in row for a in num)
             assert {dst for dst, _ in row} <= summands, (op, c)
@@ -587,8 +601,8 @@ def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
         fkind, fw, fsite, fcolor = calc._flip_op(op)
         flipped = _evaluated_entries(
             calc, calc.gen_matrix(fkind, fw, fsite, color=fcolor), point, True)
-        euler_w = calc._euler_table(w, point)
-        euler_cod = calc._euler_table(calc._codomain(kind, w, site, color), point)
+        euler_w = calc._euler_table(w)
+        euler_cod = calc._euler_table(calc._codomain(kind, w, site, color))
         weighted = {(c, d): val * CycRat(ball.ring, euler_w[d])
                     / CycRat(ball.ring, euler_cod[c])
                     for (c, d), val in got.items()}
@@ -607,18 +621,18 @@ class _FlippedColumnPairing:
         self._matrices = {}
         self._vec_cache = {}
 
-    def _top_vector(self, word, e, point, flipped):
-        key = (word, e.bits, point, flipped)
+    def _top_vector(self, word, e, flipped):
+        key = (word, e.bits, flipped)
         got = self._vec_cache.get(key)
         if got is None:
             got = self._vec_cache[key] = _per_leaf_top_vector(
-                self.calc, word, e, point, self._matrices, flipped)
+                self.calc, word, e, self._matrices, flipped)
         return got
 
-    def pairing_value(self, word, e, f, point):
+    def pairing_value(self, word, e, f):
         word = tuple(word)
-        row, rden = self._top_vector(word, e, point, flipped=False)
-        col, cden = self._top_vector(word, f, point, flipped=True)
+        row, rden = self._top_vector(word, e, flipped=False)
+        col, cden = self._top_vector(word, f, flipped=True)
         ring = self.calc.pr.ring
         total = [0] * ring.deg
         for bits, v in row.items():
@@ -640,15 +654,15 @@ def test_pairing_value_matches_flipped_column_pairing(name, cap, I, length):
     pair of leaves with a common endpoint (any defects) of every word up to
     `length`."""
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
-    calc = LocalCalculus(ball, I)
-    ref = _FlippedColumnPairing(LocalCalculus(ball, I))
     point = _POINT[:ball.rank]
+    calc = _calc_at(ball, I, point)
+    ref = _FlippedColumnPairing(_calc_at(ball, I, point))
     pairs = 0
     for word in _words(ball.rank, length):
         for e in calc.indices(word):
             for f in calc.leaves_at(word, e.endpoint):
-                want = ref.pairing_value(word, e, f, point)
-                assert pairing_value(calc, word, e, f, point) == want, (word, e, f)
+                want = ref.pairing_value(word, e, f)
+                assert pairing_value(calc, word, e, f) == want, (word, e, f)
                 pairs += 1
     assert pairs > 50
 
@@ -662,23 +676,22 @@ def test_pairing_matrix_matches_pairing_value(name, cap, I, length):
     d, so its rank is the same over any field."""
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
     calc, ref = LocalCalculus(ball, I), LocalCalculus(ball, I)
-    point = _POINT[:ball.rank]
     entries = transposed = 0
     for word in _words(ball.rank, length):
         for x in {e.endpoint for e in calc.indices(word)}:
             leaves = calc.leaves_at(word, x)
-            want = [[pairing_value(ref, word, e, f, point) for f in leaves]
+            want = [[pairing_value(ref, word, e, f) for f in leaves]
                     for e in leaves]
-            assert calc.pairing_matrix(word, leaves, leaves, point) == want
+            assert calc.pairing_matrix(word, leaves, leaves) == want
             entries += len(leaves) ** 2
             forms = _forms(ref, word, x,
-                           lambda e, f: pairing_value(ref, word, e, f, point))
+                           lambda e, f: pairing_value(ref, word, e, f))
             by_defect = {}
             for e in leaves:
                 by_defect.setdefault(e.defect, []).append(e)
             for d, form in forms.items():
                 got = calc.pairing_matrix(word, by_defect[d],
-                                          by_defect.get(-d, []), point)
+                                          by_defect.get(-d, []))
                 assert got == form, (word, x, d)
                 if -d in forms:
                     assert forms[-d] == [list(col) for col in zip(*form)]
@@ -694,19 +707,18 @@ def test_multiplicity_matches_the_ranks_of_every_form(name, cap, I, length):
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
     calc, ref = LocalCalculus(ball, I), LocalCalculus(ball, I)
     field = PrimeFieldK(ball.ring, 3)
-    point = _POINT[:ball.rank]
     graded = 0
     for word in _words(ball.rank, length):
         for x in {e.endpoint for e in calc.indices(word)}:
             forms = _forms(ref, word, x,
-                           lambda e, f: pairing_value(ref, word, e, f, point))
+                           lambda e, f: pairing_value(ref, word, e, f))
             for char in (0, 3):
                 want = LaurentPoly.zero()
                 for d, form in forms.items():
                     rank = _gauss_jordan_rank(
                         [[_pair_cycrat(ball.ring, c) for c in row]
                          for row in form]) if not char else \
-                        field.rank([[field.reduce(*c) for c in row]
+                        field.rank([[reduce(field, *c) for c in row]
                                     for row in form])
                     want = want + LaurentPoly.v(-d, rank)
                 got = calc.multiplicity(word, x, char=char)
@@ -723,13 +735,12 @@ def test_shared_top_rows_match_per_leaf_propagation(name, cap, I, length):
     partial rows are kept than the leaves' steps."""
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
     calc, fresh = LocalCalculus(ball, I), LocalCalculus(ball, I)
-    point = _POINT[:ball.rank]
     matrices = {}
     steps = 0
     for word in _words(ball.rank, length):
         for e in calc.indices(word):
-            got = calc._top_vector(word, e, point)
-            assert got == _per_leaf_top_vector(fresh, word, e, point,
+            got = calc._top_vector(word, e)
+            assert got == _per_leaf_top_vector(fresh, word, e,
                                                matrices), (word, e)
             steps += len(word) + 1
     assert all(isinstance(den, int) and den > 0
@@ -746,47 +757,79 @@ def test_shared_top_rows_match_per_leaf_propagation(name, cap, I, length):
 ])
 def test_gram_verdicts_match_the_per_pair_reference(name, cap, I, length):
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
-    calc, ref = LocalCalculus(ball, I), LocalCalculus(ball, I)
+    calc, refs = LocalCalculus(ball, I), _per_pair_calcs(ball, I)
     verdicts = 0
     for word in _words(ball.rank, length):
         for x in {e.endpoint for e in calc.indices(word)}:
-            want = _per_pair_gram_invertible(ref, word, x)
+            want = _per_pair_gram_invertible(refs, word, x)
             assert calc.gram_invertible(word, x) == want, (word, x)
             verdicts += 1
     assert verdicts > 20
 
 
 @pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
-def test_no_root_outside_the_span_of_I_vanishes_at_the_points(name, cap, I,
-                                                               length):
-    """The positivity lemma of the localization module docstring: at each
-    of a calculus' three points, x(alpha_t) mod I evaluates to 0 exactly
-    when it is 0 in Q_I (reduce_root_mod_I refuses it), for every element
-    x of the ball and every t."""
+def test_top_rows_are_triangular_in_path_dominance(name, cap, I, length):
+    """The triangularity lemma of the localization module docstring, for
+    every leaf e at x of every word: the top row of LL_e at the point is
+    supported on summands g with endpoint x and g <= e in path dominance,
+    so the Gram matrix's L is square and triangular; and the symbolic
+    diagonal entry LL_e[top, e] is a unit times a ratio of roots, dividing
+    to a unit over e's stroll roots and its own denominator roots (as
+    check_diagonal divides)."""
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
     calc = LocalCalculus(ball, I)
-    assert len(calc._points) == 3
+    leaves = 0
+    for word in _words(ball.rank, length):
+        summands = {g.bits: g for g in calc.indices(word)}
+        for e in summands.values():
+            x = e.endpoint
+            vec, _ = calc._top_vector(word, e)
+            assert e.bits in vec, (word, e)
+            for bits in vec:
+                g = summands[bits]
+                assert g.endpoint == x and path_dom_leq(ball, g, e), (word, e, g)
+            top = SimpleNamespace(bits=(1,) * x.length)
+            val = calc.eval_lightleaf(word, e).entry(top, e)
+            roots = dict.fromkeys(
+                calc.diagonal_root_candidates(word, e) + list(val.den))
+            assert localization._divides_to_unit(
+                calc.pr, val.num, [calc._divisor(r) for r in roots]), (word, e)
+            leaves += 1
+    assert leaves > 100
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
+def test_no_root_outside_the_span_of_I_vanishes_at_the_points(name, cap, I,
+                                                               length):
+    """The positivity lemma of the localization module docstring: at the
+    calculus' point and at the next two draws of its sequence, x(alpha_t)
+    mod I evaluates to 0 exactly when it is 0 in Q_I (reduce_root_mod_I
+    refuses it), for every element x of the ball and every t."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calcs = [_calc_at(ball, I, point) for point in _draws(ball.rank, 3)]
+    assert calcs[0]._point == LocalCalculus(ball, I)._point
     checks = 0
     for x in ball.elements:
-        for point in calc._points:
-            values = calc._stroll_values(x, point)
+        for calc in calcs:
+            values = calc._stroll_values(x)
             for t in range(ball.rank):
                 try:
                     calc.pr.reduce_root_mod_I(ball.root_image(x, t), I)
                     refused = False
                 except NotInvertibleError:
                     refused = True
-                assert (not any(values[t])) == refused, (x, t, point)
+                assert (not any(values[t])) == refused, (x, t, calc._point)
                 checks += 1
     assert checks >= 3 * len(ball) * ball.rank
 
 
-def _multiplicity_forms(calc, word, x, point):
-    """The forms multiplicity ranks, assembled at `point`."""
+
+def _multiplicity_forms(calc, word, x):
+    """The forms multiplicity ranks, assembled at the calculus' point."""
     by_defect = {}
     for e in calc.leaves_at(word, x):
         by_defect.setdefault(e.defect, []).append(e)
-    return {d: calc.pairing_matrix(word, rows, by_defect[-d], point)
+    return {d: calc.pairing_matrix(word, rows, by_defect[-d])
             for d, rows in sorted(by_defect.items())
             if d >= 0 and -d in by_defect}
 
@@ -795,23 +838,25 @@ def _multiplicity_forms(calc, word, x, point):
 def test_forms_are_integral_and_point_independent(name, cap, I, length):
     """The pairings at defect sum zero lie in K, so the forms multiplicity
     ranks have denominator 1 and read the same at any point with positive
-    coordinates: at the calculus' first two points and at (1, ..., 1), for
-    every word and endpoint.  So multiplicity at char 0 and char 5 is the
-    same when the calculus evaluates at three all-ones points (char 3 on
-    H3, whose ring does not reduce to a field mod 5)."""
+    coordinates: at the calculus' point, at the next draw of its sequence
+    and at (1, ..., 1), for every word and endpoint.  So multiplicity at
+    char 0 and char 5 is the same when the calculus evaluates at the
+    all-ones point (char 3 on H3, whose ring does not reduce to a field
+    mod 5)."""
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
-    calc, ones = LocalCalculus(ball, I), LocalCalculus(ball, I)
-    ones._points = [(1,) * ball.rank] * 3
+    calc = LocalCalculus(ball, I)
+    second = _calc_at(ball, I, _draws(ball.rank, 2)[1])
+    ones = _calc_at(ball, I, (1,) * ball.rank)
     chars = (0, 3) if name == "H3" else (0, 5)
     pairs = 0
     for word in _words(ball.rank, length):
         for x in {e.endpoint for e in calc.indices(word)}:
-            forms = _multiplicity_forms(calc, word, x, calc._points[0])
+            forms = _multiplicity_forms(calc, word, x)
             assert all(den == 1 for form in forms.values()
                        for row in form for _, den in row), (word, x)
-            for point in (calc._points[1], ones._points[0]):
-                assert _multiplicity_forms(calc, word, x, point) == forms, \
-                    (word, x, point)
+            for other in (second, ones):
+                assert _multiplicity_forms(other, word, x) == forms, \
+                    (word, x, other._point)
             for char in chars:
                 assert ones.multiplicity(word, x, char=char) == \
                     calc.multiplicity(word, x, char=char), (word, x, char)
@@ -820,63 +865,36 @@ def test_forms_are_integral_and_point_independent(name, cap, I, length):
 
 
 def test_char_p_refusal_of_a_form_entry_is_raised(a2):
-    """PrimeFieldK.reduce refuses an entry whose denominator p divides, and
-    multiplicity raises that refusal as it is.  The pairings of defect sum
-    zero lie in K, so no supported word has such an entry: here the one
-    entry of the defect-0 form of s1 s2 s1 at s1, -1, is divided by 7."""
+    """_rank refuses a form with an entry whose denominator p divides, as
+    the reference reduce does, and multiplicity raises that refusal as it
+    is.  The pairings of defect sum zero lie in K, so no supported word has
+    such an entry: here the one entry of the defect-0 form of s1 s2 s1 at
+    s1, -1, is divided by 7."""
     word, s = (0, 1, 0), a2.product_of_word((0,))
     calc = LocalCalculus(a2)
     real = calc.pairing_matrix
 
-    def one_entry_over_7(word, rows, cols, point):
-        form = real(word, rows, cols, point)
+    def one_entry_over_7(word, rows, cols):
+        form = real(word, rows, cols)
         assert form == [[((-1,), 1)]]
         return [[((-1,), 7)]]
 
     calc.pairing_matrix = one_entry_over_7
-    with pytest.raises(UnsupportedCharacteristicError,
-                       match="denominator divisible by 7 in scalar reduction"):
-        calc.multiplicity(word, s, char=7)
+    for refuse in (lambda: calc.multiplicity(word, s, char=7),
+                   lambda: reduce(PrimeFieldK(a2.ring, 7), (-1,), 7)):
+        with pytest.raises(UnsupportedCharacteristicError,
+                           match="denominator divisible by 7 in scalar "
+                                 "reduction"):
+            refuse()
     assert calc.multiplicity(word, s, char=5) == LaurentPoly.const(1)
     assert calc.multiplicity(word, s) == LaurentPoly.const(1)
 
 
-def test_char_p_reduces_each_distinct_form_value_once(monkeypatch):
-    """At char p multiplicity reduces every distinct entry of its forms
-    once, and the values it reduces are the entries of every form at every
-    defect."""
-    ball = build_ball(CoxeterMatrix.from_type("A3"), 6)
-    word = (0, 1, 0, 2, 1, 0)
-    calc, ref = LocalCalculus(ball), LocalCalculus(ball)
-    point = _POINT[:ball.rank]
-    reduced = []
-    real = PrimeFieldK.reduce
-
-    def recording(field, coeffs, den):
-        reduced.append((tuple(coeffs), den))
-        return real(field, coeffs, den)
-
-    monkeypatch.setattr(PrimeFieldK, "reduce", recording)
-    repeated = 0
-    for x in {e.endpoint for e in calc.indices(word)}:
-        del reduced[:]
-        calc.multiplicity(word, x, char=5)
-        forms = _forms(ref, word, x,
-                       lambda e, f: pairing_value(ref, word, e, f, point))
-        entries = [c for form in forms.values() for row in form for c in row]
-        assert len(reduced) == len(set(reduced)), x
-        assert set(reduced) == set(entries), x
-        repeated += len(entries) > len(reduced)
-    assert repeated > 0
-
-
 def test_evaluation_points_are_drawn_once_per_calculus(a2, monkeypatch):
-    """multiplicity and gram_invertible try the points of one
+    """multiplicity and gram_invertible read one point, the first of one
     random.Random(20231115) sequence, drawn once per calculus and kept for
-    every (word, x)."""
-    rng = random.Random(20231115)
-    want = [tuple(rng.randint(10 ** 6, 10 ** 7) for _ in range(2))
-            for _ in range(10)]
+    every (word, x); gram_invertible assembles its Gram matrix once."""
+    want = _draws(2, 1)[0]
     builds = []
 
     class Counting(random.Random):
@@ -890,18 +908,17 @@ def test_evaluation_points_are_drawn_once_per_calculus(a2, monkeypatch):
     seen = []
     real = calc.pairing_matrix
 
-    def recording(word, rows, cols, point):
-        seen.append(point)
-        return real(word, rows, cols, point)
+    def recording(word, rows, cols):
+        seen.append(calc._point)
+        return real(word, rows, cols)
 
     calc.pairing_matrix = recording
-    # the Gram check evaluates at the same sequence, from its first point
     assert calc.gram_invertible((0, 1, 0), a2.product_of_word((0,)))
-    assert seen == [want[0]]
+    assert seen == [want]
     for word in _words(2, 4):
         calc.pcanonical(word)
     assert builds == [20231115]
-    assert calc._points == want[:3]
+    assert calc._point == want and set(seen) == {want} and len(seen) > 1
 
 
 def test_pcanonical_builds_no_symbolic_matrix(monkeypatch):
@@ -1035,13 +1052,13 @@ def test_root_zero_mod_I_is_not_invertible(a2):
     # vanishes only at a point off the positive orthant, which breaks the
     # invariant the numeric path rests on
     term = ("inv", a2.identity, 0, 1)
-    calc = LocalCalculus(a2, frozenset({0}))
+    calc = _calc_at(a2, frozenset({0}), _POINT[:2])
     with pytest.raises(NotInvertibleError):
         calc._term_qcoeff(term)
     with pytest.raises(NotInvertibleError):
-        calc._term_value(term, _POINT[:2])
+        calc._term_value(term)
     with pytest.raises(CoxkitError, match="positivity lemma"):
-        LocalCalculus(a2)._term_value(term, (0, 7))
+        _calc_at(a2, frozenset(), (0, 7))._term_value(term)
 
 
 def test_char_p_accepts_p_in_a_running_denominator_that_cancels(a2):
@@ -1195,8 +1212,8 @@ def test_bareiss_rank_matches_gauss_jordan(name, n):
     deficient = 0
     for form in forms:
         want = _gauss_jordan_rank(form)
-        assert calc._char0_rank([[_cycrat_pair(c) for c in row]
-                                 for row in form]) == want, form
+        assert calc._rank([[_cycrat_pair(c) for c in row]
+                           for row in form]) == want, form
         deficient += bool(form and form[0]) and want < min(len(form), len(form[0]))
     assert deficient > 20
 
@@ -1229,12 +1246,12 @@ def test_char_p_block_rank_matches_gauss_jordan(n, p, deg):
                 total = [0] * deg
                 for a, b in zip(row, col):
                     total = [x + y for x, y in zip(total, ring.mul(a, b))]
-                out.append(field.reduce(total, 1))
+                out.append(tuple(total))
             form.append(out)
         forms.append(form)
     deficient = 0
     for form in forms:
-        want = _rank(form, ops)
+        want = _rank([[reduce(field, c, 1) for c in row] for row in form], ops)
         assert field.rank(form) == want, form
         deficient += bool(form and form[0]) and want < min(len(form), len(form[0]))
     assert deficient > 20
@@ -1247,17 +1264,18 @@ def test_char0_ranks_match_gauss_jordan_on_leaf_forms(name, cap, I, length):
     the ones the CycRat elimination gave."""
     ball = build_ball(CoxeterMatrix.from_type(name), cap)
     calc = LocalCalculus(ball, I)
-    bareiss = calc._char0_rank
+    bareiss = calc._rank
     ranks = []
 
-    def checked(form):
+    def checked(form, field=None):
+        assert field is None
         got = bareiss(form)
         assert got == _gauss_jordan_rank(
             [[_pair_cycrat(ball.ring, c) for c in row] for row in form]), form
         ranks.append(got)
         return got
 
-    calc._char0_rank = checked
+    calc._rank = checked
     for word in _words(ball.rank, length):
         for x in {e.endpoint for e in calc.indices(word)}:
             assert calc.gram_invertible(word, x), (word, x)

@@ -84,12 +84,21 @@ residue degree.  The values are in lowest terms, so p divides a row's lcm
 exactly when an entry has no image mod p, which is refused.
 
 The certificates of a word (`coxkit check localization`) stay
-symbolic.  The double leaf flipped(LL_f) o LL_e of a pair is built once:
+symbolic.  A light leaf is composed from its end, as a top row is
+propagated: undoing steps n..i+1 leaves the matrix T(i): N_{x_i.word +
+word[i:]} -> N_rex(x), which depends only on (x_i, word[i:], bits[i:]),
+as those fix the endpoint and every op of the steps left.  eval_lightleaf
+keeps T(i) and its flip under that key, so across the leaves of a word,
+and across the words of a sweep, each shared suffix is composed once per
+orientation.  The double leaf flipped(LL_f) o LL_e of a pair is built once:
 double_leaf keeps its most recent result, and endpoint matching and
 triangularity read it one after the other.  Its entries are the PolyRing's
 shared Q_I values, and compose multiplies them through the ring's product
 memo, so across a sweep each distinct product is computed once; a composed
-matrix takes its position maps from its factors.  The diagonal check reads
+matrix takes its position maps from its factors.  No matrix holds a zero
+entry.  The factors' entries are nonzero and Q_I has no zero divisors, so
+a product is never zero; compose zero-tests only the entries that sum two
+or more products, and drops those whose terms cancel.  The diagonal check reads
 entry (e, e) of double_leaf(word, e, e), and keeps its verdict per (shared
 value, set of candidate roots).  It divides by the candidate roots exactly
 over K, each candidate's leading coefficient inverted once by _inverse; a
@@ -178,16 +187,18 @@ class StdMatrix:
     __slots__ = ("domain", "codomain", "dpos", "cpos", "entries")
 
     def __init__(self, domain, codomain, entries=None, dpos=None, cpos=None):
-        """dpos and cpos, the bits -> position maps of domain and codomain,
-        are built unless given: a result passes on its operands' maps, which
-        are never mutated."""
+        """entries, {(codomain index, domain index): value}, holds only
+        nonzero values and is taken as it is: every maker of a matrix drops
+        the zeros it can produce.  dpos and cpos, the bits -> position maps
+        of domain and codomain, are built unless given: a result passes on
+        its operands' maps, which are never mutated."""
         self.domain = tuple(domain)
         self.codomain = tuple(codomain)
         self.dpos = {d.bits: i for i, d in enumerate(self.domain)} \
             if dpos is None else dpos
         self.cpos = {c.bits: i for i, c in enumerate(self.codomain)} \
             if cpos is None else cpos
-        self.entries = {k: v for k, v in (entries or {}).items() if not v.is_zero()}
+        self.entries = {} if entries is None else entries
 
     @staticmethod
     def identity(indices, pr):
@@ -199,7 +210,9 @@ class StdMatrix:
         return self.entries.get((self.cpos[f.bits], self.dpos[e.bits]))
 
     def compose(self, other):
-        """self o other."""
+        """self o other.  The factors' entries are nonzero and Q_I has no
+        zero divisors, so a product is never zero: only a summed entry is
+        zero-tested, and dropped when its terms cancel."""
         if self.domain is not other.codomain and \
                 tuple(d.bits for d in self.domain) != \
                 tuple(c.bits for c in other.codomain):
@@ -210,9 +223,17 @@ class StdMatrix:
         out = {}
         for (ki, cj), val in other.entries.items():
             for ri, left in by_col.get(ki, ()):
+                key = ri, cj
                 prod = left * val
-                got = out.get((ri, cj))
-                out[(ri, cj)] = prod if got is None else got + prod
+                got = out.get(key)
+                if got is None:
+                    out[key] = prod
+                else:
+                    got = got + prod
+                    if got.is_zero():
+                        del out[key]
+                    else:
+                        out[key] = got
         return StdMatrix(other.domain, self.codomain, out, other.dpos, self.cpos)
 
     def __add__(self, other):
@@ -221,18 +242,26 @@ class StdMatrix:
         out = dict(self.entries)
         for k, v in other.entries.items():
             got = out.get(k)
-            out[k] = v if got is None else got + v
+            if got is None:
+                out[k] = v
+            else:
+                got = got + v
+                if got.is_zero():
+                    del out[k]
+                else:
+                    out[k] = got
         return StdMatrix(self.domain, self.codomain, out, self.dpos, self.cpos)
 
     def scale(self, q):
         return StdMatrix(self.domain, self.codomain,
+                         {} if q.is_zero() else
                          {k: v * q for k, v in self.entries.items()},
                          self.dpos, self.cpos)
 
     def __eq__(self, other):
         if not isinstance(other, StdMatrix):
             return NotImplemented
-        # __init__ drops zero entries, so equal matrices have equal key sets
+        # no entry is zero, so equal matrices have equal key sets
         return self.dpos == other.dpos and self.cpos == other.cpos \
             and self.entries.keys() == other.entries.keys() \
             and all(v == other.entries[k] for k, v in self.entries.items())
@@ -393,7 +422,9 @@ class LocalCalculus:
                                          b[site:end], color, poly):
                 ri = cpos.get(b[:site] + fwin + b[end:])
                 if ri is not None:
-                    out[(ri, ci)] = self._term_qcoeff(term)
+                    q = self._term_qcoeff(term)
+                    if not q.is_zero():
+                        out[(ri, ci)] = q
         return StdMatrix(dom, cod, out)
 
     def _term_qcoeff(self, term):
@@ -459,16 +490,6 @@ class LocalCalculus:
 
     # -- light leaves ----------------------------------------------------------
 
-    def _ll_ops(self, word, e):
-        """The generator program of the light leaf of e: list of
-        (kind, domain word, site, color) acting N_word -> N_canonical_rex,
-        the steps of _step_ops in order."""
-        ops = []
-        for i, s in enumerate(word):
-            ops += self._step_ops(e.stroll[i], s, e.decorations[i],
-                                  tuple(word[i + 1:]))
-        return ops
-
     def _step_ops(self, x, s, dec, suffix):
         """The generator ops of one step of a light-leaf program: the letter
         s with decoration dec, read at the stroll element x before it, and
@@ -518,19 +539,37 @@ class LocalCalculus:
 
     def eval_lightleaf(self, word, e, flipped=False):
         """LL_e: N_word -> N_rex(endpoint), rex = the canonical reduced word;
-        flipped, the flipped leaf N_rex(endpoint) -> N_word.  Each
-        orientation has its own cache."""
+        flipped, the flipped leaf N_rex(endpoint) -> N_word.
+
+        The leaf is built from its end, as _top_vector builds a top row.
+        Undoing steps n..i+1 leaves T(i): N_{x_i.word + word[i:]} ->
+        N_rex(endpoint), which depends only on (x_i, word[i:], bits[i:]):
+        those fix the endpoint and every step op (_step_ops).  T(n) is the
+        identity, T(i) = T(i+1) o (the ops of step i), and flip(T(i)) =
+        flip(ops of step i) o flip(T(i+1)).  Each orientation keeps its
+        T(i) under (x_i.idx, word[i:], bits[i:]), so leaves that share a
+        suffix, of one word or of several, compose it once; T(0) is the
+        leaf."""
         word = tuple(word)
         cache = self._llbar_cache if flipped else self._ll_cache
-        key = (word, e.bits)
-        got = cache.get(key)
-        if got is None:
-            ops = self._ll_ops(word, e)
-            start = e.endpoint.word if flipped else word
-            got = StdMatrix.identity(self.indices(start), self.pr)
-            for op in reversed(ops) if flipped else ops:
-                got = self._op_matrix(op, flipped).compose(got)
-            cache[key] = got
+        stroll, bits = e.stroll, e.bits
+        n = len(word)
+        keys = []
+        for i in range(n + 1):
+            key = (stroll[i].idx, word[i:], bits[i:])
+            got = cache.get(key)
+            if got is not None:
+                break
+            keys.append(key)
+        else:
+            got = cache[keys.pop()] = StdMatrix.identity(
+                self.indices(stroll[n].word), self.pr)
+        for i in range(len(keys) - 1, -1, -1):
+            for op in reversed(self._step_ops(stroll[i], word[i],
+                                              e.decorations[i], word[i + 1:])):
+                gen = self._op_matrix(op, flipped)
+                got = gen.compose(got) if flipped else got.compose(gen)
+            cache[keys[i]] = got
         return got
 
     # -- pairings and forms -------------------------------------------------

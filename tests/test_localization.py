@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import random
+import sys
 import weakref
 from fractions import Fraction
 from types import SimpleNamespace
@@ -347,9 +348,64 @@ def test_stdmatrix_identity_and_compose(a2):
     b = calc.gen_matrix("poly", (0, 1), 0, poly=calc.pr.one())
     assert ident.compose(b) == b
     assert b.compose(ident) == b
-    assert (b + b.scale(calc.pr.qi_const(calc.pr.const(-1)))).entries == {} or \
-        all(v.is_zero() for v in
-            (b + b.scale(calc.pr.qi_const(calc.pr.const(-1)))).entries.values())
+    assert (b + b.scale(calc.pr.qi_const(calc.pr.const(-1)))).entries == {}
+    # the needle: merge o split is 0, each entry a sum whose terms cancel
+    split = calc.gen_matrix("split", (0,), 0)
+    merge = calc.gen_matrix("merge", (0, 0), 0)
+    assert split.entries and merge.entries
+    assert merge.compose(split).entries == {}
+    # products are never zero and cancelled sums are dropped, so no matrix
+    # of a certificate sweep holds a zero value
+    doubles = _certificate_sweep(calc, 4)
+    assert len(doubles) > 50
+    for cache in (calc._gen_cache, calc._ll_cache, calc._llbar_cache):
+        assert len(cache) > 20
+        assert not any(v.is_zero() for mat in cache.values()
+                       for v in mat.entries.values())
+    assert not any(v.is_zero() for mat in doubles for v in mat.entries.values())
+
+
+def _certificate_sweep(calc, length):
+    """The symbolic certificates of `coxkit check localization` on every
+    word up to `length`: the double leaves they read, in order."""
+    doubles = []
+    for word in _words(calc.ball.rank, length):
+        for e in calc.indices(word):
+            for f in calc.leaves_at(word, e.endpoint):
+                assert f is not e or calc.check_diagonal(word, e)
+                assert calc.check_triangularity(word, e, f)
+                doubles.append(calc.double_leaf(word, e, f))
+                assert doubles[-1].endpoint_matched()
+    return doubles
+
+
+def test_light_leaves_compose_each_shared_suffix_once(a2, monkeypatch):
+    """Over a certificate sweep, eval_lightleaf composes the ops of step i
+    once per orientation and (x_i, word[i:], bits[i:]): its compose calls
+    number the step ops summed over those distinct suffixes."""
+    calc = LocalCalculus(a2)
+    calls = []
+    real = StdMatrix.compose
+
+    def counting(self, other):
+        if sys._getframe(1).f_code.co_name == "eval_lightleaf":
+            calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(StdMatrix, "compose", counting)
+    _certificate_sweep(calc, 4)
+    steps = {}
+    for word in _words(2, 4):
+        for e in calc.indices(word):
+            for i in range(len(word)):
+                for flipped in (False, True):
+                    key = (flipped, e.stroll[i].idx, word[i:], e.bits[i:])
+                    steps[key] = len(calc._step_ops(
+                        e.stroll[i], word[i], e.decorations[i], word[i + 1:]))
+    # what composing every leaf op by op takes in one orientation
+    per_leaf = sum(len(_ll_ops(calc, word, e)) for word in _words(2, 4)
+                   for e in calc.indices(word))
+    assert len(calls) == sum(steps.values()) < per_leaf
 
 
 # A point off every root hyperplane that the words below meet.
@@ -452,6 +508,17 @@ def _numeric_matrix(calc, op, flipped=False):
     return rows, den
 
 
+def _ll_ops(calc, word, e):
+    """The generator program of the light leaf of e: list of
+    (kind, domain word, site, color) acting N_word -> N_canonical_rex,
+    the ops of every step (_step_ops) in order."""
+    ops = []
+    for i, s in enumerate(word):
+        ops += calc._step_ops(e.stroll[i], s, e.decorations[i],
+                              tuple(word[i + 1:]))
+    return ops
+
+
 def _per_leaf_top_vector(calc, word, e, matrices, flipped=False):
     """Top row of LL_e evaluated at the point, as (integral
     coefficients by bits, one integer denominator), propagated through the
@@ -461,7 +528,7 @@ def _per_leaf_top_vector(calc, word, e, matrices, flipped=False):
     ring = calc.pr.ring
     vec = {(1,) * e.endpoint.length: calc._one}
     den = 1
-    for op in reversed(calc._ll_ops(word, e)):
+    for op in reversed(_ll_ops(calc, word, e)):
         key = (op, flipped)
         got = matrices.get(key)
         if got is None:
@@ -577,7 +644,7 @@ def test_numeric_matrix_matches_evaluated_gen_matrix(name, cap, I, length):
     point = _POINT[:ball.rank]
     calc = _calc_at(ball, I, point)
     ops = {op for word in _words(ball.rank, length)
-           for e in calc.indices(word) for op in calc._ll_ops(word, e)}
+           for e in calc.indices(word) for op in _ll_ops(calc, word, e)}
     kinds = {op[0] for op in ops}
     braid_free = name == "affA1" or (name == "A2" and I)
     assert kinds >= {"enddot", "merge"} | (set() if braid_free else {"braid"})
@@ -929,7 +996,7 @@ def test_pcanonical_builds_no_symbolic_matrix(monkeypatch):
     word = (0, 1, 0, 2, 1, 0)
     calc = LocalCalculus(ball)
     assert any(op[0] == "braid" and calc._mst(op[1][op[2]], op[1][op[2] + 1]) == 3
-               for e in calc.indices(word) for op in calc._ll_ops(word, e))
+               for e in calc.indices(word) for op in _ll_ops(calc, word, e))
 
     def refuse(*args, **kwargs):
         raise AssertionError("pcanonical built a symbolic matrix")
@@ -957,7 +1024,7 @@ def test_pcanonical_enumerates_only_the_word_itself(name, cap, I, word, char):
     calc = LocalCalculus(ball, I)
     assert calc.pcanonical(word, char=char)
     assert any(op[1] != word
-               for e in calc.indices(word) for op in calc._ll_ops(word, e))
+               for e in calc.indices(word) for op in _ll_ops(calc, word, e))
     assert list(calc._indices) == [word]
 
 
@@ -1348,7 +1415,7 @@ def _reference_compose(pr, left, right):
 def _reference_leaf(calc, word, e, flipped):
     """The light leaf of e, or its flip, composed by _reference_compose from
     the entries of its generator matrices."""
-    ops = calc._ll_ops(word, e)
+    ops = _ll_ops(calc, word, e)
     start = calc.indices(e.endpoint.word if flipped else word)
     out = {(i, i): (calc.pr.one(), []) for i in range(len(start))}
     for op in reversed(ops) if flipped else ops:
@@ -1384,6 +1451,31 @@ def test_memoized_double_leaves_match_plain_poly_arithmetic(name, cap, I,
                         == num * _root_product(pr, q.den), (word, e, f, k)
                 pairs += 1
     assert pairs > 50 and len(pr._qi_mul) > 20
+
+
+@pytest.mark.parametrize("name, cap, I, length", _LEAF_CASES)
+def test_suffix_shared_leaves_match_per_leaf_reference(name, cap, I, length):
+    """Every light leaf, in both orientations, composed from the suffixes
+    a warm calculus keeps equals the leaf composed op by op from the
+    identity with plain Poly arithmetic.  The words come longest first, so
+    a leaf of a shorter word w is found whole, kept as the suffix of the
+    leaf of (s,) + w that skips s (s outside I)."""
+    ball = build_ball(CoxeterMatrix.from_type(name), cap)
+    calc, ref = LocalCalculus(ball, I), LocalCalculus(ball, I)
+    pr = calc.pr
+    for word in reversed(list(_words(ball.rank, length))):
+        for e in calc.indices(word):
+            for flipped in (False, True):
+                cache = calc._llbar_cache if flipped else calc._ll_cache
+                assert ((e.stroll[0].idx, word, e.bits) in cache) \
+                    == (len(word) < length), (word, e, flipped)
+                got = calc.eval_lightleaf(word, e, flipped).entries
+                want = _reference_leaf(ref, word, e, flipped)
+                assert got.keys() == want.keys(), (word, e, flipped)
+                for k, (num, den) in want.items():
+                    q = got[k]
+                    assert q.num * _root_product(pr, den) \
+                        == num * _root_product(pr, q.den), (word, e, flipped, k)
 
 
 @pytest.mark.parametrize("name, cap, I, length", [

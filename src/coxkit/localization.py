@@ -35,7 +35,7 @@ the Gram check read them off by exact evaluation at one integer point
 (_point), without building a symbolic matrix: every value on the way is an
 integral K coefficient tuple over a positive integer.  The value of
 x(alpha_t) mod I at the point is the ball's root image x(alpha_t) dotted
-with the point, once per x; a root value r is inverted once, by
+with the point, once per x; a root value r is inverted by
 ScalarRing.adjugate, as r * adj = norm with adj integral and norm a positive
 integer (_inverse, the one place an element of K is inverted).  The top
 row of a light leaf propagates as integral tuples over one running
@@ -71,27 +71,22 @@ transpose of the form at d: multiplicity assembles and ranks only the
 forms at d >= 0, and the d = 0 form and gram_invertible's Gram matrix sum
 their upper triangle.
 A k-leaf form costs at most k propagations, fewer when leaves share
-suffixes: the row left after undoing the steps i+1..n of a light leaf
-depends only on (x_i, word[i:], bits[i:]), and is kept under that key, so
-across the leaves of a word, and across the words of a sweep, each partial
-row is propagated once.  Every rank takes one route (_rank): each row of
-the form is scaled by the lcm of its denominators to integral K tuples,
-and their regular representation (ScalarRing.regular: each entry becomes
-the deg K x deg K integer block of multiplication by it; at deg K = 1 the
-block is the entry itself) is ranked by fraction-free scalars.bareiss at
-char 0, by forward elimination mod p at char p, divided by deg K or the
-residue degree.  The values are in lowest terms, so p divides a row's lcm
-exactly when an entry has no image mod p, which is refused.
+suffixes: across the leaves of a word, and across the words of a sweep,
+each partial row is propagated once (_from_end).  Every rank takes one
+route (_rank): each row of the form is scaled by the lcm of its
+denominators to integral K tuples, and their regular representation
+(ScalarRing.regular: each entry becomes the deg K x deg K integer block of
+multiplication by it; at deg K = 1 the block is the entry itself) is ranked
+by fraction-free scalars.bareiss at char 0, by forward elimination mod p at
+char p, divided by deg K or the residue degree.  The values are in lowest
+terms, so p divides a row's lcm exactly when an entry has no image mod p,
+which is refused.
 
 The certificates of a word (`coxkit check localization`) stay
-symbolic.  A light leaf is composed from its end, as a top row is
-propagated: undoing steps n..i+1 leaves the matrix T(i): N_{x_i.word +
-word[i:]} -> N_rex(x), which depends only on (x_i, word[i:], bits[i:]),
-as those fix the endpoint and every op of the steps left.  eval_lightleaf
-keeps T(i) and its flip under that key, so across the leaves of a word,
-and across the words of a sweep, each shared suffix is composed once per
-orientation.  The double leaf flipped(LL_f) o LL_e of a pair is built once:
-double_leaf keeps its most recent result, and endpoint matching and
+symbolic.  A light leaf is composed from its end by the walk that
+propagates a top row (_from_end), so each shared suffix is composed once
+per orientation.  The double leaf flipped(LL_f) o LL_e of a pair is built
+once: double_leaf keeps its most recent result, and endpoint matching and
 triangularity read it one after the other.  Its entries are the PolyRing's
 shared Q_I values, and compose multiplies them through the ring's product
 memo, so across a sweep each distinct product is computed once; a composed
@@ -285,7 +280,6 @@ class LocalCalculus:
         self._llbar_cache = {}
         self._gen_cache = {}
         self._value_cache = {}
-        self._inv_cache = {}
         self._window_cache = {}
         self._num_cache = {}
         self._vec_cache = {}
@@ -537,21 +531,19 @@ class LocalCalculus:
             return ("split", cod, site, None)
         return ("braid", cod, site, None)
 
-    def eval_lightleaf(self, word, e, flipped=False):
-        """LL_e: N_word -> N_rex(endpoint), rex = the canonical reduced word;
-        flipped, the flipped leaf N_rex(endpoint) -> N_word.
-
-        The leaf is built from its end, as _top_vector builds a top row.
-        Undoing steps n..i+1 leaves T(i): N_{x_i.word + word[i:]} ->
-        N_rex(endpoint), which depends only on (x_i, word[i:], bits[i:]):
-        those fix the endpoint and every step op (_step_ops).  T(n) is the
-        identity, T(i) = T(i+1) o (the ops of step i), and flip(T(i)) =
-        flip(ops of step i) o flip(T(i+1)).  Each orientation keeps its
-        T(i) under (x_i.idx, word[i:], bits[i:]), so leaves that share a
-        suffix, of one word or of several, compose it once; T(0) is the
-        leaf."""
-        word = tuple(word)
-        cache = self._llbar_cache if flipped else self._ll_cache
+    def _from_end(self, cache, word, e, end, undo):
+        """The light leaf of e in one representation, a matrix over Q_I
+        (eval_lightleaf) or its top row at the point (_top_vector), built
+        from its end.  Undoing steps n..i+1 of its program leaves T(i) on
+        N_{x_i.word + word[i:]}, which depends only on (x_i, word[i:],
+        bits[i:]): those fix the endpoint x_n and every step op (_step_ops).
+        T(n) is end(x_n), and T(i) is T(i+1) passed through undo(op, T) over
+        the ops of step i, last op first.  Each T(i) is kept in `cache`
+        under (x_i.idx, word[i:], bits[i:]), so leaves that share a suffix,
+        of one word or of several, walk it once; T(0) is returned.  The
+        reversed ops of a step are kept in _step_cache per (x_i.idx,
+        word[i], decoration, word[i+1:]), which the two representations
+        share."""
         stroll, bits = e.stroll, e.bits
         n = len(word)
         keys = []
@@ -562,15 +554,33 @@ class LocalCalculus:
                 break
             keys.append(key)
         else:
-            got = cache[keys.pop()] = StdMatrix.identity(
-                self.indices(stroll[n].word), self.pr)
+            got = cache[keys.pop()] = end(stroll[n])
         for i in range(len(keys) - 1, -1, -1):
-            for op in reversed(self._step_ops(stroll[i], word[i],
-                                              e.decorations[i], word[i + 1:])):
-                gen = self._op_matrix(op, flipped)
-                got = gen.compose(got) if flipped else got.compose(gen)
+            step = (stroll[i].idx, word[i], e.decorations[i], word[i + 1:])
+            ops = self._step_cache.get(step)
+            if ops is None:
+                ops = self._step_cache[step] = tuple(reversed(
+                    self._step_ops(stroll[i], *step[1:])))
+            for op in ops:
+                got = undo(op, got)
             cache[keys[i]] = got
         return got
+
+    def eval_lightleaf(self, word, e, flipped=False):
+        """LL_e: N_word -> N_rex(endpoint), rex = the canonical reduced word;
+        flipped, the flipped leaf N_rex(endpoint) -> N_word.  Built from
+        the identity of N_rex(endpoint) by _from_end, each orientation in
+        its own cache: an op G takes T to T o G, and flip(T) to
+        flip(G) o flip(T)."""
+
+        def compose_op(op, got):
+            gen = self._op_matrix(op, flipped)
+            return gen.compose(got) if flipped else got.compose(gen)
+
+        return self._from_end(
+            self._llbar_cache if flipped else self._ll_cache, tuple(word), e,
+            lambda x: StdMatrix.identity(self.indices(x.word), self.pr),
+            compose_op)
 
     # -- pairings and forms -------------------------------------------------
 
@@ -679,16 +689,12 @@ class LocalCalculus:
         """(adj, norm) for a nonzero r in K (a root value at a point, or a
         candidate root's leading coefficient), given by its coefficients:
         adj integral, norm a positive int, r * adj == norm, in lowest terms
-        (ScalarRing.adjugate divided by its gcd content); cached by value."""
-        got = self._inv_cache.get(value)
-        if got is None:
-            adj, det = self.pr.ring.adjugate(value)
-            g = math.gcd(det, *adj)
-            if det < 0:
-                g = -g
-            got = tuple(a // g for a in adj), det // g
-            self._inv_cache[value] = got
-        return got
+        (ScalarRing.adjugate divided by its gcd content)."""
+        adj, det = self.pr.ring.adjugate(value)
+        g = math.gcd(det, *adj)
+        if det < 0:
+            g = -g
+        return tuple(a // g for a in adj), det // g
 
     def _term_value(self, term):
         """A rule term at the point, as (integral K coefficients, positive
@@ -750,74 +756,46 @@ class LocalCalculus:
                              for dwin, num in row], den
         return got
 
-    def _step_rows(self, x, s, dec, suffix):
-        """The ops of one light-leaf step (_step_ops) in the order a top row
-        meets them, last op first, each with its rows at the point read so
-        far (fbits -> _row(op, rows, fbits), kept in _num_cache per op); the
-        list is cached per (x, s, dec, suffix)."""
-        key = (x.idx, s, dec, suffix)
-        got = self._step_cache.get(key)
-        if got is None:
-            got = []
-            for op in reversed(self._step_ops(x, s, dec, suffix)):
-                rows = self._num_cache.get(op)
-                if rows is None:
-                    rows = self._num_cache[op] = {}
-                got.append((op, rows))
-            self._step_cache[key] = got
-        return got
-
     def _top_vector(self, word, e):
         """Top row of LL_e evaluated at the point, as (integral
-        coefficients by bits, one integer denominator).
-
-        The row is propagated from the top summand of N_rex(x) back through
-        the steps of the program, last step first.  Undoing steps n..i+1
-        leaves a row on N_{x_i.word + word[i:]} that depends only on (x_i,
-        word[i:], bits[i:]), since those fix every step op (_step_ops) and
-        the endpoint.  So each partial row is kept under (x_i.idx,
-        word[i:], bits[i:]), and leaves, of one word or of several, that
-        share a suffix propagate it once.  Each op's rows are read on
-        demand (_row), each over its own denominator, and the lcm of those
-        read multiplies the running denominator."""
-        cache = self._vec_cache
-        stroll, bits = e.stroll, e.bits
-        n = len(word)
-        keys = []
-        for i in range(n + 1):
-            key = (stroll[i].idx, word[i:], bits[i:])
-            got = cache.get(key)
-            if got is not None:
-                break
-            keys.append(key)
-        else:
-            got = cache[keys.pop()] = {(1,) * stroll[n].length: self._one}, 1
-        vec, den = got
+        coefficients by bits, one integer denominator).  Built from the top
+        unit row of N_rex(x) by _from_end: each op's rows are read on
+        demand (_row), each over its own denominator, and kept in
+        _num_cache per op; the lcm of those read multiplies the running
+        denominator, and a zero row stays zero over the same denominator."""
         mul = self.pr.ring.mul
-        for i in range(len(keys) - 1, -1, -1):
-            for op, rows in self._step_rows(
-                    stroll[i], word[i], e.decorations[i], word[i + 1:]):
-                reached = [(v, rows.get(c) or self._row(op, rows, c))
-                           for c, v in vec.items()]
-                mden = math.lcm(*(rden for _, (_, rden) in reached))
-                new = {}
-                for v, (row, rden) in reached:
-                    if rden != mden:
-                        v = tuple(a * (mden // rden) for a in v)
-                    for dst, m in row:
-                        w = mul(v, m)
-                        cur = new.get(dst)
-                        new[dst] = w if cur is None else tuple(map(operator.add, cur, w))
-                vec = {k: v for k, v in new.items() if any(v)}
-                if not vec:
-                    break       # zero stays zero, over the same denominator
-                den *= mden
-                g = math.gcd(den, *(a for v in vec.values() for a in v))
-                if g > 1:
-                    vec = {k: tuple(a // g for a in v) for k, v in vec.items()}
-                    den //= g
-            got = cache[keys[i]] = vec, den
-        return got
+
+        def undo_row(op, got):
+            rows = self._num_cache.get(op)
+            if rows is None:
+                rows = self._num_cache[op] = {}
+            vec, den = got
+            if not vec:
+                return got
+            reached = [(v, rows.get(c) or self._row(op, rows, c))
+                       for c, v in vec.items()]
+            mden = math.lcm(*(rden for _, (_, rden) in reached))
+            new = {}
+            for v, (row, rden) in reached:
+                if rden != mden:
+                    v = tuple(a * (mden // rden) for a in v)
+                for dst, m in row:
+                    w = mul(v, m)
+                    cur = new.get(dst)
+                    new[dst] = w if cur is None else tuple(map(operator.add, cur, w))
+            vec = {k: v for k, v in new.items() if any(v)}
+            if not vec:
+                return vec, den
+            den *= mden
+            g = math.gcd(den, *(a for v in vec.values() for a in v))
+            if g > 1:
+                vec = {k: tuple(a // g for a in v) for k, v in vec.items()}
+                den //= g
+            return vec, den
+
+        return self._from_end(self._vec_cache, word, e,
+                              lambda x: ({(1,) * x.length: self._one}, 1),
+                              undo_row)
 
     def _euler(self, word, stroll):
         """prod_k x_k(alpha_{s_{k+1}}) mod I at the point, over the stroll

@@ -388,7 +388,7 @@ def test_light_leaves_compose_each_shared_suffix_once(a2, monkeypatch):
     real = StdMatrix.compose
 
     def counting(self, other):
-        if sys._getframe(1).f_code.co_name == "eval_lightleaf":
+        if sys._getframe(1).f_code.co_name == "compose_op":
             calls.append(1)
         return real(self, other)
 
@@ -406,6 +406,34 @@ def test_light_leaves_compose_each_shared_suffix_once(a2, monkeypatch):
     per_leaf = sum(len(_ll_ops(calc, word, e)) for word in _words(2, 4)
                    for e in calc.indices(word))
     assert len(calls) == sum(steps.values()) < per_leaf
+
+
+@pytest.mark.parametrize("I, length, distinct", [
+    (frozenset(), 4, 144),
+    (frozenset({0}), 5, 104),
+])
+def test_leaf_representations_share_one_walk(a2, monkeypatch, I, length,
+                                             distinct):
+    """The symbolic leaves and their flips (certificates) and the top rows
+    at the point (gram_invertible) are one walk from the end (_from_end):
+    the ops of a step are read once per (x_i, s, decoration, word[i+1:]),
+    and the three caches keep one key set."""
+    calc = LocalCalculus(a2, I)
+    calls = []
+    real = LocalCalculus._step_ops
+
+    def counting(self, x, s, dec, suffix):
+        calls.append((x.idx, s, dec, suffix))
+        return real(self, x, s, dec, suffix)
+
+    monkeypatch.setattr(LocalCalculus, "_step_ops", counting)
+    _certificate_sweep(calc, length)
+    for word in _words(2, length):
+        for x in {e.endpoint for e in calc.indices(word)}:
+            assert calc.gram_invertible(word, x)
+    assert len(calls) == len(set(calls)) == distinct
+    assert calc._ll_cache.keys() == calc._llbar_cache.keys() \
+        == calc._vec_cache.keys()
 
 
 # A point off every root hyperplane that the words below meet.
